@@ -192,7 +192,6 @@ def _sim_config(cfg: dict) -> SimConfig:
         rtol=cfg["integrator"]["rtol"],
         atol=cfg["integrator"]["atol"],
         max_step=max_step if max_step > 0 else float("inf"),
-        epsilon_phidot=cfg["epsilon_phidot"],
         r_min=cfg["events"]["r_min"],
     )
 
@@ -603,7 +602,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (JetLagError, ValueError) as exc:
+    except (JetLagError, ValueError, ArithmeticError) as exc:
         print(f"numerical/domain error: {exc}", file=sys.stderr)
         return 3
 

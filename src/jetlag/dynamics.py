@@ -84,7 +84,6 @@ class SimConfig:
     rtol: float = 1e-9
     atol: float = 1e-9
     max_step: float = math.inf
-    epsilon_phidot: float = 0.0
     r_min: float = 1e-6
     compute_el_residual: bool = True
     el_max_points: int = 400

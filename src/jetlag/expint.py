@@ -1,112 +1,34 @@
 """The special function f(z) = -PV integral_{-z}^inf e^{-t}/t dt.
 
-Mathematically this is the exponential integral Ei(z).  Branches:
-
-* 0 < z < 40:   ascending series  gamma + ln z + sum z^k/(k k!)  (all terms
-                positive, convergent for every z, no cancellation)
-* z >= 40:      divergent asymptotic series e^z/z * sum k!/z^k truncated at
-                its smallest term (relative error ~ sqrt(2 pi z) e^{-z})
-* -6 <= z < 0:  ascending series with ln|z| (alternating but mild there)
-* z < -6:       continued fraction for E1(-z) via modified Lentz
-                (the alternating series loses too many digits out there)
-
-Accepts scalars or numpy arrays; z = 0 is a logarithmic singularity and
-raises.  Accuracy ~1e-13 relative, validated in the tests against an
-independent principal-value quadrature oracle.
+Mathematically this is the exponential integral Ei(z) (Abramowitz & Stegun
+§5.1), evaluated here by ``scipy.special.expi``.  Accepts scalars or numpy
+arrays; z = 0 is a logarithmic singularity and raises, as does non-finite
+z.  The tests check it against an independent principal-value quadrature
+oracle.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015328606065120900824024
-
-_SERIES_MAX_TERMS = 1200
-_CF_MAX_ITER = 200
-_TINY = 1e-300
-_EPS = float(np.finfo(float).eps)
-
-
-def _series(z: np.ndarray) -> np.ndarray:
-    """gamma + ln|z| + sum_{k>=1} z^k / (k k!), elementwise."""
-    out = EULER_GAMMA + np.log(np.abs(z))
-    term = np.ones_like(z)  # z^k / k!
-    acc = np.zeros_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * z / k
-        contrib = term / k
-        acc = np.where(active, acc + contrib, acc)
-        # safe to stop once past the hump (k > |z|) and terms are negligible
-        done = (np.abs(contrib) <= _EPS * np.abs(acc)) & (k > np.abs(z))
-        active &= ~done
-        if not active.any():
-            break
-    return out + acc
-
-
-def _asymptotic(z: np.ndarray) -> np.ndarray:
-    """e^z/z * sum_k k!/z^k, truncated at the smallest term."""
-    acc = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(1, _CF_MAX_ITER):
-        new = term * k / z
-        # once terms start growing the series has bottomed out
-        active &= np.abs(new) < np.abs(term)
-        if not active.any():
-            break
-        term = np.where(active, new, term)
-        acc = np.where(active, acc + new, acc)
-        if (np.abs(term) <= _EPS * np.abs(acc)).all():
-            break
-    return np.exp(z) / z * acc
-
-
-def _continued_fraction_e1(x: np.ndarray) -> np.ndarray:
-    """E1(x) for x > 0 by the classic continued fraction (modified Lentz)."""
-    b = x + 1.0
-    c = np.full_like(x, 1.0 / _TINY)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _CF_MAX_ITER):
-        a = -float(i) * float(i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) < _EPS):
-            break
-    return h * np.exp(-x)
+from scipy.special import expi
 
 
 def exp_integral_f(z):
     """f(z) of the monolayer potential; equals the exponential integral Ei(z).
 
-    Scalar in, scalar out; array in, array out.  Raises ValueError on z = 0.
+    Scalar in, scalar out; array in, array out.  Raises ValueError on z = 0
+    and on non-finite z.
     """
-    arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).astype(float).copy()
-    if np.any(flat == 0.0):
+    if isinstance(z, (int, float)):  # the closed forms' hot path skips numpy
+        zero, finite = z == 0, math.isfinite(z)
+    else:
+        z = np.asarray(z, dtype=float)
+        zero, finite = (z == 0.0).any(), np.isfinite(z).all()
+    if zero:
         raise ValueError("f(z) has a logarithmic singularity at z = 0")
-    if np.any(~np.isfinite(flat)):
+    if not finite:
         raise ValueError("f(z) requires finite z")
-
-    out = np.empty_like(flat)
-    pos_series = (flat > 0.0) & (flat < 40.0)
-    pos_asym = flat >= 40.0
-    neg_series = (flat < 0.0) & (flat >= -6.0)
-    neg_cf = flat < -6.0
-
-    if pos_series.any():
-        out[pos_series] = _series(flat[pos_series])
-    if pos_asym.any():
-        out[pos_asym] = _asymptotic(flat[pos_asym])
-    if neg_series.any():
-        out[neg_series] = _series(flat[neg_series])
-    if neg_cf.any():
-        out[neg_cf] = -_continued_fraction_e1(-flat[neg_cf])
-
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    out = expi(z)
+    return out if isinstance(out, np.ndarray) else float(out)

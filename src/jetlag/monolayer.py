@@ -118,6 +118,18 @@ def potential_U(t: float, r: float, params: MonolayerParams) -> float:
     return params.p * out
 
 
+def _dU_dr_poly(w: float, r: float) -> float:
+    """Q(w, r) with dU/dr = p [Q e^E + 4 w^6 f(E) / (45 r^2)], w = |V| t."""
+    return (
+        -20.0 / 3.0 * r**4
+        + 104.0 / 15.0 * w * r**3
+        - 61.0 / 30.0 * w**2 * r**2
+        - 1.0 / 45.0 * w**3 * r
+        - 1.0 / 45.0 * w**4
+        - 2.0 / 45.0 * w**5 / r
+    )
+
+
 def potential_U_dr(t: float, r: float, params: MonolayerParams) -> float:
     """dU/dr in closed form (cross-validated against FD in the tests)."""
     if r <= 0:
@@ -126,15 +138,7 @@ def potential_U_dr(t: float, r: float, params: MonolayerParams) -> float:
         return 0.0
     w = params.V_abs * t
     E = 2.0 * w / r
-    Q = (
-        -20.0 / 3.0 * r**4
-        + 104.0 / 15.0 * w * r**3
-        - 61.0 / 30.0 * w**2 * r**2
-        - 1.0 / 45.0 * w**3 * r
-        - 1.0 / 45.0 * w**4
-        - 2.0 / 45.0 * w**5 / r
-    )
-    out = Q * _exp(E)
+    out = _dU_dr_poly(w, r) * _exp(E)
     if w != 0.0:
         out += 4.0 / 45.0 * w**6 * exp_integral_f(E) / r**2
     return params.p * out
@@ -148,14 +152,7 @@ def potential_U_drr(t: float, r: float, params: MonolayerParams) -> float:
         return 0.0
     w = params.V_abs * t
     E = 2.0 * w / r
-    Q = (
-        -20.0 / 3.0 * r**4
-        + 104.0 / 15.0 * w * r**3
-        - 61.0 / 30.0 * w**2 * r**2
-        - 1.0 / 45.0 * w**3 * r
-        - 1.0 / 45.0 * w**4
-        - 2.0 / 45.0 * w**5 / r
-    )
+    Q = _dU_dr_poly(w, r)
     Qr = (
         -80.0 / 3.0 * r**3
         + 104.0 / 5.0 * w * r**2
@@ -275,22 +272,9 @@ def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact")
 
 
 def script_U(t: float, r: float, params: MonolayerParams) -> float:
-    """The curly-U(t, r) series entering the printed N11 (equals 3/|V|
-    times the polynomial-semispray bracket)."""
-    V = params.V_abs
-    w = V * t
-    E = 2.0 * w / r
-    out = (
-        5.0 / r
-        - 26.0 * w / (5.0 * r**2)
-        + 61.0 * w**2 / (40.0 * r**3)
-        + w**3 / (60.0 * r**4)
-        + w**4 / (60.0 * r**5)
-        + w**5 / (30.0 * r**6)
-    )
-    if w != 0.0:
-        out -= w**6 / (15.0 * r**7) * math.exp(-E) * exp_integral_f(E)
-    return out / V
+    """The curly-U(t, r) series entering the printed N11: 3/|V| times the
+    polynomial-semispray bracket."""
+    return 3.0 * semispray_series_bracket(t, r, params) / params.V_abs
 
 
 def script_U_dt(t: float, r: float, params: MonolayerParams) -> float:

@@ -18,16 +18,18 @@ def pv_exp_integral(z: float) -> float:
 
     For z > 0 the pole at t = 0 is inside the range; splitting symmetric
     about 0 turns the principal value into the smooth integrand
-    -2 sinh(t)/t on [0, z] plus the tail int_z^inf e^-t/t dt.
+    -2 sinh(t)/t on [0, z] plus the tail int_z^inf e^-t/t dt.  The
+    tolerance is purely relative (epsabs=0): at z = -30 f is ~ -3e-15, so
+    any absolute floor would let the quadrature stop without a digit.
     """
     if z == 0:
         raise ValueError("z = 0")
     if z < 0:
-        tail, _ = quad(lambda t: math.exp(-t) / t, -z, np.inf, epsabs=1e-14, epsrel=1e-13)
+        tail, _ = quad(lambda t: math.exp(-t) / t, -z, np.inf, epsabs=0.0, epsrel=1e-13)
         return -tail
     sym, _ = quad(lambda t: 2.0 * math.sinh(t) / t if t != 0 else 2.0, 0.0, z,
-                  epsabs=1e-14, epsrel=1e-13)
-    tail, _ = quad(lambda t: math.exp(-t) / t, z, np.inf, epsabs=1e-14, epsrel=1e-13)
+                  epsabs=0.0, epsrel=1e-13)
+    tail, _ = quad(lambda t: math.exp(-t) / t, z, np.inf, epsabs=0.0, epsrel=1e-13)
     return sym - tail
 
 

@@ -66,10 +66,17 @@ class TestEval:
         header = csv.read_text().splitlines()[0]
         assert header.startswith("t,r,phi,rdot,phidot,closed_g11,oracle_g11")
 
-    def test_rdot_zero_names_precondition(self, cfg_path, capsys):
-        rc = run_cli("eval", "--config", cfg_path, "--point", "0.001,0.5,0,0,0.2")
+    @pytest.mark.parametrize("point, fragment", [
+        pytest.param("0.001,0.5,0,0,0.2", "rdot", id="rdot-zero"),
+        pytest.param("0.5,0.5,0,-1,0.1", "numerical/domain error", id="overflow"),
+        pytest.param("0.001,0.5,0,1e-300,0.1", "numerical/domain error", id="zero-division"),
+    ])
+    def test_rdot_zero_names_precondition(self, cfg_path, capsys, point, fragment):
+        rc = run_cli("eval", "--config", cfg_path, "--point", point)
         assert rc == 3
-        assert "rdot" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert "Traceback" not in err
 
     def test_oracle_only_leaves_closed_blank(self, cfg_path, capsys):
         rc = run_cli("eval", "--config", cfg_path, "--point", "0.001,0.5,0,-1,0.2",

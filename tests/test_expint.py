@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import expi
+from scipy.special import exp1
 
 from jetlag.expint import exp_integral_f
 from oracles import ei_increment, pv_exp_integral
@@ -33,15 +33,18 @@ def test_increment_identity():
     assert lhs == pytest.approx(ei_increment(1.0, 2.0), rel=1e-9)
 
 
-@pytest.mark.parametrize("z", [-30.0, -6.5, -5.5, -2.0, -0.3, 0.2, 3.0, 6.0, 25.0, 39.0, 41.0, 120.0])
+@pytest.mark.parametrize("z", [-200.0, -50.0, -30.0, -6.5, -6.05, -5.95, -5.5, -2.0, -0.3, 0.001,
+                               0.2, 3.0, 6.0, 25.0, 39.0, 39.9, 40.1, 41.0, 120.0, 200.0, 500.0])
 def test_against_quadrature_oracle(z):
-    assert exp_integral_f(z) == pytest.approx(pv_exp_integral(z), rel=2e-10)
+    # abs=0: approx's default 1e-12 floor would accept anything where |f| is tiny
+    assert exp_integral_f(z) == pytest.approx(pv_exp_integral(z), rel=2e-10, abs=0)
 
 
 @pytest.mark.parametrize("z", [-200.0, -50.0, -6.05, -5.95, 0.001, 39.9, 40.1, 200.0, 500.0])
 def test_branch_boundaries_against_scipy(z):
-    # scipy.expi is a third, independent route; the PV oracle stays primary
-    assert exp_integral_f(z) == pytest.approx(expi(z), rel=5e-12)
+    # a third route: f(z) = -Re E1(-z + 0i), by scipy's complex-argument E1,
+    # a separate routine from the real expi that exp_integral_f wraps
+    assert exp_integral_f(z) == pytest.approx(-exp1(complex(-z, 0.0)).real, rel=5e-12, abs=0)
 
 
 def test_vectorized_matches_scalar():
