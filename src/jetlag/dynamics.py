@@ -4,9 +4,11 @@ trajectories and the Jacobi-type deviation equations along them.
 
 The geodesic system is dy/dt + 2G(t, x, y) = 0, dx/dt = y, integrated with
 an adaptive embedded Runge-Kutta pair (4/5) with terminal events at the
-singular loci (g11 -> 0, rdot -> 0, r -> 0).  An independent Euler-Lagrange
-residual (all Lagrangian partials by finite differences, state derivative
-from the dense output) is recorded along every run.
+singular loci (g11 -> 0, rdot -> 0, r -> 0).  When the solver gives up
+because rdot blows up in finite time before r reaches r_min, the run ends
+in the ``finite_time_collapse`` event instead of a failure.  An independent
+Euler-Lagrange residual (all Lagrangian partials by finite differences,
+state derivative from the dense output) is recorded along every run.
 """
 
 from __future__ import annotations
@@ -18,12 +20,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from .errors import DomainError
+from .errors import DomainError, JetLagError
 from .expint import exp_integral_f
 from .models import LagrangianModel
 from .monolayer import (
     MonolayerParams,
+    _any,
     _denominator,
+    _exp_checked,
+    _full_like,
+    electrocapillarity_U_s,
     em_component_f21,
     lagrangian_value,
     potential_U,
@@ -39,6 +45,8 @@ _X_AXES = ("x1", "x2")
 
 @dataclass(frozen=True)
 class TrajectoryState:
+    """One state, or a series of them as equal-length arrays."""
+
     t: float
     r: float
     phi: float
@@ -70,7 +78,7 @@ class DeviationState:
 
 @dataclass(frozen=True)
 class SingularEvent:
-    kind: str  # metric_singular | rdot_zero | r_collapse | einst_zero_crossing
+    kind: str  # metric_singular | rdot_zero | r_collapse | finite_time_collapse | einst_zero_crossing
     t_lo: float
     t_hi: float
     t_event: float
@@ -183,16 +191,11 @@ class ResonantTrajectory:
 # -- pointwise diagnostics -----------------------------------------------------
 
 
-def instanton_energy(state: TrajectoryState, params: MonolayerParams) -> float:
-    """E_inst = (m/2) rdot^2 + (m r^2/2) phidot^2 + p r^5 |V| e^E / rdot - U."""
-    if params.p != 0.0 and state.rdot == 0.0:
-        raise DomainError("instanton energy contains rdot^-1; rdot = 0 is singular")
-    out = 0.5 * params.m * (state.rdot**2 + state.r**2 * state.phidot**2)
-    out -= potential_U(state.t, state.r, params)
-    if params.p != 0.0:
-        E = 2.0 * params.V_abs * state.t / state.r
-        out += params.p * state.r**5 * params.V_abs * math.exp(E) / state.rdot
-    return out
+def instanton_energy(state: TrajectoryState, params: MonolayerParams):
+    """E_inst = (m/2) rdot^2 + (m r^2/2) phidot^2 + p r^5 |V| e^E / rdot - U,
+    the kinetic term minus U_s."""
+    kinetic = 0.5 * params.m * (state.rdot**2 + state.r**2 * state.phidot**2)
+    return kinetic - electrocapillarity_U_s(state.t, state.r, state.rdot, params)
 
 
 def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
@@ -205,48 +208,40 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
     At p = 0 all potential pieces vanish and H = H_YM = delta_L = 0.
     """
     t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
-    if params.p != 0.0 and rdot == 0.0:
-        raise DomainError("hamiltonian split requires rdot != 0")
+    # the invariants a JetPoint enforces, with the exception class it raises
+    if not all(np.isfinite(v).all() for v in vars(state).values()) or _any(r <= 0.0):
+        raise ValueError("a trajectory sample needs finite components and r > 0")
+    L = lagrangian_value(state, params)  # a DomainError at rdot = 0 when p != 0
     m, p, V = params.m, params.p, params.V_abs
     g11 = 0.5 * _denominator(t, r, rdot, params)
     g22 = 0.5 * m * r**2
-    L = lagrangian_value(state.point(), params)
     H = g11 * rdot**2 + g22 * phidot**2 - L
 
     if p == 0.0:
-        return H, 0.0, 0.0, g22 * phidot**2 + g11 * rdot**2
+        zero = _full_like(r, 0.0)
+        return H, zero, zero, g22 * phidot**2 + g11 * rdot**2
 
     E = 2.0 * V * t / r
     H_ym = phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * m)
     # e^(-2E) (m rdot^3 + 6 p |V| r^5 e^E)^2 grouped as (m rdot^3 e^-E + ...)^2
     # so the huge exponentials cancel before they can overflow/underflow
-    stable = (m * rdot**3 * math.exp(-E) + 6.0 * p * V * r**5) ** 2
+    stable = (m * rdot**3 * _exp_checked(-E, "hamiltonian_split") + 6.0 * p * V * r**5) ** 2
     delta_L = potential_U(t, r, params) + m * phidot**2 * stable / (64.0 * p**2 * V**2 * r**8)
-    L0 = (
-        -phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * m)
-        + 0.5 * m * r**2 * phidot**2
-        + 0.5 * rdot**2 * (m - 2.0 * p * V * r**5 * math.exp(E) / rdot**3)
-    )
+    expE = _exp_checked(E, "hamiltonian_split")
+    L0 = -H_ym + 0.5 * m * r**2 * phidot**2 + 0.5 * rdot**2 * (m - 2.0 * p * V * r**5 * expE / rdot**3)
     return H, H_ym, delta_L, L0
 
 
 def _diagnostics(params: MonolayerParams, t, r, phi, rdot, phidot):
-    n = len(t)
-    e_inst = np.empty(n)
-    H = np.empty(n)
-    H_ym = np.empty(n)
-    eym = np.empty(n)
-    g11 = np.empty(n)
-    for i in range(n):
-        st = TrajectoryState(t[i], r[i], phi[i], rdot[i], phidot[i])
-        e_inst[i] = instanton_energy(st, params)
-        H[i], H_ym[i], _, _ = hamiltonian_split(st, params)
-        g11[i] = 0.5 * _denominator(t[i], r[i], rdot[i], params)
-        if params.p == 0.0:
-            eym[i] = 0.0
-        else:
-            f21 = em_component_f21(st.point(), params, form="exact")
-            eym[i] = f21**2 / params.m
+    """Per-sample (E_inst, H, H_YM, EYM, g11), one array pass per series."""
+    state = TrajectoryState(*(np.asarray(v, dtype=float) for v in (t, r, phi, rdot, phidot)))
+    e_inst = instanton_energy(state, params)
+    H, H_ym, _, _ = hamiltonian_split(state, params)
+    g11 = 0.5 * _denominator(state.t, state.r, state.rdot, params)
+    if params.p == 0.0:
+        eym = np.zeros(len(state.t))
+    else:
+        eym = em_component_f21(state, params, form="exact") ** 2 / params.m
     return e_inst, H, H_ym, eym, g11
 
 
@@ -301,6 +296,26 @@ def _el_residual_at(model, pt: JetPoint, ydot_est) -> float:
         if scale > 0.0:
             worst = max(worst, abs(sum(terms)) / scale)
     return worst
+
+
+def _finite_time_collapse(spray, t, u, rtol: float) -> SingularEvent | None:
+    """Classify a solver give-up at state u = (r, phi, rdot, phidot), time t.
+
+    It is a finite-time collapse when the motion is inward (rdot < 0) and
+    accelerating inward (-2 G^1 < 0), and r/|rdot| -- which then bounds the
+    time left until r = 0 -- is below the solver's relative resolution
+    rtol |t|: rdot blows up before r reaches r_min."""
+    r, phi, rdot, phidot = (float(v) for v in u)
+    if not rdot < 0.0:
+        return None
+    try:
+        G1, _ = spray(t, r, phi, rdot, phidot)
+    except (JetLagError, ValueError, ArithmeticError):
+        return None
+    left = r / -rdot
+    if -2.0 * G1 < 0.0 and left <= rtol * abs(t):
+        return SingularEvent("finite_time_collapse", float(t), float(t) + left, float(t))
+    return None
 
 
 def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectorySeries:
@@ -375,7 +390,12 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
                 recorded.append(SingularEvent(kind, float(t_lo), float(tev[0]), float(tev[0])))
                 status = f"event:{kind}"
     elif sol.status < 0:
-        status = f"failed:{sol.message}"
+        collapse = _finite_time_collapse(spray, t[-1], sol.y[:, -1], config.rtol)
+        if collapse is None:
+            status = f"failed:{sol.message}"
+        else:
+            recorded.append(collapse)
+            status = f"event:{collapse.kind}"
 
     e_inst, H, H_ym, eym, g11 = _diagnostics(config.params, t, r, phi, rdot, phidot)
 
@@ -430,6 +450,18 @@ def resonant_rhs(t, r0, params: MonolayerParams, R0: float):
 def closed_form_r0(t, params: MonolayerParams, R0: float) -> np.ndarray:
     """The printed large-time solution, with the unhoused symbol v read as
     |V| (confirmed algebraically and by the ODE oracle)."""
+    return _closed_form(t, params, R0)[0]
+
+
+def _closed_form(t, params: MonolayerParams, R0: float):
+    """(r0, dr0/dt) of the printed large-time solution.
+
+    r0 = 27 sqrt(m) R0 |V| e^g B^(-3/2) with g = -|V|t/w, w = R0 - |V|t and
+    B = -4 c R0^(5/3) e^(-a) (f(2/3) - f(a)) + e^(2/3 - a) K - 6 c R0^(2/3) w,
+    a = 2 R0 / (3w), c = (6p)^(1/3).  With df(a)/da = e^a / a, da/dt =
+    2 R0 |V| / (3 w^2) and dg/dt = -R0 |V| / w^2 the rate is analytic:
+    dr0/dt = r0 (dg/dt - 3/2 dB/dt / B).
+    """
     t = np.asarray(t, dtype=float)
     m, p, V = params.m, params.p, params.V_abs
     om = R0 - V * t
@@ -437,16 +469,25 @@ def closed_form_r0(t, params: MonolayerParams, R0: float) -> np.ndarray:
         raise ValueError("t reaches R0/|V|: the large-time denominator blows up")
     alpha = 2.0 * R0 / (3.0 * om)
     cbrt6p = (6.0 * p) ** (1.0 / 3.0)
+    e_alpha = np.exp(-alpha)
+    f_diff = exp_integral_f(2.0 / 3.0) - exp_integral_f(alpha)
+    growth = np.exp(-2.0 * V * t / (3.0 * om))
+    K = 9.0 * m ** (1.0 / 3.0) * V ** (2.0 / 3.0) + 6.0 * cbrt6p * R0 ** (5.0 / 3.0)
     B = (
-        -4.0 * cbrt6p * R0 ** (5.0 / 3.0) * np.exp(-alpha)
-        * (exp_integral_f(2.0 / 3.0) - exp_integral_f(alpha))
-        + np.exp(-2.0 * V * t / (3.0 * om))
-        * (9.0 * m ** (1.0 / 3.0) * V ** (2.0 / 3.0) + 6.0 * cbrt6p * R0 ** (5.0 / 3.0))
+        -4.0 * cbrt6p * R0 ** (5.0 / 3.0) * e_alpha * f_diff
+        + growth * K
         - 6.0 * cbrt6p * R0 ** (2.0 / 3.0) * om
     )
     if np.any(B <= 0.0):
         raise ValueError("negative radicand in the closed-form resonant solution")
-    return 27.0 * math.sqrt(m) * R0 * V * np.exp(t * V / (t * V - R0)) * B ** (-1.5)
+    r0 = 27.0 * math.sqrt(m) * R0 * V * np.exp(t * V / (t * V - R0)) * B ** (-1.5)
+    alpha_dot = 2.0 * R0 * V / (3.0 * om**2)
+    B_dot = (
+        4.0 * cbrt6p * R0 ** (5.0 / 3.0) * alpha_dot * (e_alpha * f_diff + 1.0 / alpha)
+        - alpha_dot * growth * K
+        + 6.0 * cbrt6p * R0 ** (2.0 / 3.0) * V
+    )
+    return r0, r0 * (-R0 * V / om**2 - 1.5 * B_dot / B)
 
 
 def resonant_trajectory(
@@ -462,9 +503,9 @@ def resonant_trajectory(
     source="ode" integrates the cube root of the large-time resonance
     condition, seeded with r0(t0) = R0 (1 - t0 |V| / R0); rdot0 samples are
     the RHS itself, so the large-time residual vanishes by construction.
-    source="closed_form" evaluates the printed solution; its rdot0 comes
-    from differentiating that closed form, so the residual is a genuine
-    check of the printed expression.
+    source="closed_form" evaluates the printed solution; its rdot0 is the
+    analytic derivative of that closed form, so the residual is a genuine
+    check of the printed expression, down to rounding.
     """
     if params.R0 is None:
         raise ValueError("resonant trajectory needs params.R0")
@@ -505,11 +546,7 @@ def resonant_trajectory(
         r0 = sol.sol(grid)[0]
         r0dot = resonant_rhs(grid, r0, params, R0)
     elif source == "closed_form":
-        r0 = closed_form_r0(grid, params, R0)
-        h = 1e-8 * horizon
-        r0dot = (closed_form_r0(grid + h, params, R0) - closed_form_r0(grid - h, params, R0)) / (
-            2.0 * h
-        )
+        r0, r0dot = _closed_form(grid, params, R0)
     else:
         raise ValueError(f"unknown resonant source {source!r}")
 

@@ -16,7 +16,17 @@ with the layer potential U built from the special function f (see
   eps = m rdot^3 e^(-2|V|t/r) / (2 p r^5 |V|) and are only close to the
   exact values where |eps| is small; the validation report tracks them.
 
-All functions are pure; parameter records are frozen.
+e^E, E = 2|V|t/r, has two overflow policies.  It saturates to inf
+(``_exp``) in the potential, its r-derivatives and ``_denominator``, which
+stray FD probes and bisection iterates may push past the float range.
+Everywhere else an overflow raises a ``DomainError`` naming the function
+and E.
+
+All functions are pure; parameter records are frozen.  The pieces of the
+trajectory diagnostics (``potential_U``, ``electrocapillarity_U_s``,
+``lagrangian_value``, ``_denominator``, ``zero_energy_bracket``,
+``em_component_f21``) take floats, or a point-like record (``pt``) or
+coordinates of equal-length arrays; floats stay on :mod:`math`.
 """
 
 from __future__ import annotations
@@ -34,12 +44,47 @@ from .models import LagrangianModel, build_fd_scales
 from .points import JetPoint
 
 _G11_REL_FLOOR = 1e-9  # |g11| > floor * m, the valid-domain cut near g11 = 0
+_ndarray = np.ndarray  # the float/array dispatch: np.ndarray costs a lookup per call
 
 
 def _exp(x: float) -> float:
     """exp that saturates to inf instead of raising (stray FD probes and
     bisection iterates can push 2|V|t/r past the float range)."""
     return math.exp(x) if x < 709.0 else math.inf
+
+
+def _exp_array(x: np.ndarray) -> np.ndarray:
+    """_exp elementwise, in one numpy pass."""
+    return np.where(x < 709.0, np.exp(np.minimum(x, 709.0)), math.inf)
+
+
+def _overflow(where: str, E) -> DomainError:
+    return DomainError(f"{where}: e^E overflows at E = 2|V|t/r = {E:.6g}")
+
+
+def _exp_checked(E, where: str):
+    """e^E; a DomainError naming ``where`` and E when it overflows."""
+    if type(E) is _ndarray:
+        with np.errstate(over="ignore"):
+            out = np.exp(E)
+        over = np.isinf(out) & np.isfinite(E)
+        if over.any():
+            raise _overflow(where, E[over].max())
+        return out
+    try:
+        return math.exp(E)
+    except OverflowError:
+        raise _overflow(where, E) from None
+
+
+def _any(cond) -> bool:
+    """A scalar condition, or whether it holds anywhere in an array."""
+    return cond.any() if type(cond) is _ndarray else cond
+
+
+def _full_like(x, value: float):
+    """value as a float, or an array of it shaped like an array x."""
+    return np.full(np.shape(x), value) if type(x) is _ndarray else value
 
 
 @dataclass(frozen=True)
@@ -96,12 +141,13 @@ def _require_printed(params: MonolayerParams, what: str):
 # -- the layer potential -------------------------------------------------------
 
 
-def potential_U(t: float, r: float, params: MonolayerParams) -> float:
+def potential_U(t, r, params: MonolayerParams):
     """U(t, r); the f-term is defined as 0 at |V|t = 0 (removable limit)."""
-    if r <= 0:
-        raise DomainError(f"potential_U requires r > 0, got r = {r}")
+    vec = type(r) is _ndarray
+    if (r <= 0).any() if vec else r <= 0:
+        raise DomainError(f"potential_U requires r > 0, got r = {np.min(r)}")
     if params.p == 0.0:
-        return 0.0
+        return _full_like(r, 0.0)
     w = params.V_abs * t
     E = 2.0 * w / r
     poly = (
@@ -112,9 +158,12 @@ def potential_U(t: float, r: float, params: MonolayerParams) -> float:
         + 1.0 / 45.0 * w**4 * r
         + 2.0 / 45.0 * w**5
     )
-    out = poly * _exp(E)
-    if w != 0.0:
-        out -= 4.0 / 45.0 * (w**6 / r) * exp_integral_f(E)
+    out = poly * (_exp_array(E) if vec else math.exp(E) if E < 709.0 else math.inf)
+    if vec:  # f(0) is singular, but w^6 = 0 zeroes the term there anyway
+        E = np.where(w == 0.0, 1.0, E)
+    elif w == 0.0:
+        return params.p * out
+    out -= 4.0 / 45.0 * (w**6 / r) * exp_integral_f(E)
     return params.p * out
 
 
@@ -176,17 +225,18 @@ def potential_U_dtt(t: float, r: float, params: MonolayerParams) -> float:
     return (up - 2.0 * mid + dn) / h**2
 
 
-def electrocapillarity_U_s(t, r, rdot, params: MonolayerParams) -> float:
+def electrocapillarity_U_s(t, r, rdot, params: MonolayerParams):
     """U_s(t, r) = -p r^5 |V| e^(2|V|t/r) / rdot + U(t, r)."""
-    if rdot == 0.0 and params.p != 0.0:
+    if params.p != 0.0 and _any(rdot == 0.0):
         raise DomainError("U_s contains rdot^-1; rdot = 0 is singular")
     out = potential_U(t, r, params)
     if params.p != 0.0:
-        out -= params.p * r**5 * params.V_abs * math.exp(2.0 * params.V_abs * t / r) / rdot
+        expE = _exp_checked(2.0 * params.V_abs * t / r, "electrocapillarity_U_s")
+        out -= params.p * r**5 * params.V_abs * expE / rdot
     return out
 
 
-def lagrangian_value(pt: JetPoint, params: MonolayerParams) -> float:
+def lagrangian_value(pt: JetPoint, params: MonolayerParams):
     kinetic = 0.5 * params.m * (pt.rdot**2 + pt.r**2 * pt.phidot**2)
     return kinetic + electrocapillarity_U_s(pt.t, pt.r, pt.rdot, params)
 
@@ -194,12 +244,15 @@ def lagrangian_value(pt: JetPoint, params: MonolayerParams) -> float:
 # -- shared subexpressions -----------------------------------------------------
 
 
-def _denominator(t, r, rdot, params) -> float:
+def _denominator(t, r, rdot, params):
     """D = m - 2 p r^5 |V| e^E / rdot^3 = 2 g11."""
     if params.p == 0.0:
-        return params.m
+        return _full_like(r, params.m)
     E = 2.0 * params.V_abs * t / r
-    return params.m - 2.0 * params.p * r**5 * params.V_abs * _exp(E) / rdot**3
+    # _exp inlined for floats, here and in potential_U: they run for every
+    # FD probe, model-cache miss and RHS call
+    expE = _exp_array(E) if type(E) is _ndarray else math.exp(E) if E < 709.0 else math.inf
+    return params.m - 2.0 * params.p * r**5 * params.V_abs * expE / rdot**3
 
 
 def closed_metric(pt: JetPoint, params: MonolayerParams) -> Metric:
@@ -239,7 +292,9 @@ def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact")
 
     G^2 = (rdot/r) phidot in both forms.
     """
-    t, r, rdot, phidot = pt.t, pt.r, pt.rdot, pt.phidot
+    # the ODE right-hand side: it reads the coordinate tuples, not the point's
+    # properties, and catches an overflowing e^E inline, to stay lean
+    t, (r, _), (rdot, phidot) = pt.t, pt.x, pt.y
     if params.p != 0.0 and rdot == 0.0:
         raise DomainError("semispray requires rdot != 0")
     V = params.V_abs
@@ -251,8 +306,12 @@ def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact")
         if params.p == 0.0:
             G1 = -0.5 * r * phidot**2
         else:
+            try:
+                expE = math.exp(E)
+            except OverflowError:
+                raise _overflow("closed_semispray", E) from None
             num = (
-                params.p * r**3 * V * math.exp(E)
+                params.p * r**3 * V * expE
                 * (5.0 * r / rdot - 2.0 * V * t / rdot + V * r / rdot**2)
                 - 0.5 * potential_U_dr(t, r, params)
                 - 0.5 * params.m * r * phidot**2
@@ -303,7 +362,7 @@ def _exact_N11(t, r, rdot, phidot, params) -> float:
         return 0.0
     V = params.V_abs
     E = 2.0 * V * t / r
-    expE = math.exp(E)
+    expE = _exp_checked(E, "closed_nonlinear_connection")
     D = _denominator(t, r, rdot, params)
     num = (
         params.p * r**3 * V * expE * (5.0 * r / rdot - 2.0 * V * t / rdot + V * r / rdot**2)
@@ -362,7 +421,7 @@ def closed_cartan(pt: JetPoint, params: MonolayerParams, form: str = "printed") 
     if params.p != 0.0 and rdot == 0.0:
         raise DomainError("Cartan coefficients require rdot != 0")
     E = 2.0 * V * t / r
-    expE = math.exp(E)
+    expE = _exp_checked(E, "closed_cartan")
 
     G_time = np.zeros((2, 2))
     C = np.zeros((2, 2, 2))
@@ -464,30 +523,29 @@ def closed_torsions(pt: JetPoint, params: MonolayerParams) -> TorsionSet:
     )
 
 
-def em_component_f21(pt: JetPoint, params: MonolayerParams, form: str = "exact") -> float:
+def em_component_f21(pt: JetPoint, params: MonolayerParams, form: str = "exact"):
     """F_(2)1^(1) = -F_(1)2^(1), exact fraction or the printed display."""
     t, r, rdot, phidot = pt.t, pt.r, pt.rdot, pt.phidot
     V, m, p = params.V_abs, params.m, params.p
     E = 2.0 * V * t / r
     if form == "exact":
-        denom = 2.0 * p * r**5 * V * math.exp(E) - m * rdot**3
-        if denom == 0.0:
+        expE = _exp_checked(E, "em_component_f21")
+        denom = 2.0 * p * r**5 * V * expE - m * rdot**3
+        if _any(denom == 0.0):
             raise DomainError("singular EM denominator 2 p r^5 |V| e^E - m rdot^3 = 0")
-        return 1.5 * m * p * r**6 * V * math.exp(E) * phidot / denom
+        return 1.5 * m * p * r**6 * V * expE * phidot / denom
     if form == "printed":
         _require_printed(params, "the printed F")
         return 0.5 * zero_energy_bracket(t, r, rdot, params) * phidot
     raise ValueError(f"unknown EM form {form!r}")
 
 
-def zero_energy_bracket(t, r, rdot, params: MonolayerParams) -> float:
+def zero_energy_bracket(t, r, rdot, params: MonolayerParams):
     """[3mr/2 + m^2 e^-E rdot^3 / (4 p |V| r^4)] of the cancellation condition."""
     _require_printed(params, "the zero-energy bracket")
     E = 2.0 * params.V_abs * t / r
-    return (
-        1.5 * params.m * r
-        + params.m**2 * math.exp(-E) * rdot**3 / (4.0 * params.p * params.V_abs * r**4)
-    )
+    exp_mE = _exp_checked(-E, "zero_energy_bracket")
+    return 1.5 * params.m * r + params.m**2 * exp_mE * rdot**3 / (4.0 * params.p * params.V_abs * r**4)
 
 
 def closed_em_and_ym(
@@ -522,7 +580,8 @@ class MonolayerModel(LagrangianModel):
         self._tr = functools.lru_cache(maxsize=4096)(self._tr_uncached)
 
     def _tr_uncached(self, t: float, r: float) -> tuple[float, float]:
-        return _exp(2.0 * self.params.V_abs * t / r), potential_U(t, r, self.params)
+        params = self.params
+        return _exp(2.0 * params.V_abs * t / r), potential_U(t, r, params)
 
     def value(self, pt: JetPoint) -> float:
         p = self.params

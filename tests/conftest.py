@@ -1,9 +1,14 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the subprocess tests run `python -m jetlag.cli`: let them import the
+# package from a plain checkout too, as pyproject's pythonpath does here
+_SRC = str(Path(__file__).parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 from jetlag.monolayer import MonolayerModel, MonolayerParams
 from jetlag.points import jet_point

@@ -68,7 +68,11 @@ class TestEval:
 
     @pytest.mark.parametrize("point, fragment", [
         pytest.param("0.001,0.5,0,0,0.2", "rdot", id="rdot-zero"),
-        pytest.param("0.5,0.5,0,-1,0.1", "numerical/domain error", id="overflow"),
+        pytest.param(
+            "0.5,0.5,0,-1,0.1",
+            "numerical/domain error: closed_semispray: e^E overflows at E = 2|V|t/r = 2000",
+            id="overflow",
+        ),
         pytest.param("0.001,0.5,0,1e-300,0.1", "numerical/domain error", id="zero-division"),
     ])
     def test_rdot_zero_names_precondition(self, cfg_path, capsys, point, fragment):
@@ -101,6 +105,17 @@ class TestSimulate:
         header = body1.decode().splitlines()[0]
         assert header == ",".join(TRAJECTORY_HEADER)
         assert header == "t,r,phi,rdot,phidot,E_inst,H,H_YM,EYM,g11,event"
+
+    def test_finite_time_collapse_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "collapse.json"
+        path.write_text(json.dumps(
+            {"initial_state": {"t": 0.0, "r": 0.2, "phi": 0.0, "rdot": -5.0, "phidot": 0.0}}
+        ))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == 0
+        assert "status=event:finite_time_collapse" in capsys.readouterr().out
+        last = (out / "trajectory.csv").read_text().splitlines()[-1]
+        assert last.endswith(",finite_time_collapse")
 
     def test_numbers_round_trip(self, cfg_path, tmp_path):
         out = tmp_path / "o"

@@ -1,7 +1,12 @@
 """Geodesics, resonance, deviations, events and the Hamiltonian split."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+from scipy.special import expi
 
 from jetlag.dynamics import (
     DeviationSeries,
@@ -9,6 +14,7 @@ from jetlag.dynamics import (
     SimConfig,
     TrajectorySeries,
     TrajectoryState,
+    _diagnostics,
     closed_form_r0,
     compose_perturbed,
     deviation_integrate,
@@ -22,7 +28,15 @@ from jetlag.dynamics import (
 )
 from jetlag.errors import DomainError
 from jetlag.models import FreePolarModel
-from jetlag.monolayer import MonolayerParams, _denominator, potential_U
+from jetlag.monolayer import (
+    MonolayerModel,
+    MonolayerParams,
+    _denominator,
+    electrocapillarity_U_s,
+    em_component_f21,
+    potential_U,
+    zero_energy_bracket,
+)
 
 FP = FreePolarModel(m=1.0)
 FREE = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
@@ -30,8 +44,6 @@ FREE = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
 
 def series_of(params, t, r, phi, rdot, phidot):
     """Assemble a TrajectorySeries from raw arrays (for scan tests)."""
-    from jetlag.dynamics import _diagnostics
-
     e_inst, H, H_ym, eym, g11 = _diagnostics(params, t, r, phi, rdot, phidot)
     return TrajectorySeries(
         params=params, model_name="synthetic", t=t, r=r, phi=phi, rdot=rdot,
@@ -100,6 +112,26 @@ class TestIntegrateGeodesic:
         assert ser.r[-1] == pytest.approx(0.05, abs=1e-3)
         assert ser.events[0].t_lo <= ser.events[0].t_event <= ser.events[0].t_hi
 
+    def test_finite_time_collapse_named(self):
+        # a default-sweep start: rdot blows up before r reaches r_min and the
+        # solver's step size falls below the spacing of t
+        params = MonolayerParams()
+        cfg = SimConfig(
+            params=params,
+            state0=TrajectoryState(0.0, 0.2, 0.0, -5.0, 0.0),
+            t_end=2e-3,
+            compute_el_residual=False,
+        )
+        ser = integrate_geodesic(cfg, MonolayerModel(params))
+        assert ser.status == "event:finite_time_collapse"
+        (ev,) = ser.events
+        assert ev.kind == "finite_time_collapse"
+        assert ev.t_lo <= ev.t_event <= ev.t_hi
+        assert ev.t_hi - ev.t_lo <= cfg.rtol * ev.t_lo
+        assert ev.t_lo == ser.t[-1] and ser.r[-1] > cfg.r_min
+        for col in (ser.r, ser.rdot, ser.e_inst, ser.H, ser.g11):
+            assert np.all(np.isfinite(col))
+
 
 class TestInstanton:
     def test_kinetic_limit_nonnegative(self):
@@ -149,6 +181,149 @@ class TestHamiltonianSplit:
         assert L0 == pytest.approx(0.5 * (1.0 + 0.25), rel=1e-14)
 
 
+def _scalar_diagnostics(params, t, r, phi, rdot, phidot):
+    """The per-sample reference: every diagnostic from scalar calls."""
+    rows = []
+    for sample in zip(t, r, phi, rdot, phidot):
+        s = TrajectoryState(*(float(v) for v in sample))
+        e_inst = instanton_energy(s, params)
+        H, H_ym, _, _ = hamiltonian_split(s, params)
+        g11 = 0.5 * _denominator(s.t, s.r, s.rdot, params)
+        f21 = 0.0 if params.p == 0.0 else em_component_f21(s.point(), params, form="exact")
+        rows.append((e_inst, H, H_ym, f21**2 / params.m, g11))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def _term_scales(params, t, r, rdot, phidot):
+    """Per sample, the largest term entering E_inst/H, H_YM, EYM and g11."""
+    m, p, V = params.m, params.p, params.V_abs
+    w, E = V * t, 2.0 * V * t / r
+    stiff = p * r**5 * V * np.exp(E)
+    poly = (-4 / 3 * r**5 + 16 / 15 * w * r**4 + w**2 * r**3 / 30 + w**3 * r**2 / 45
+            + w**4 * r / 45 + 2 / 45 * w**5)
+    f_term = 4 / 45 * w**6 / r * np.abs(expi(np.where(w == 0.0, 1.0, E)))
+    energy = np.max([0.5 * m * rdot**2, 0.5 * m * r**2 * phidot**2, np.abs(stiff / rdot),
+                     p * np.abs(poly) * np.exp(E), p * f_term], axis=0)
+    bracket = 1.5 * m * r + np.abs(m**2 * np.exp(-E) * rdot**3) / (4.0 * p * V * r**4) if p else 0 * r
+    denom = 2.0 * stiff - m * rdot**3
+    f21 = 1.5 * m * stiff * r * phidot / denom
+    eym = 2.0 * f21**2 / m * np.maximum(2.0 * stiff, np.abs(m * rdot**3)) / np.abs(denom)
+    return energy, phidot**2 * bracket**2 / (4.0 * m), eym, np.maximum(0.5 * m, np.abs(stiff / rdot**3))
+
+
+samples = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-5, 2e-3)),
+        st.floats(0.1, 1.0),
+        st.floats(-3.0, 3.0),
+        st.one_of(st.floats(-5.0, -0.1), st.floats(0.1, 5.0)),
+        st.floats(-1.0, 1.0),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestArrayDiagnostics:
+    """_diagnostics takes one array pass per series; it must match the
+    per-sample scalar calls and raise as they do."""
+
+    # without the explain phase: on a failure it reruns the test for minutes
+    @settings(max_examples=60, deadline=None, phases=[Phase.reuse, Phase.generate, Phase.shrink])
+    @given(samples, st.sampled_from([0.0, 10.0]))
+    def test_matches_scalar_calls(self, rows, p):
+        params = MonolayerParams(m=1.0, p=p, V_abs=1000.0)
+        t, r, phi, rdot, phidot = (np.array(col) for col in zip(*rows))
+        got = _diagnostics(params, t, r, phi, rdot, phidot)
+        want = _scalar_diagnostics(params, t, r, phi, rdot, phidot)
+        energy, hym, eym, g11 = _term_scales(params, t, r, rdot, phidot)
+        for g, w, scale in zip(got, want, (energy, energy, hym, eym, g11)):
+            assert g.shape == t.shape
+            assert np.all(np.abs(g - w) <= 1e-12 * scale)
+        if p == 0.0:
+            assert np.all(got[2] == 0.0) and np.all(got[3] == 0.0)
+            assert np.all(got[4] == 0.5 * params.m)
+
+    @staticmethod
+    def _raised(fn):
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001 -- the class is the result
+            return type(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("r", 0.0),
+            ("r", -0.2),
+            ("rdot", 0.0),
+            ("t", math.nan),
+            ("r", math.nan),
+            ("phi", math.nan),
+            ("rdot", math.nan),
+            ("phidot", math.inf),
+        ],
+    )
+    def test_bad_sample_raises_like_scalar_call(self, params5, column, value):
+        cols = {
+            "t": np.linspace(0.0, 1e-3, 5),
+            "r": np.linspace(0.5, 0.4, 5),
+            "phi": np.zeros(5),
+            "rdot": np.full(5, -1.0),
+            "phidot": np.full(5, 0.2),
+        }
+        cols[column][2] = value
+        args = [cols[k] for k in ("t", "r", "phi", "rdot", "phidot")]
+        want = self._raised(lambda: _scalar_diagnostics(params5, *args))
+        assert want is not None
+        assert self._raised(lambda: _diagnostics(params5, *args)) is want
+        for fn in (instanton_energy, hamiltonian_split):
+            scalar = None
+            for sample in zip(*args):
+                scalar = scalar or self._raised(lambda: fn(TrajectoryState(*sample), params5))
+            assert self._raised(lambda: fn(TrajectoryState(*args), params5)) is scalar
+
+    def test_zero_em_denominator(self):
+        # 2 p r^5 |V| e^E = m rdot^3 exactly: t = 0, r = 1, p = 4, rdot = 2
+        params = MonolayerParams(m=1.0, p=4.0, V_abs=1.0)
+        one = [0.0], [1.0], [0.0], [2.0], [0.3]
+        args = [np.array(c * 3) for c in one]
+        with pytest.raises(DomainError):
+            em_component_f21(TrajectoryState(*(c[0] for c in one)), params)
+        with pytest.raises(DomainError):
+            _diagnostics(params, *args)
+
+    def test_overflow_raises_domain_error_naming_the_function(self, params5):
+        # E = 2|V|t/r = 2000: e^E is past the float range (U itself reads inf - inf)
+        bad = (0.5, 0.5, 0.0, -1.0, 0.1)
+        good = (1e-3, 0.5, 0.0, -1.0, 0.1)
+        arrays = TrajectoryState(*(np.array(pair) for pair in zip(good, bad)))
+        for s in (TrajectoryState(*bad), arrays):
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(DomainError, match="electrocapillarity_U_s.*E = 2"):
+                    instanton_energy(s, params5)
+            with pytest.raises(DomainError, match="em_component_f21.*E = 2"):
+                em_component_f21(s, params5)
+
+    def test_scalar_calls_return_float(self, params5):
+        s = TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.2)
+        values = [
+            instanton_energy(s, params5),
+            *hamiltonian_split(s, params5),
+            *hamiltonian_split(s, FREE),
+            _denominator(s.t, s.r, s.rdot, params5),
+            _denominator(s.t, s.r, s.rdot, FREE),
+            potential_U(s.t, s.r, params5),
+            potential_U(0.0, s.r, params5),
+            potential_U(s.t, s.r, FREE),
+            electrocapillarity_U_s(s.t, s.r, s.rdot, params5),
+            zero_energy_bracket(s.t, s.r, s.rdot, params5),
+            em_component_f21(s.point(), params5),
+        ]
+        assert all(type(v) is float for v in values)
+
+
 class TestResonantTrajectory:
     def test_eq22_residual_by_construction(self, params5):
         traj = resonant_trajectory(params5, source="ode")
@@ -172,6 +347,8 @@ class TestResonantTrajectory:
         # reported, not asserted tiny (it contains an FD-differentiated rdot)
         closed = resonant_trajectory(params5, t_span=span, source="closed_form", n_samples=200)
         assert np.all(np.isfinite(closed.residual_eq22()))
+        # its rdot0 is the analytic derivative, so the residual is rounding
+        assert np.max(closed.residual_eq22()) < 1e-10
 
     def test_horizon_guard(self, params5):
         with pytest.raises(ValueError):
