@@ -3,7 +3,11 @@
 Subcommands: eval, simulate, resonant, deviation, validate, sweep.
 Configuration is strict JSON (unknown keys are rejected) merged over the reference-parameter
 defaults (m=1, p=10, |V|=1000); all numeric CSV fields are written with 17 significant digits so
-repeated runs with the same config and seed are byte-identical.
+repeated runs with the same config and seed are byte-identical.  Every CSV goes through one
+writer: a missing value is an empty cell, and a text cell holding a comma, a quote or a newline
+(a sweep's ``invalid:`` status) is quoted as RFC 4180 says.  ``simulate`` and each ``sweep`` run
+build their integrator from the same config path, so ``sweep`` honours every ``integrator``
+setting, ``max_step`` included.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical/domain failure.  JETLAG_LOG=debug|info|warning|error controls
@@ -13,6 +17,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -47,6 +52,18 @@ TRAJECTORY_HEADER = ["t", "r", "phi", "rdot", "phidot", "E_inst", "H", "H_YM", "
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Write one CSV table: str cells as they are, None as an empty cell, numbers via _fmt.
+
+    csv.writer quotes only the cells that hold a comma, a quote or a newline.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row)
 
 
 # -- configuration --------------------------------------------------------------
@@ -182,17 +199,17 @@ def _model_from(cfg: dict):
     return MonolayerModel(_params_from(cfg))
 
 
-def _sim_config(cfg: dict) -> SimConfig:
-    s = cfg["initial_state"]
+def _sim_config(cfg: dict, state0: TrajectoryState, t_end: float, compute_el_residual=True) -> SimConfig:
     max_step = cfg["integrator"]["max_step"]
     return SimConfig(
         params=_params_from(cfg),
-        state0=TrajectoryState(s["t"], s["r"], s["phi"], s["rdot"], s["phidot"]),
-        t_end=cfg["t_end"],
+        state0=state0,
+        t_end=t_end,
         rtol=cfg["integrator"]["rtol"],
         atol=cfg["integrator"]["atol"],
         max_step=max_step if max_step > 0 else float("inf"),
         r_min=cfg["events"]["r_min"],
+        compute_el_residual=compute_el_residual,
     )
 
 
@@ -203,39 +220,12 @@ def _out_dir(args) -> Path:
 
 
 def _write_trajectory_csv(path: Path, series) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRAJECTORY_HEADER) + "\n")
-        for i in range(len(series.t)):
-            row = [
-                _fmt(series.t[i]),
-                _fmt(series.r[i]),
-                _fmt(series.phi[i]),
-                _fmt(series.rdot[i]),
-                _fmt(series.phidot[i]),
-                _fmt(series.e_inst[i]),
-                _fmt(series.H[i]),
-                _fmt(series.H_ym[i]),
-                _fmt(series.eym[i]),
-                _fmt(series.g11[i]),
-                "",
-            ]
-            fh.write(",".join(row) + "\n")
-        for ev in series.events:
-            idx = len(series.t) - 1
-            row = [
-                _fmt(ev.t_event),
-                _fmt(series.r[idx]),
-                _fmt(series.phi[idx]),
-                _fmt(series.rdot[idx]),
-                _fmt(series.phidot[idx]),
-                _fmt(series.e_inst[idx]),
-                _fmt(series.H[idx]),
-                _fmt(series.H_ym[idx]),
-                _fmt(series.eym[idx]),
-                _fmt(series.g11[idx]),
-                ev.kind,
-            ]
-            fh.write(",".join(row) + "\n")
+    cols = [series.t, series.r, series.phi, series.rdot, series.phidot,
+            series.e_inst, series.H, series.H_ym, series.eym, series.g11]
+    rows = [[*sample, None] for sample in zip(*cols)]
+    # an event row carries the event time and the last sample's state
+    rows += [[ev.t_event, *(c[-1] for c in cols[1:]), ev.kind] for ev in series.events]
+    _write_csv(path, TRAJECTORY_HEADER, rows)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -243,34 +233,27 @@ def _write_trajectory_csv(path: Path, series) -> None:
 _EVAL_QUANTITIES = ["g11", "g22", "G1", "G2", "N11", "N12", "N21", "N22", "F21", "EYM"]
 
 
+def _eval_quantities(g=None, G=None, N=None, F21=None, EYM=None) -> dict:
+    """The g11...EYM table of ``eval``; a part left as None leaves its entries None."""
+    g = [None] * 2 if g is None else np.diag(g)
+    G = [None] * 2 if G is None else G
+    N = [None] * 4 if N is None else np.ravel(N)
+    return dict(zip(_EVAL_QUANTITIES, [*g, *G, *N, F21, EYM]))
+
+
 def _closed_eval_columns(cfg, model, pt) -> dict:
-    out = {}
     if cfg["model"] == "monolayer":
         params = _params_from(cfg)
         met = mono.closed_metric(pt, params)
         spray = mono.closed_semispray(pt, params, form="exact")
         nlc = mono.closed_nonlinear_connection(pt, params, form="exact")
         _, eym = mono.closed_em_and_ym(pt, params, form="exact")
-        out = {
-            "g11": met.g[0, 0],
-            "g22": met.g[1, 1],
-            "G1": spray.G[0],
-            "G2": spray.G[1],
-            "N11": nlc.N[0, 0],
-            "N12": nlc.N[0, 1],
-            "N21": nlc.N[1, 0],
-            "N22": nlc.N[1, 1],
-            "F21": mono.em_component_f21(pt, params, form="exact"),
-            "EYM": eym,
-        }
-    elif cfg["model"] == "free_polar":
+        return _eval_quantities(met.g, spray.G, nlc.N, mono.em_component_f21(pt, params, form="exact"), eym)
+    if cfg["model"] == "free_polar":
         m = cfg["params"]["m"]
-        G1, G2 = model.spray(pt)
-        out = {"g11": 0.5 * m, "g22": 0.5 * m * pt.r**2, "G1": G1, "G2": G2}
-    else:  # electrodynamics fixture: the classical closed-form F
-        F = closed_em_form(model.params, np.array(pt.x)).F
-        out = {"F21": F[1, 0]}
-    return out
+        return _eval_quantities(np.diag([0.5 * m, 0.5 * m * pt.r**2]), model.spray(pt))
+    # electrodynamics fixture: the classical closed-form F
+    return _eval_quantities(F21=closed_em_form(model.params, np.array(pt.x)).F[1, 0])
 
 
 def cmd_eval(cfg: dict, args) -> int:
@@ -295,38 +278,22 @@ def cmd_eval(cfg: dict, args) -> int:
     spray = ev.semispray()
     nlc = ev.nonlinear_connection()
     em = ev.em_form()
-    mass = getattr(model, "m", 1.0)
-    oracle = {
-        "g11": met.g[0, 0],
-        "g22": met.g[1, 1],
-        "G1": spray.G[0],
-        "G2": spray.G[1],
-        "N11": nlc.N[0, 0],
-        "N12": nlc.N[0, 1],
-        "N21": nlc.N[1, 0],
-        "N22": nlc.N[1, 1],
-        "F21": em.F[1, 0],
-        "EYM": ym_energy(em, mass),
-    }
-    closed = {} if args.oracle_only else _closed_eval_columns(cfg, model, pt)
+    oracle = _eval_quantities(met.g, spray.G, nlc.N, em.F[1, 0], ym_energy(em, getattr(model, "m", 1.0)))
+    closed = _eval_quantities() if args.oracle_only else _closed_eval_columns(cfg, model, pt)
 
     print(f"model={cfg['model']} point: t={pt.t} r={pt.r} phi={pt.phi} rdot={pt.rdot} phidot={pt.phidot}")
     print(f"{'quantity':<10} {'closed_form':>24} {'oracle':>24}")
     for name in _EVAL_QUANTITIES:
-        cf = _fmt(closed[name]) if name in closed else ""
+        cf = "" if closed[name] is None else _fmt(closed[name])
         print(f"{name:<10} {cf:>24} {_fmt(oracle[name]):>24}")
 
     if args.csv:
         path = Path(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
         header = ["t", "r", "phi", "rdot", "phidot"]
-        row = [_fmt(v) for v in vals]
-        for name in _EVAL_QUANTITIES:
-            header += [f"closed_{name}", f"oracle_{name}"]
-            row += [_fmt(closed[name]) if name in closed else "", _fmt(oracle[name])]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write(",".join(row) + "\n")
+        header += [f"{side}_{name}" for name in _EVAL_QUANTITIES for side in ("closed", "oracle")]
+        row = vals + [v for name in _EVAL_QUANTITIES for v in (closed[name], oracle[name])]
+        _write_csv(path, header, [row])
         print(f"wrote {path}")
     return 0
 
@@ -335,7 +302,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     model = _model_from(cfg)
     if cfg["model"] == "electrodynamics_fixture":
         raise ConfigError("simulate supports the monolayer and free_polar models")
-    series = integrate_geodesic(_sim_config(cfg), model)
+    sim = _sim_config(cfg, TrajectoryState(**cfg["initial_state"]), cfg["t_end"])
+    series = integrate_geodesic(sim, model)
     out = _out_dir(args) / "trajectory.csv"
     _write_trajectory_csv(out, series)
     print(f"wrote {out} ({len(series.t)} samples, status={series.status})")
@@ -351,21 +319,24 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
+def _resonant_reference(cfg: dict, params: MonolayerParams):
+    """The ODE resonant trajectory that ``resonant`` writes and ``deviation`` follows."""
+    r = cfg["resonant"]
+    span = (r["t_start"], r["t_end"]) if r["t_end"] > 0 else None
+    return resonant_trajectory(
+        params, t_span=span, source="ode", n_samples=r["n_samples"], rtol=r["rtol"], atol=r["atol"]
+    )
+
+
 def cmd_resonant(cfg: dict, args) -> int:
     params = _params_from(cfg)
     if params.R0 is None:
         raise ConfigError("resonant needs params.R0")
-    r = cfg["resonant"]
-    t_end = r["t_end"] if r["t_end"] > 0 else None
-    span = None if t_end is None else (r["t_start"], t_end)
-    traj = resonant_trajectory(
-        params, t_span=span, source="ode", n_samples=r["n_samples"], rtol=r["rtol"], atol=r["atol"]
-    )
+    traj = _resonant_reference(cfg, params)
     res21 = traj.residual_eq21()
     res22 = traj.residual_eq22()
-    closed_r0 = closed_res = None
+    closed_r0 = closed_res = [None] * len(traj.t)
     if args.closed_form:
-
         closed = resonant_trajectory(
             params, t_span=(traj.t[0], traj.t[-1]), source="closed_form", n_samples=len(traj.t)
         )
@@ -374,19 +345,7 @@ def cmd_resonant(cfg: dict, args) -> int:
 
     out = _out_dir(args) / "resonant.csv"
     header = ["t", "r0", "r0dot", "residual_eq21", "residual_eq22", "closed_form_r0", "closed_form_residual"]
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(traj.t)):
-            row = [
-                _fmt(traj.t[i]),
-                _fmt(traj.r0[i]),
-                _fmt(traj.r0dot[i]),
-                _fmt(res21[i]),
-                _fmt(res22[i]),
-                _fmt(closed_r0[i]) if closed_r0 is not None else "",
-                _fmt(closed_res[i]) if closed_res is not None else "",
-            ]
-            fh.write(",".join(row) + "\n")
+    _write_csv(out, header, zip(traj.t, traj.r0, traj.r0dot, res21, res22, closed_r0, closed_res))
     t_lo, t_hi, dur = plateau_interval(traj.t, traj.r0)
     print(f"wrote {out} ({len(traj.t)} samples)")
     print(f"plateau: longest low-|dr/dt| interval [{_fmt(t_lo)}, {_fmt(t_hi)}] duration {_fmt(dur)}")
@@ -400,12 +359,7 @@ def cmd_deviation(cfg: dict, args) -> int:
     params = _params_from(cfg)
     if params.R0 is None:
         raise ConfigError("deviation needs params.R0 (for the resonant reference)")
-    r = cfg["resonant"]
-    t_end = r["t_end"] if r["t_end"] > 0 else None
-    span = None if t_end is None else (r["t_start"], t_end)
-    reference = resonant_trajectory(
-        params, t_span=span, source="ode", n_samples=r["n_samples"], rtol=r["rtol"], atol=r["atol"]
-    )
+    reference = _resonant_reference(cfg, params)
     d = cfg["deviation"]
     init = DeviationState(
         delta_r=d["delta_r"], delta_rdot=d["delta_rdot"], delta_phi=d["c1"], delta_phidot=d["c2"]
@@ -420,26 +374,14 @@ def cmd_deviation(cfg: dict, args) -> int:
         atol=d["atol"],
     )
     affine = np.abs(dev.delta_phi - (dev.c1 + dev.c2 * dev.t))
-    composed = compose_perturbed(reference, dev) if args.compose else None
+    header = ["t", "delta_r", "delta_rdot", "delta_phi", "delta_phidot", "affine_residual"]
+    cols = [dev.t, dev.delta_r, dev.delta_rdot, dev.delta_phi, dev.delta_phidot, affine]
+    if args.compose:
+        header.append("r")
+        cols.append(compose_perturbed(reference, dev).r)
 
     out = _out_dir(args) / "deviation.csv"
-    header = ["t", "delta_r", "delta_rdot", "delta_phi", "delta_phidot", "affine_residual"]
-    if composed is not None:
-        header.append("r")
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(dev.t)):
-            row = [
-                _fmt(dev.t[i]),
-                _fmt(dev.delta_r[i]),
-                _fmt(dev.delta_rdot[i]),
-                _fmt(dev.delta_phi[i]),
-                _fmt(dev.delta_phidot[i]),
-                _fmt(affine[i]),
-            ]
-            if composed is not None:
-                row.append(_fmt(composed.r[i]))
-            fh.write(",".join(row) + "\n")
+    _write_csv(out, header, zip(*cols))
     print(f"wrote {out} ({len(dev.t)} samples)")
     print(f"max |delta_phi - (C1 + C2 t)|: {np.max(affine):.3e}")
     return 0
@@ -502,15 +444,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     for r0 in np.linspace(r_lo, r_hi, int(r_n)):
         for rd0 in np.linspace(rd_lo, rd_hi, int(rd_n)):
             for pd0 in phidots:
-                sim = SimConfig(
-                    params=_params_from(cfg),
-                    state0=TrajectoryState(0.0, float(r0), 0.0, float(rd0), float(pd0)),
-                    t_end=sw["t_end"],
-                    rtol=cfg["integrator"]["rtol"],
-                    atol=cfg["integrator"]["atol"],
-                    r_min=cfg["events"]["r_min"],
-                    compute_el_residual=False,
-                )
+                state0 = TrajectoryState(0.0, float(r0), 0.0, float(rd0), float(pd0))
+                sim = _sim_config(cfg, state0, sw["t_end"], compute_el_residual=False)
                 name = f"run_{run_id:03d}.csv"
                 try:
                     series = integrate_geodesic(sim, model)
@@ -519,19 +454,10 @@ def cmd_sweep(cfg: dict, args) -> int:
                         [run_id, r0, rd0, pd0, series.status, len(series.t), series.t[-1], series.r[-1], name]
                     )
                 except (DomainError, ValueError) as exc:
-                    rows.append([run_id, r0, rd0, pd0, f"invalid:{exc}", 0, "", "", ""])
+                    rows.append([run_id, r0, rd0, pd0, f"invalid:{exc}", 0, None, None, None])
                 run_id += 1
-    with open(index_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("run,r0,rdot0,phidot0,status,n_samples,t_last,r_last,file\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    [str(row[0]), _fmt(row[1]), _fmt(row[2]), _fmt(row[3]), str(row[4]), str(row[5])]
-                    + [(_fmt(v) if v != "" else "") for v in row[6:8]]
-                    + [str(row[8])]
-                )
-                + "\n"
-            )
+    header = ["run", "r0", "rdot0", "phidot0", "status", "n_samples", "t_last", "r_last", "file"]
+    _write_csv(index_path, header, rows)
     print(f"wrote {index_path} ({run_id} runs)")
     return 0
 

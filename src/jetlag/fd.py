@@ -92,11 +92,8 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None) -> float:
 
     if scales is None:
         hinted = getattr(model, "fd_scales", None)
-        if callable(hinted):
-            try:
-                scales = hinted(pt, spec)
-            except TypeError:
-                scales = hinted(pt)
+        if hinted is not None:
+            scales = hinted(pt, spec)
         if scales is None:
             scales = default_scales(pt)
     scales = np.asarray(scales, dtype=float)

@@ -33,8 +33,8 @@ class LagrangianModel:
             return f"r = {pt.r} <= 0"
         return None
 
-    def fd_scales(self, pt: JetPoint):
-        """Optional per-axis step scales for numeric_partials (None = default)."""
+    def fd_scales(self, pt: JetPoint, spec=None):
+        """Optional per-axis step scales for the partial ``spec`` (None = default)."""
         return None
 
     # optional closed-form fast paths -------------------------------------

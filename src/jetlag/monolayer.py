@@ -597,6 +597,8 @@ class MonolayerModel(LagrangianModel):
         if self.params.p != 0.0:
             if pt.rdot == 0.0:
                 return "rdot = 0 (the Lagrangian contains rdot^-1)"
+            if pt.rdot**3 == 0.0:
+                return f"rdot^3 underflows to 0 at rdot = {pt.rdot} (g11 divides by rdot^3)"
             g11 = 0.5 * _denominator(pt.t, pt.r, pt.rdot, self.params)
             if abs(g11) <= _G11_REL_FLOOR * self.params.m:
                 return f"g11 = {g11} within {_G11_REL_FLOOR}*m of the singular locus"

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, strict config, stable CSV output."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -73,7 +74,11 @@ class TestEval:
             "numerical/domain error: closed_semispray: e^E overflows at E = 2|V|t/r = 2000",
             id="overflow",
         ),
-        pytest.param("0.001,0.5,0,1e-300,0.1", "numerical/domain error", id="zero-division"),
+        pytest.param(
+            "0.001,0.5,0,1e-300,0.1",
+            "numerical/domain error: invalid point: rdot^3 underflows to 0 at rdot = 1e-300",
+            id="zero-division",
+        ),
     ])
     def test_rdot_zero_names_precondition(self, cfg_path, capsys, point, fragment):
         rc = run_cli("eval", "--config", cfg_path, "--point", point)
@@ -89,6 +94,22 @@ class TestEval:
         lines = capsys.readouterr().out.splitlines()
         g11 = next(l for l in lines if l.startswith("g11"))
         assert len(g11.split()) == 2  # name + oracle column only
+
+    @pytest.mark.parametrize("model, point, extra, closed", [
+        pytest.param("monolayer", "0.001,0.5,0,-1,0.2", ["--oracle-only"], set(), id="oracle-only"),
+        pytest.param("free_polar", "0,2,0,3,0.5", [], {"g11", "g22", "G1", "G2"}, id="free_polar"),
+    ])
+    def test_csv_leaves_missing_closed_cells_empty(self, tmp_path, model, point, extra, closed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": model}))
+        out = tmp_path / "row.csv"
+        assert run_cli("eval", "--config", str(path), "--point", point, *extra, "--csv", str(out)) == 0
+        with open(out, newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert len(header) == len(row) == 25
+        for name, cell in zip(header[5:], row[5:]):
+            side, quantity = name.split("_", 1)
+            assert (cell == "") == (side == "closed" and quantity not in closed), name
 
     def test_malformed_point(self, cfg_path):
         assert run_cli("eval", "--config", cfg_path, "--point", "1,2,3") == 2
@@ -248,6 +269,29 @@ class TestSweep:
         assert lines[0].startswith("run,r0,rdot0,phidot0,status")
         assert len(lines) == 5  # header + 2x2 grid
         assert (out / "run_000.csv").exists()
+
+    def _sweep(self, tmp_path, cfg):
+        path = tmp_path / "sw.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--config", str(path), "--out", str(out)) == 0
+        with open(out / "index.csv", newline="") as fh:
+            return out, list(csv.reader(fh))
+
+    def test_invalid_status_quoted_with_blank_cells(self, tmp_path):
+        sweep = {"r": [0.0, 0.5, 2], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 1e-4}
+        _, rows = self._sweep(tmp_path, {"sweep": sweep})
+        assert all(len(row) == 9 for row in rows)
+        header, invalid, valid = rows
+        assert invalid[header.index("status")] == "invalid:jet point requires r > 0, got r = 0.0"
+        assert invalid[6:] == ["", "", ""]  # t_last, r_last, file
+        assert valid[header.index("status")] == "completed"
+
+    def test_honours_integrator_max_step(self, tmp_path):
+        sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 1e-4}
+        out, rows = self._sweep(tmp_path, {"integrator": {"max_step": 1e-6}, "sweep": sweep})
+        assert int(rows[1][rows[0].index("n_samples")]) >= 100
+        assert len((out / "run_000.csv").read_text().splitlines()) >= 101
 
 
 def test_eval_other_models(tmp_path, capsys):

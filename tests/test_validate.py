@@ -72,3 +72,16 @@ def test_sampler_deterministic():
     a = sample_points(7, 10)
     b = sample_points(7, 10)
     assert all(np.array_equal(x.as_array(), y.as_array()) for x, y in zip(a, b))
+
+
+def test_resonant_closed_form_regression_is_unexplained(monkeypatch):
+    # the closed form's r0dot is analytic, so nothing explains a residual over tolerance
+    import jetlag.dynamics as dyn
+
+    residual = dyn.ResonantTrajectory.residual_eq22
+    monkeypatch.setattr(dyn.ResonantTrajectory, "residual_eq22", lambda self: residual(self) + 1.0)
+    rep = run_validation(MonolayerParams(R0=1.0), seed=0, n_points=1)
+    rec = next(r for r in rep.records if r.quantity == "resonant_eq_large_time_residual_closed_form")
+    assert rec.verdict == "flagged"
+    assert rec.explanation == ""
+    assert not rep.passed()
