@@ -179,7 +179,7 @@ def load_config(path: str | None, seed_override=None) -> dict:
 def _params_from(cfg: dict) -> MonolayerParams:
     p = cfg["params"]
     pval = 0.0 if cfg["model"] == "free_polar" else p["p"]
-    return MonolayerParams(m=p["m"], p=pval, V_abs=p["V_abs"], R0=p.get("R0"))
+    return MonolayerParams(m=p["m"], p=pval, V_abs=p["V_abs"], R0=p["R0"])
 
 
 def _model_from(cfg: dict):
@@ -330,8 +330,6 @@ def _resonant_reference(cfg: dict, params: MonolayerParams):
 
 def cmd_resonant(cfg: dict, args) -> int:
     params = _params_from(cfg)
-    if params.R0 is None:
-        raise ConfigError("resonant needs params.R0")
     traj = _resonant_reference(cfg, params)
     res21 = traj.residual_eq21()
     res22 = traj.residual_eq22()
@@ -357,8 +355,6 @@ def cmd_resonant(cfg: dict, args) -> int:
 
 def cmd_deviation(cfg: dict, args) -> int:
     params = _params_from(cfg)
-    if params.R0 is None:
-        raise ConfigError("deviation needs params.R0 (for the resonant reference)")
     reference = _resonant_reference(cfg, params)
     d = cfg["deviation"]
     init = DeviationState(

@@ -14,10 +14,20 @@ steps survive roundoff).  ``scale`` defaults to max(|coordinate|, 1)
 (capped along r so probes respect r > 0); models may refine it via
 ``fd_scales`` -- the monolayer supplies 1/log-derivative scales for its
 stiff axes.  Everything is deterministic for fixed inputs.
+
+Probe memo: each probe is looked up in a ``values`` dict keyed by its five
+exact coordinates before the ``JetPoint`` is built, the domain checked or
+``model.value`` called, and L is stored only for probes that pass both
+checks.  The dict defaults to one per call; ``geometry.GeometryEvaluator``
+shares one across the partials at its point, and nested evaluators (the N
+and F fields of the torsions and the Maxwell check) own theirs.  Nothing is
+cached on the model.  This relies on ``value`` and ``domain_ok`` being pure
+functions of the point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -60,35 +70,52 @@ def _axis_orders(spec) -> tuple[int, ...]:
     return tuple(counts.get(a, 0) for a in AXES)
 
 
+@functools.cache
 def _composite_stencil(orders):
-    """Tensor product of per-axis stencils: list of (offset_vector, weight)."""
-    per_axis = []
-    for order in orders:
-        if order == 0:
-            per_axis.append(((0, 1.0),))
-        else:
-            per_axis.append(_STENCILS[order])
-    combined = []
-    for combo in itertools.product(*per_axis):
-        offsets = np.array([c[0] for c in combo], dtype=float)
-        weight = math.prod(c[1] for c in combo)
-        combined.append((offsets, weight))
-    return combined
+    """Tensor product of per-axis stencils: (offsets matrix, weights tuple)."""
+    per_axis = [_STENCILS[order] if order else ((0, 1.0),) for order in orders]
+    combos = list(itertools.product(*per_axis))
+    offsets = np.array([[c[0] for c in combo] for combo in combos], dtype=float)
+    offsets.flags.writeable = False
+    return offsets, tuple(math.prod(c[1] for c in combo) for combo in combos)
 
 
-def numeric_partials(model, pt: JetPoint, spec, scales=None) -> float:
+def _probe_value(model, q: list) -> float:
+    """L at the probe q, or StencilDomainError naming it."""
+    try:
+        probe = JetPoint(q[0], (q[1], q[2]), (q[3], q[4]))
+    except ValueError as exc:
+        q = np.array(q)
+        raise StencilDomainError(
+            f"finite-difference probe left the coordinate domain at {q}: {exc}",
+            probe=q,
+        ) from exc
+    if not model.domain_ok(probe):
+        q = np.array(q)
+        raise StencilDomainError(
+            f"finite-difference probe {q} is outside the model's valid domain",
+            probe=q,
+        )
+    return model.value(probe)
+
+
+def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> float:
     """Finite-difference partial derivative of model.value at pt.
 
     spec is a tuple of axis names from ("t", "x1", "x2", "y1", "y2"), one
     entry per differentiation, total order <= 3.  Raises
     StencilDomainError when a probe point leaves the model's valid domain,
-    naming the probe that failed.
+    naming the probe that failed, or when the product of the steps
+    underflows to 0 or overflows.  ``values`` is the probe memo (see the
+    module docstring); it defaults to a fresh dict.
     """
     spec = tuple(spec)
     total = len(spec)
     if not 1 <= total <= MAX_ORDER:
         raise ValueError(f"derivative order must be 1..{MAX_ORDER}, got {total}")
     orders = _axis_orders(spec)
+    if values is None:
+        values = {}
 
     if scales is None:
         hinted = getattr(model, "fd_scales", None)
@@ -99,30 +126,27 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None) -> float:
     scales = np.asarray(scales, dtype=float)
 
     h0 = scales * _H0_FACTOR
-    stencil = _composite_stencil(orders)
+    offsets, weights = _composite_stencil(orders)
     base = pt.as_array()
     denom_pow = np.array(orders, dtype=float)
     active = denom_pow > 0
 
     def apply(shrink: float) -> float:
         hs = h0 * shrink
+        denom = float((hs[active] ** denom_pow[active]).prod())
+        if denom == 0.0 or not math.isfinite(denom):
+            raise StencilDomainError(
+                f"finite-difference step product is {denom} for spec {spec} "
+                f"at steps {hs[active]}: the steps are too small or too large"
+            )
         acc = 0.0
-        for offsets, weight in stencil:
-            q = base + offsets * hs
-            try:
-                probe = JetPoint.from_array(q)
-            except ValueError as exc:
-                raise StencilDomainError(
-                    f"finite-difference probe left the coordinate domain at {q}: {exc}",
-                    probe=q,
-                ) from exc
-            if not model.domain_ok(probe):
-                raise StencilDomainError(
-                    f"finite-difference probe {q} is outside the model's valid domain",
-                    probe=q,
-                )
-            acc += weight * model.value(probe)
-        return acc / float(np.prod(hs[active] ** denom_pow[active]))
+        for q, weight in zip((base + offsets * hs).tolist(), weights):
+            key = tuple(q)
+            v = values.get(key)
+            if v is None:
+                v = values[key] = _probe_value(model, q)
+            acc += weight * v
+        return acc / denom
 
     # Ridders: Neville tableau in h^2 over steps h0 / CON^i
     tableau = [[apply(1.0)]]

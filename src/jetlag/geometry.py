@@ -159,13 +159,14 @@ class GeometryEvaluator:
         self.model = model
         self.pt = pt
         self._partials: dict[tuple, float] = {}
+        self._values: dict[tuple, float] = {}  # the FD probe memo, see fd.py
         self._objects: dict[str, object] = {}
 
     # -- cached scalar partials -------------------------------------------
     def partial(self, *spec) -> float:
         key = tuple(sorted(spec))
         if key not in self._partials:
-            self._partials[key] = numeric_partials(self.model, self.pt, key)
+            self._partials[key] = numeric_partials(self.model, self.pt, key, values=self._values)
         return self._partials[key]
 
     def _dg_dt(self) -> np.ndarray:

@@ -15,7 +15,12 @@ from .points import JetPoint
 
 
 class LagrangianModel:
-    """Base interface; subclasses implement ``value``."""
+    """Base interface; subclasses implement ``value``.
+
+    ``value`` and ``domain_ok`` must be pure functions of the point: the
+    finite-difference engine memoises L per probe point for the life of a
+    ``GeometryEvaluator`` (see ``fd.py``).
+    """
 
     name = "model"
     #: True when the Lagrangian contains rdot^-1 (domain excludes rdot = 0)

@@ -600,6 +600,8 @@ class MonolayerModel(LagrangianModel):
             if pt.rdot**3 == 0.0:
                 return f"rdot^3 underflows to 0 at rdot = {pt.rdot} (g11 divides by rdot^3)"
             g11 = 0.5 * _denominator(pt.t, pt.r, pt.rdot, self.params)
+            if not math.isfinite(pt.r**5 / pt.rdot**3):
+                return f"g11 = {g11} is not finite at rdot = {pt.rdot} (r^5 / rdot^3 overflows)"
             if abs(g11) <= _G11_REL_FLOOR * self.params.m:
                 return f"g11 = {g11} within {_G11_REL_FLOOR}*m of the singular locus"
         return None

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class DiscrepancyReport:
                 "n_flagged": self.n_flagged,
                 "n_flagged_unexplained": self.n_flagged_unexplained,
             },
-            "records": [clean(asdict(r)) for r in self.records],
+            "records": [clean(dict(vars(r))) for r in self.records],
         }
 
     def to_json(self) -> str:

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -49,6 +50,13 @@ class TestConfig:
     def test_missing_file(self):
         assert run_cli("simulate", "--config", "/nonexistent.json") == 2
 
+    @pytest.mark.parametrize("cmd", ["resonant", "deviation"])
+    def test_null_R0_rejected(self, tmp_path, capsys, cmd):
+        path = tmp_path / "bad.json"
+        path.write_text('{"params": {"R0": null}}')
+        assert run_cli(cmd, "--config", str(path)) == 2
+        assert "params.R0 must be a number" in capsys.readouterr().err
+
     def test_bad_model_name(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": "spherical_cow"}')
@@ -79,13 +87,21 @@ class TestEval:
             "numerical/domain error: invalid point: rdot^3 underflows to 0 at rdot = 1e-300",
             id="zero-division",
         ),
+        pytest.param(
+            "0.001,0.5,0,1e-107,0.1",
+            "numerical/domain error: invalid point: g11 = -inf is not finite at rdot = 1e-107",
+            id="step-underflow",
+        ),
     ])
     def test_rdot_zero_names_precondition(self, cfg_path, capsys, point, fragment):
-        rc = run_cli("eval", "--config", cfg_path, "--point", point)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run_cli("eval", "--config", cfg_path, "--point", point)
         assert rc == 3
         err = capsys.readouterr().err
         assert fragment in err
         assert "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_oracle_only_leaves_closed_blank(self, cfg_path, capsys):
         rc = run_cli("eval", "--config", cfg_path, "--point", "0.001,0.5,0,-1,0.2",

@@ -1,12 +1,15 @@
 """The finite-difference engine against hand-differentiable fixtures."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 from jetlag.errors import StencilDomainError
-from jetlag.fd import field_partial, numeric_partials
-from jetlag.models import PolynomialModel
-from jetlag.points import jet_point
+from jetlag.fd import MAX_ORDER, field_partial, numeric_partials
+from jetlag.models import FreePolarModel, PolynomialModel
+from jetlag.points import AXES, jet_point
 from oracles import monolayer_dL_drdot
 
 
@@ -77,3 +80,44 @@ def test_field_partial():
     pt = jet_point(0.2, 1.3, 0.1, 0.4, -0.7)
     got = field_partial(lambda q: q.r**3, pt, ("x1", "x1"))
     assert got == pytest.approx(6 * pt.r, rel=1e-9)
+
+
+def test_step_product_underflow_is_named():
+    model = PolynomialModel(lambda t, r, phi, rd, pd: 0.5 * rd**3)
+    pt = jet_point(0.4, 1.2, -0.3, 0.9, 1.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StencilDomainError, match=r"step product is 0\.0 for spec \('y1', 'y1', 'y1'\)"):
+            numeric_partials(model, pt, ("y1", "y1", "y1"), scales=np.full(5, 1e-110))
+
+
+SPECS = [s for n in range(1, MAX_ORDER + 1) for s in itertools.combinations_with_replacement(AXES, n)]
+
+
+@pytest.mark.parametrize("which", ["monolayer", "free_polar"])
+def test_shared_memo_is_bit_identical(which, model5, sample_pt):
+    model, pt = {
+        "monolayer": (model5, sample_pt),
+        "free_polar": (FreePolarModel(m=1.3), jet_point(0.2, 2.0, 0.3, 3.0, 0.5)),
+    }[which]
+    assert len(SPECS) == 55
+    fresh = [numeric_partials(model, pt, spec) for spec in SPECS]
+    shared = {}
+    filling = [numeric_partials(model, pt, spec, values=shared) for spec in SPECS]
+    filled = [numeric_partials(model, pt, spec, values=shared) for spec in SPECS]
+    assert filling == fresh
+    assert filled == fresh
+
+
+def test_failed_probe_is_not_memoised():
+    bad = PolynomialModel(lambda t, r, phi, rd, pd: rd, domain=lambda pt: pt.rdot > 0.5)
+    pt = jet_point(0.0, 1.0, 0.0, 0.51, 0.0)
+    values = {}
+    with pytest.raises(StencilDomainError) as first:
+        numeric_partials(bad, pt, ("y1",), values=values)
+    assert tuple(first.value.probe) not in values
+    assert all(key[3] > 0.5 for key in values)
+    with pytest.raises(StencilDomainError) as second:
+        numeric_partials(bad, pt, ("y1",), values=values)
+    assert str(second.value) == str(first.value)
+    assert "is outside the model's valid domain" in str(second.value)

@@ -21,7 +21,7 @@ from jetlag.geometry import (
     ym_energy,
 )
 from jetlag.models import FreePolarModel, PolynomialModel
-from jetlag.monolayer import closed_semispray
+from jetlag.monolayer import MonolayerModel, closed_semispray
 from jetlag.points import jet_point
 from oracles import polar_christoffel, polar_metric, polar_spray
 
@@ -272,6 +272,25 @@ def test_bundle_aggregates(model5, sample_pt):
     assert bundle.metric.g.shape == (2, 2)
     assert bundle.ym_energy >= 0.0
     assert bundle.em.F.shape == (2, 2)
+
+
+class _CountingMonolayer(MonolayerModel):
+    calls = 0
+
+    def value(self, pt):
+        self.calls += 1
+        return super().value(pt)
+
+
+def test_bundle_evaluates_each_probe_once(params5, sample_pt):
+    # the evaluator's probe memo: 5627 L-evaluations without it, 3131 with
+    # it; nothing outlives the evaluator, so a second one pays the same
+    model = _CountingMonolayer(params5)
+    evaluate_bundle(model, sample_pt)
+    first = model.calls
+    evaluate_bundle(model, sample_pt)
+    assert first <= 3300
+    assert model.calls == 2 * first
 
 
 class TestBuiltinModelInvariants:
