@@ -23,13 +23,10 @@ from .dynamics import (
     instanton_energy,
     integrate_geodesic,
     resonant_trajectory,
-    singularity_scan,
-    time_reverse,
 )
 from .errors import ConfigError, DomainError, JetLagError, SingularMetricError, StencilDomainError
 from .expint import exp_integral_f
 from .geometry import (
-    AdaptedFrame,
     CartanConnection,
     EMForm,
     GeometryBundle,
@@ -38,17 +35,7 @@ from .geometry import (
     NonlinearConnection,
     Semispray,
     TorsionSet,
-    adapted_derivative,
-    cartan_connection,
-    em_form,
-    evaluate_bundle,
-    maxwell_vertical_residual,
-    metric_from_lagrangian,
-    metricity_residuals,
-    nonlinear_connection,
     numeric_partials,
-    semispray_from_lagrangian,
-    torsions,
     ym_energy,
 )
 from .models import FreePolarModel, LagrangianModel, PolynomialModel

@@ -39,7 +39,7 @@ from .dynamics import (
 )
 from .electrodynamics import ElectrodynamicsFixtureParams, closed_em_form, electrodynamics_fixture
 from .errors import ConfigError, DomainError, JetLagError
-from .geometry import GeometryEvaluator, ym_energy
+from .geometry import GeometryEvaluator
 from .models import FreePolarModel
 from .monolayer import MonolayerModel, MonolayerParams
 from .points import jet_point
@@ -273,13 +273,11 @@ def cmd_eval(cfg: dict, args) -> int:
     if violation is not None:
         raise DomainError(f"invalid point: {violation}")
 
-    ev = GeometryEvaluator(model, pt)
-    met = ev.metric()
-    spray = ev.semispray()
-    nlc = ev.nonlinear_connection()
-    em = ev.em_form()
-    oracle = _eval_quantities(met.g, spray.G, nlc.N, em.F[1, 0], ym_energy(em, getattr(model, "m", 1.0)))
+    # the closed forms first: where both routes fail, theirs names the cause
     closed = _eval_quantities() if args.oracle_only else _closed_eval_columns(cfg, model, pt)
+    ev = GeometryEvaluator(model, pt)
+    met, spray, nlc = ev.metric(), ev.semispray(), ev.nonlinear_connection()
+    oracle = _eval_quantities(met.g, spray.G, nlc.N, ev.em_form().F[1, 0], ev.yang_mills_energy())
 
     print(f"model={cfg['model']} point: t={pt.t} r={pt.r} phi={pt.phi} rdot={pt.rdot} phidot={pt.phidot}")
     print(f"{'quantity':<10} {'closed_form':>24} {'oracle':>24}")

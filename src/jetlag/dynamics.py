@@ -78,7 +78,7 @@ class DeviationState:
 
 @dataclass(frozen=True)
 class SingularEvent:
-    kind: str  # metric_singular | rdot_zero | r_collapse | finite_time_collapse | einst_zero_crossing
+    kind: str  # metric_singular | rdot_zero | r_collapse | finite_time_collapse
     t_lo: float
     t_hi: float
     t_event: float
@@ -705,89 +705,6 @@ def compose_perturbed(
         eym=eym,
         g11=g11,
     )
-
-
-def time_reverse(series: TrajectorySeries) -> TrajectorySeries:
-    """Reverse a series in time on its own grid: sample order flips and
-    velocities change sign (t -> -t, rdot -> -rdot).  Involutive exactly."""
-    t = series.t
-    r = series.r[::-1].copy()
-    phi = series.phi[::-1].copy()
-    rdot = -series.rdot[::-1]
-    phidot = -series.phidot[::-1]
-    e_inst, H, H_ym, eym, g11 = _diagnostics(series.params, t, r, phi, rdot, phidot)
-    return TrajectorySeries(
-        params=series.params,
-        model_name=series.model_name,
-        t=t.copy(),
-        r=r,
-        phi=phi,
-        rdot=rdot,
-        phidot=phidot,
-        e_inst=e_inst,
-        H=H,
-        H_ym=H_ym,
-        eym=eym,
-        g11=g11,
-        status=series.status,
-    )
-
-
-# -- post-hoc singularity scan ---------------------------------------------------
-
-
-def _bisect(fn, t_lo, t_hi, iters: int = 80):
-    f_lo = fn(t_lo)
-    for _ in range(iters):
-        mid = 0.5 * (t_lo + t_hi)
-        f_mid = fn(mid)
-        if f_lo * f_mid <= 0.0:
-            t_hi = mid
-        else:
-            t_lo, f_lo = mid, f_mid
-        if t_hi - t_lo < 1e-14 * max(1.0, abs(t_hi)):
-            break
-    return 0.5 * (t_lo + t_hi)
-
-
-def singularity_scan(series: TrajectorySeries, r_threshold: float = 1e-6) -> list[SingularEvent]:
-    """Locate sign changes of g11, rdot, r - threshold and E_inst between
-    samples; each event is refined by bisection on Hermite interpolants."""
-    events: list[SingularEvent] = []
-    t = series.t
-    if len(t) < 2:
-        return events
-    r_spl = CubicHermiteSpline(t, series.r, series.rdot)
-    rd_spl = r_spl.derivative()
-    pd_spl = CubicSpline(t, series.phidot)
-    params = series.params
-
-    def g11_of(tt):
-        return 0.5 * _denominator(tt, float(r_spl(tt)), float(rd_spl(tt)), params)
-
-    def einst_of(tt):
-        st = TrajectoryState(
-            tt, float(r_spl(tt)), 0.0, float(rd_spl(tt)), float(pd_spl(tt))
-        )
-        return instanton_energy(st, params)
-
-    channels = [
-        ("metric_singular", series.g11, g11_of),
-        ("rdot_zero", series.rdot, lambda tt: float(rd_spl(tt))),
-        ("r_collapse", series.r - r_threshold, lambda tt: float(r_spl(tt)) - r_threshold),
-        ("einst_zero_crossing", series.e_inst, einst_of),
-    ]
-    for kind, samples, fn in channels:
-        sign = np.sign(samples)
-        for i in range(len(t) - 1):
-            if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-                try:
-                    t_ev = _bisect(fn, t[i], t[i + 1])
-                except (DomainError, ValueError):
-                    t_ev = 0.5 * (t[i] + t[i + 1])
-                events.append(SingularEvent(kind, float(t[i]), float(t[i + 1]), float(t_ev)))
-    events.sort(key=lambda e: e.t_event)
-    return events
 
 
 def plateau_interval(t, r, threshold: float | None = None):

@@ -13,7 +13,10 @@ axes whose contribution to L is tiny relative to |L| (where only the large
 steps survive roundoff).  ``scale`` defaults to max(|coordinate|, 1)
 (capped along r so probes respect r > 0); models may refine it via
 ``fd_scales`` -- the monolayer supplies 1/log-derivative scales for its
-stiff axes.  Everything is deterministic for fixed inputs.
+stiff axes.  ``scales_for`` is that one policy; the nested steps of
+``noisy_field_partial`` in the geometry take their scales from it too.
+A probe where L is not finite raises ``StencilDomainError``.  Everything
+is deterministic for fixed inputs.
 
 Probe memo: each probe is looked up in a ``values`` dict keyed by its five
 exact coordinates before the ``JetPoint`` is built, the domain checked or
@@ -62,6 +65,14 @@ def default_scales(pt: JetPoint) -> np.ndarray:
     return scales
 
 
+def scales_for(model, pt: JetPoint, spec=None) -> np.ndarray:
+    """The step scales for the partial ``spec``: the model's ``fd_scales``
+    hint, or ``default_scales`` when it gives none."""
+    hinted = getattr(model, "fd_scales", None)
+    scales = hinted(pt, spec) if hinted is not None else None
+    return np.asarray(default_scales(pt) if scales is None else scales, dtype=float)
+
+
 def _axis_orders(spec) -> tuple[int, ...]:
     counts = Counter(spec)
     unknown = set(counts) - set(AXES)
@@ -81,7 +92,7 @@ def _composite_stencil(orders):
 
 
 def _probe_value(model, q: list) -> float:
-    """L at the probe q, or StencilDomainError naming it."""
+    """L at the probe q, or StencilDomainError naming it (also when L is not finite)."""
     try:
         probe = JetPoint(q[0], (q[1], q[2]), (q[3], q[4]))
     except ValueError as exc:
@@ -96,7 +107,11 @@ def _probe_value(model, q: list) -> float:
             f"finite-difference probe {q} is outside the model's valid domain",
             probe=q,
         )
-    return model.value(probe)
+    value = model.value(probe)
+    if not math.isfinite(value):
+        q = np.array(q)
+        raise StencilDomainError(f"L = {value} is not finite at finite-difference probe {q}", probe=q)
+    return value
 
 
 def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> float:
@@ -117,13 +132,7 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> flo
     if values is None:
         values = {}
 
-    if scales is None:
-        hinted = getattr(model, "fd_scales", None)
-        if hinted is not None:
-            scales = hinted(pt, spec)
-        if scales is None:
-            scales = default_scales(pt)
-    scales = np.asarray(scales, dtype=float)
+    scales = scales_for(model, pt, spec) if scales is None else np.asarray(scales, dtype=float)
 
     h0 = scales * _H0_FACTOR
     offsets, weights = _composite_stencil(orders)

@@ -7,6 +7,15 @@ canonical connection (G_time, L, C), the six torsion families, the
 electromagnetic d-form F and its Yang-Mills energy.  This pipeline is the
 independent oracle against which the monolayer closed forms are validated.
 
+Each object is one array expression over arrays of L-partials, in the
+conventions of Miron & Anastasiei, *The Geometry of Lagrange Spaces*
+(Kluwer 1994).  ``GeometryEvaluator._d(*groups)`` holds the partials over
+the product of axis groups, e.g. ``_d(X, Y)[q, s]`` = d2L/dx^q dy^s, and
+``_dg(group)[k, i, j]`` = d g_ij / d a^k along the group's axes a.  Sums
+over a repeated index are einsum calls, which add the terms in index order;
+the products with g^-1 are matmul calls.  BLAS may fuse a matmul's
+multiply-adds, so the two are not interchangeable bit for bit.
+
 Index conventions (arrays are 2x2 or 2x2x2, spatial indices 0 and 1):
 
 * ``Metric.g[i, j]``                  g_ij (both lower)
@@ -26,12 +35,14 @@ Index conventions (arrays are 2x2 or 2x2x2, spatial indices 0 and 1):
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularMetricError
-from .fd import field_partial, noisy_field_partial, numeric_partials
+from .fd import noisy_field_partial, numeric_partials, scales_for
 from .models import LagrangianModel
 from .points import AXES, TIME_METRIC, JetPoint
 
@@ -39,28 +50,18 @@ __all__ = [
     "Metric",
     "Semispray",
     "NonlinearConnection",
-    "AdaptedFrame",
     "CartanConnection",
     "TorsionSet",
     "EMForm",
     "GeometryBundle",
     "GeometryEvaluator",
     "numeric_partials",
-    "metric_from_lagrangian",
-    "semispray_from_lagrangian",
-    "nonlinear_connection",
-    "adapted_derivative",
-    "cartan_connection",
-    "torsions",
-    "em_form",
     "ym_energy",
-    "metricity_residuals",
-    "maxwell_vertical_residual",
-    "evaluate_bundle",
 ]
 
-_X_AXES = ("x1", "x2")
-_Y_AXES = ("y1", "y2")
+_T = ("t",)
+_X = ("x1", "x2")
+_Y = ("y1", "y2")
 _TINY = 1e-300
 
 
@@ -81,17 +82,6 @@ class Semispray:
 class NonlinearConnection:
     M: np.ndarray  # = 2H = 0
     N: np.ndarray
-
-
-@dataclass
-class AdaptedFrame:
-    """Coefficients of delta/delta x^j = d/dx^j - N_(1)j^(q) d/dy^q."""
-
-    N: np.ndarray
-
-    @staticmethod
-    def from_connection(nlc: NonlinearConnection) -> "AdaptedFrame":
-        return AdaptedFrame(N=np.array(nlc.N, dtype=float))
 
 
 @dataclass
@@ -152,8 +142,22 @@ def ym_energy(em: EMForm, m: float) -> float:
     return float(np.sum(F * F) / (2.0 * m))
 
 
+def _stage(method):
+    """Compute a geometry stage once per evaluator."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        if name not in self._objects:
+            self._objects[name] = method(self)
+        return self._objects[name]
+
+    return cached
+
+
 class GeometryEvaluator:
-    """Shares the Lagrangian partials among the geometry operations at one point."""
+    """The geometry at one jet point; its stages share the L-partials and
+    the finite-difference probe memo."""
 
     def __init__(self, model: LagrangianModel, pt: JetPoint):
         self.model = model
@@ -162,205 +166,116 @@ class GeometryEvaluator:
         self._values: dict[tuple, float] = {}  # the FD probe memo, see fd.py
         self._objects: dict[str, object] = {}
 
-    # -- cached scalar partials -------------------------------------------
+    # -- L-partials ------------------------------------------------------------
     def partial(self, *spec) -> float:
         key = tuple(sorted(spec))
         if key not in self._partials:
             self._partials[key] = numeric_partials(self.model, self.pt, key, values=self._values)
         return self._partials[key]
 
-    def _dg_dt(self) -> np.ndarray:
-        out = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                out[i, j] = 0.5 * self.partial("t", _Y_AXES[i], _Y_AXES[j])
-        return out
+    def _d(self, *groups) -> np.ndarray:
+        """Partials of L over the product of axis groups, one array axis per group."""
+        flat = [self.partial(*spec) for spec in itertools.product(*groups)]
+        return np.array(flat).reshape([len(group) for group in groups])
 
-    def _dg_dy(self) -> np.ndarray:
-        out = np.empty((2, 2, 2))  # [k, i, j] = d g_ij / d y^k
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    out[k, i, j] = 0.5 * self.partial(
-                        _Y_AXES[k], _Y_AXES[i], _Y_AXES[j]
-                    )
-        return out
+    def _dg(self, group) -> np.ndarray:
+        """[k, i, j] = d g_ij / d a^k for the axes a of ``group``."""
+        return 0.5 * self._d(group, _Y, _Y)
 
-    def _dg_dx(self) -> np.ndarray:
-        out = np.empty((2, 2, 2))  # [k, i, j] = d g_ij / d x^k
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    out[k, i, j] = 0.5 * self.partial(
-                        _X_AXES[k], _Y_AXES[i], _Y_AXES[j]
-                    )
-        return out
+    def _field_partials(self, field, axes) -> np.ndarray:
+        """[a, ...] = d field / d axes[a] by nested FD; ``field`` maps the
+        evaluator at a probe point to an array."""
+        scales = scales_for(self.model, self.pt)
+
+        def at(q: JetPoint) -> np.ndarray:
+            return field(GeometryEvaluator(self.model, q))
+
+        return np.array([noisy_field_partial(at, self.pt, a, scales[AXES.index(a)]) for a in axes])
 
     # -- geometric objects --------------------------------------------------
+    @_stage
     def metric(self) -> Metric:
-        if "metric" not in self._objects:
-            g = np.empty((2, 2))
-            g[0, 0] = 0.5 * self.partial("y1", "y1")
-            g[1, 1] = 0.5 * self.partial("y2", "y2")
-            g[0, 1] = g[1, 0] = 0.5 * self.partial("y1", "y2")
-            inv, det = _invert_2x2(g)
-            self._objects["metric"] = Metric(g=g, g_inv=inv, det_g=det)
-        return self._objects["metric"]
+        g = 0.5 * self._d(_Y, _Y)
+        inv, det = _invert_2x2(g)
+        return Metric(g=g, g_inv=inv, det_g=det)
 
-    def _semispray_bracket(self) -> np.ndarray:
+    def _bracket(self) -> np.ndarray:
         """B_s = d2L/dx^q dy^s y^q - dL/dx^s + d2L/dt dy^s."""
         y = np.array(self.pt.y)
-        B = np.empty(2)
-        for s in range(2):
-            B[s] = (
-                sum(self.partial(_X_AXES[q], _Y_AXES[s]) * y[q] for q in range(2))
-                - self.partial(_X_AXES[s])
-                + self.partial("t", _Y_AXES[s])
-            )
-        return B
+        return np.einsum("q,qs->s", y, self._d(_X, _Y)) - self._d(_X) + self._d(_T, _Y)[0]
 
+    @_stage
     def semispray(self) -> Semispray:
-        if "semispray" not in self._objects:
-            ginv = self.metric().g_inv
-            B = self._semispray_bracket()
-            G = ginv @ B / 4.0
-            self._objects["semispray"] = Semispray(H=np.zeros(2), G=G)
-        return self._objects["semispray"]
+        return Semispray(H=np.zeros(2), G=self.metric().g_inv @ self._bracket() / 4.0)
 
+    @_stage
     def nonlinear_connection(self) -> NonlinearConnection:
         """N_(1)j^(i) = dG^(i)/dy^j, differentiated analytically through the
         semispray formula so only direct partials of L (order <= 3) appear."""
-        if "nlc" in self._objects:
-            return self._objects["nlc"]
-        met = self.metric()
-        ginv = met.g_inv
-        B = self._semispray_bracket()
-        dg_dy = self._dg_dy()
+        ginv = self.metric().g_inv
         y = np.array(self.pt.y)
-
-        N = np.empty((2, 2))
-        for j in range(2):
-            dginv_j = -ginv @ dg_dy[j] @ ginv
-            dB_j = np.empty(2)
-            for s in range(2):
-                dB_j[s] = (
-                    sum(
-                        self.partial(_X_AXES[q], _Y_AXES[s], _Y_AXES[j]) * y[q]
-                        for q in range(2)
-                    )
-                    + self.partial(_X_AXES[j], _Y_AXES[s])
-                    - self.partial(_X_AXES[s], _Y_AXES[j])
-                    + self.partial("t", _Y_AXES[s], _Y_AXES[j])
-                )
-            N[:, j] = (dginv_j @ B + ginv @ dB_j) / 4.0
-        self._objects["nlc"] = NonlinearConnection(M=np.zeros(2), N=N)
-        return self._objects["nlc"]
+        dginv = -ginv @ self._dg(_Y) @ ginv  # [j] = d g^-1 / dy^j
+        d_xy = self._d(_X, _Y)
+        dB = (  # [j, s] = d B_s / dy^j
+            np.einsum("q,qsj->js", y, self._d(_X, _Y, _Y)) + d_xy - d_xy.T + self._d(_T, _Y, _Y)[0]
+        )
+        N = (dginv @ self._bracket() + (ginv @ dB[..., None])[..., 0]) / 4.0
+        return NonlinearConnection(M=np.zeros(2), N=N.T)
 
     def _delta_g(self) -> np.ndarray:
         """delta g_ij / delta x^k = dg/dx^k - N_(1)k^(q) dg/dy^q, as [k, i, j]."""
         N = self.nonlinear_connection().N
-        dg_dx = self._dg_dx()
-        dg_dy = self._dg_dy()
-        out = np.empty((2, 2, 2))
-        for k in range(2):
-            out[k] = dg_dx[k] - sum(N[q, k] * dg_dy[q] for q in range(2))
-        return out
+        return self._dg(_X) - np.einsum("qk,qij->kij", N, self._dg(_Y))
 
+    @_stage
     def cartan(self) -> CartanConnection:
-        if "cartan" in self._objects:
-            return self._objects["cartan"]
         ginv = self.metric().g_inv
-        dg_dt = self._dg_dt()
-        dg_dy = self._dg_dy()
-        delta_g = self._delta_g()
 
-        G_time = 0.5 * ginv @ dg_dt
-        C = np.empty((2, 2, 2))
-        L = np.empty((2, 2, 2))
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    C[i, j, k] = 0.5 * sum(
-                        ginv[i, s]
-                        * (dg_dy[k, j, s] + dg_dy[j, k, s] - dg_dy[s, j, k])
-                        for s in range(2)
-                    )
-                    L[i, j, k] = 0.5 * sum(
-                        ginv[i, s]
-                        * (delta_g[k, j, s] + delta_g[j, k, s] - delta_g[s, j, k])
-                        for s in range(2)
-                    )
-        self._objects["cartan"] = CartanConnection(
-            G_time=G_time, L=L, C=C, kappa111=TIME_METRIC.kappa111
+        def christoffel(dg):
+            """[i, j, k] = g^is (d_k g_js + d_j g_ks - d_s g_jk) / 2 for dg as [k, i, j]."""
+            return 0.5 * np.einsum("is,sjk->ijk", ginv, dg.transpose(2, 1, 0) + dg.transpose(2, 0, 1) - dg)
+
+        return CartanConnection(
+            G_time=0.5 * ginv @ self._dg(_T)[0],
+            L=christoffel(self._delta_g()),
+            C=christoffel(self._dg(_Y)),
+            kappa111=TIME_METRIC.kappa111,
         )
-        return self._objects["cartan"]
 
-    # -- nested FD over the N field (needed only by the torsions) ----------
-    def _N_at(self, pt: JetPoint) -> np.ndarray:
-        return GeometryEvaluator(self.model, pt).nonlinear_connection().N
-
-    def _N_partial(self, axis: str) -> np.ndarray:
-        scales = self._scales()
-        return noisy_field_partial(self._N_at, self.pt, axis, scales[AXES.index(axis)])
-
+    @_stage
     def torsions(self) -> TorsionSet:
-        if "torsions" in self._objects:
-            return self._objects["torsions"]
         cart = self.cartan()
         N = self.nonlinear_connection().N
-
-        dN_dt = self._N_partial("t")
-        dN_dx = [self._N_partial(a) for a in _X_AXES]
-        dN_dy = [self._N_partial(a) for a in _Y_AXES]
-
-        # delta N / delta x^j = dN/dx^j - N_(1)j^(q) dN/dy^q
-        delta_N = [dN_dx[j] - sum(N[q, j] * dN_dy[q] for q in range(2)) for j in range(2)]
-
-        R = np.empty((2, 2, 2))
-        P_mixed = np.empty((2, 2, 2))
-        for k in range(2):
-            for i in range(2):
-                for j in range(2):
-                    R[k, i, j] = delta_N[j][k, i] - delta_N[i][k, j]
-                    P_mixed[k, i, j] = dN_dy[j][k, i] - cart.L[k, i, j]
-        self._objects["torsions"] = TorsionSet(
-            T=-cart.G_time.copy(),
-            H_tor=-dN_dt,
-            R=R,
-            P_mixed=P_mixed,
+        dN = self._field_partials(lambda ev: ev.nonlinear_connection().N, AXES)  # [t, x1, x2, y1, y2]
+        dN_dy = dN[3:]
+        # [j, k, i] = delta N^k_i / delta x^j = dN/dx^j - N_(1)j^(q) dN/dy^q
+        delta_N = dN[1:3] - np.einsum("qj,qki->jki", N, dN_dy)
+        R = delta_N.transpose(1, 2, 0)
+        return TorsionSet(
+            T=-cart.G_time,
+            H_tor=-dN[0],
+            R=R - R.swapaxes(1, 2),
+            P_mixed=dN_dy.transpose(1, 2, 0) - cart.L,
             P_vert=cart.C.copy(),
-            calP=-cart.G_time.copy(),
+            calP=-cart.G_time,
         )
-        return self._objects["torsions"]
 
+    @_stage
     def em_form(self) -> EMForm:
-        if "em" in self._objects:
-            return self._objects["em"]
+        """F_ij = h11/2 [g_js N^s_i - g_is N^s_j + (g_iq L^q_js - g_jq L^q_is) y^s],
+        summed term by term over s, then over (q, s), so F is exactly antisymmetric."""
         g = self.metric().g
-        N = self.nonlinear_connection().N
-        Lc = self.cartan().L
         y = np.array(self.pt.y)
-        F = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                acc = sum(g[j, s] * N[s, i] - g[i, s] * N[s, j] for s in range(2))
-                acc += sum(
-                    (g[i, q] * Lc[q, j, s] - g[j, q] * Lc[q, i, s]) * y[s]
-                    for q in range(2)
-                    for s in range(2)
-                )
-                F[i, j] = 0.5 * TIME_METRIC.h11 * acc
-        self._objects["em"] = EMForm(F=F)
-        return self._objects["em"]
+        gN = g.T[:, :, None] * self.nonlinear_connection().N[:, None]  # [s, i, j] = g_is N^s_j
+        gL = g.T[:, None, :, None] * self.cartan().L.transpose(0, 2, 1)[:, :, None]  # [q, s, i, j] = g_iq L^q_js
+        gLy = ((gL - gL.swapaxes(2, 3)) * y[:, None, None]).reshape(4, 2, 2)
+        return EMForm(F=0.5 * TIME_METRIC.h11 * ((gN.swapaxes(1, 2) - gN).sum(0) + gLy.sum(0)))
+
+    def yang_mills_energy(self) -> float:
+        """EYM of the oracle's F with the model's mass (1 for a model without one)."""
+        return ym_energy(self.em_form(), getattr(self.model, "m", 1.0))
 
     # -- residual oracles ----------------------------------------------------
-    def _scales(self) -> np.ndarray:
-        hinted = getattr(self.model, "fd_scales", None)
-        scales = hinted(self.pt) if callable(hinted) else None
-        if scales is None:
-            scales = np.maximum(np.abs(self.pt.as_array()), 1.0)
-        return np.asarray(scales, dtype=float)
-
     def metricity_residuals(self, cartan: CartanConnection | None = None):
         """Normalized covariant-derivative residuals of g: (/1, |k, |(k)).
 
@@ -372,74 +287,37 @@ class GeometryEvaluator:
         """
         cart = cartan if cartan is not None else self.cartan()
         g = self.metric().g
-        dg_dt = self._dg_dt()
-        dg_dy = self._dg_dy()
-        delta_g = self._delta_g()
 
-        def combine(terms):
-            scale = max(abs(v) for v in terms)
-            if scale == 0.0:
-                return 0.0
-            return abs(sum(terms)) / scale
+        def residual(dg, gamma) -> float:
+            """Worst (i, j, k) of dg[k, i, j] - g_sj gamma^s_ik - g_is gamma^s_jk."""
+            terms = np.concatenate(
+                [
+                    dg.transpose(1, 2, 0)[None],
+                    -g[:, None, :, None] * gamma[:, :, None, :],
+                    -g.T[:, :, None, None] * gamma[:, None, :, :],
+                ]
+            )  # [term, i, j, k]
+            scale = np.abs(terms).max(0)
+            ratio = np.divide(np.abs(terms.sum(0)), scale, out=np.zeros_like(scale), where=scale > 0)
+            return float(ratio.max())
 
-        res_t = 0.0
-        res_h = 0.0
-        res_v = 0.0
-        for i in range(2):
-            for j in range(2):
-                terms = [dg_dt[i, j]]
-                terms += [-g[s, j] * cart.G_time[s, i] for s in range(2)]
-                terms += [-g[i, s] * cart.G_time[s, j] for s in range(2)]
-                res_t = max(res_t, combine(terms))
-                for k in range(2):
-                    terms = [delta_g[k, i, j]]
-                    terms += [-g[s, j] * cart.L[s, i, k] for s in range(2)]
-                    terms += [-g[i, s] * cart.L[s, j, k] for s in range(2)]
-                    res_h = max(res_h, combine(terms))
-                    terms = [dg_dy[k, i, j]]
-                    terms += [-g[s, j] * cart.C[s, i, k] for s in range(2)]
-                    terms += [-g[i, s] * cart.C[s, j, k] for s in range(2)]
-                    res_v = max(res_v, combine(terms))
-        return res_t, res_h, res_v
+        return (
+            residual(self._dg(_T), cart.G_time[:, :, None]),
+            residual(self._delta_g(), cart.L),
+            residual(self._dg(_Y), cart.C),
+        )
 
     def maxwell_vertical_residual(self) -> float:
         """Normalized cyclic-sum residual of F_(i)j|^(1)_(k) over {i,j,k}."""
         C = self.cartan().C
         F = self.em_form().F
-
-        def em_at(pt: JetPoint) -> np.ndarray:
-            return GeometryEvaluator(self.model, pt).em_form().F
-
-        scales = self._scales()
-        dF_dy = [
-            noisy_field_partial(em_at, self.pt, a, scales[AXES.index(a)])
-            for a in _Y_AXES
-        ]
-
-        def vert(i, j, k):
-            return (
-                dF_dy[k][i, j]
-                - sum(F[s, j] * C[s, i, k] for s in range(2))
-                - sum(F[i, s] * C[s, j, k] for s in range(2))
-            )
-
-        worst = 0.0
-        scale = max(
-            (abs(vert(i, j, k)) for i in range(2) for j in range(2) for k in range(2)),
-            default=0.0,
-        )
-        floor = max(scale, abs(F).max(), _TINY)
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    cyc = vert(i, j, k) + vert(j, k, i) + vert(k, i, j)
-                    worst = max(worst, abs(cyc))
-        return worst / floor
+        dF_dy = self._field_partials(lambda ev: ev.em_form().F, _Y)  # [k, i, j]
+        vert = dF_dy.transpose(1, 2, 0) - np.einsum("sj,sik->ijk", F, C) - np.einsum("is,sjk->ijk", F, C)
+        floor = max(np.abs(vert).max(), np.abs(F).max(), _TINY)
+        cyclic = vert + vert.transpose(2, 0, 1) + vert.transpose(1, 2, 0)
+        return float(np.abs(cyclic).max() / floor)
 
     def bundle(self) -> GeometryBundle:
-        m = getattr(self.model, "m", None)
-        em = self.em_form()
-        energy = ym_energy(em, m) if m else float(np.sum(em.F**2))
         return GeometryBundle(
             pt=self.pt,
             metric=self.metric(),
@@ -447,59 +325,6 @@ class GeometryEvaluator:
             nlc=self.nonlinear_connection(),
             cartan=self.cartan(),
             torsions=self.torsions(),
-            em=em,
-            ym_energy=energy,
+            em=self.em_form(),
+            ym_energy=self.yang_mills_energy(),
         )
-
-
-# -- module-level operation wrappers ------------------------------------------
-
-
-def metric_from_lagrangian(model, pt) -> Metric:
-    return GeometryEvaluator(model, pt).metric()
-
-
-def semispray_from_lagrangian(model, pt) -> Semispray:
-    return GeometryEvaluator(model, pt).semispray()
-
-
-def nonlinear_connection(model, pt) -> NonlinearConnection:
-    return GeometryEvaluator(model, pt).nonlinear_connection()
-
-
-def cartan_connection(model, pt) -> CartanConnection:
-    return GeometryEvaluator(model, pt).cartan()
-
-
-def torsions(model, pt) -> TorsionSet:
-    return GeometryEvaluator(model, pt).torsions()
-
-
-def em_form(model, pt) -> EMForm:
-    return GeometryEvaluator(model, pt).em_form()
-
-
-def metricity_residuals(model, pt, cartan: CartanConnection | None = None):
-    return GeometryEvaluator(model, pt).metricity_residuals(cartan=cartan)
-
-
-def maxwell_vertical_residual(model, pt) -> float:
-    return GeometryEvaluator(model, pt).maxwell_vertical_residual()
-
-
-def evaluate_bundle(model, pt) -> GeometryBundle:
-    return GeometryEvaluator(model, pt).bundle()
-
-
-def adapted_derivative(frame: AdaptedFrame, fn, pt: JetPoint, j: int) -> float:
-    """Adapted (horizontal) derivative of a scalar field along x^j.
-
-    delta f / delta x^j = df/dx^j - N_(1)j^(q) df/dy^q with the frame's N.
-    ``fn`` is a callable JetPoint -> float, assumed smooth.
-    """
-    if j not in (0, 1):
-        raise ValueError("spatial index must be 0 or 1")
-    out = field_partial(fn, pt, (_X_AXES[j],))
-    for q in range(2):
-        out -= frame.N[q, j] * field_partial(fn, pt, (_Y_AXES[q],))
-    return out

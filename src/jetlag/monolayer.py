@@ -217,12 +217,18 @@ def potential_U_drr(t: float, r: float, params: MonolayerParams) -> float:
 
 
 def potential_U_dtt(t: float, r: float, params: MonolayerParams) -> float:
-    """d2U/dt2 by central differences; the alternative U-double-dot reading."""
-    h = max(abs(t), r / (2.0 * params.V_abs)) * 1e-5
-    up = potential_U(t + h, r, params)
-    mid = potential_U(t, r, params)
-    dn = potential_U(t - h, r, params)
-    return (up - 2.0 * mid + dn) / h**2
+    """d2U/dt2 in closed form (the alternative U-double-dot reading):
+    p |V|^2 [(-r^3 + 14/3 w r^2 + 2/3 w^2 r + 4/3 w^3) e^E - 8 w^4 f(E) / (3 r)]."""
+    if r <= 0:
+        raise DomainError(f"potential_U_dtt requires r > 0, got r = {r}")
+    if params.p == 0.0:
+        return 0.0
+    w = params.V_abs * t
+    E = 2.0 * w / r
+    out = (-(r**3) + 14.0 / 3.0 * w * r**2 + 2.0 / 3.0 * w**2 * r + 4.0 / 3.0 * w**3) * _exp(E)
+    if w != 0.0:
+        out -= 8.0 / 3.0 * w**4 * exp_integral_f(E) / r
+    return params.p * params.V_abs**2 * out
 
 
 def electrocapillarity_U_s(t, r, rdot, params: MonolayerParams):

@@ -23,7 +23,7 @@ from jetlag.dynamics import (
 from jetlag.electrodynamics import ElectrodynamicsFixtureParams, closed_em_form, electrodynamics_fixture
 from jetlag.expint import exp_integral_f
 from jetlag.fd import field_partial
-from jetlag.geometry import GeometryEvaluator, em_form
+from jetlag.geometry import GeometryEvaluator
 from jetlag.models import FreePolarModel
 from jetlag.monolayer import (
     MonolayerModel,
@@ -134,7 +134,7 @@ def test_criterion_5_electrodynamics_fixture():
     for _ in range(20):
         pt = jet_point(rng.uniform(0, 1), rng.uniform(0.5, 2.0), rng.uniform(-1, 1),
                        rng.uniform(-1, 1), rng.uniform(-1, 1))
-        F = em_form(model, pt).F
+        F = GeometryEvaluator(model, pt).em_form().F
         closed = closed_em_form(fixture, np.array(pt.x)).F
         worst = max(worst, float(np.max(np.abs(F - closed))))
     assert worst < 1e-8

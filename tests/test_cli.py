@@ -75,12 +75,17 @@ class TestEval:
         header = csv.read_text().splitlines()[0]
         assert header.startswith("t,r,phi,rdot,phidot,closed_g11,oracle_g11")
 
-    @pytest.mark.parametrize("point, fragment", [
+    @pytest.mark.parametrize("args, fragment", [
         pytest.param("0.001,0.5,0,0,0.2", "rdot", id="rdot-zero"),
         pytest.param(
             "0.5,0.5,0,-1,0.1",
             "numerical/domain error: closed_semispray: e^E overflows at E = 2|V|t/r = 2000",
             id="overflow",
+        ),
+        pytest.param(
+            "0.5,0.5,0,-1,0.1 --oracle-only",
+            "numerical/domain error: L = nan is not finite at finite-difference probe",
+            id="overflow-oracle-only",
         ),
         pytest.param(
             "0.001,0.5,0,1e-300,0.1",
@@ -93,10 +98,10 @@ class TestEval:
             id="step-underflow",
         ),
     ])
-    def test_rdot_zero_names_precondition(self, cfg_path, capsys, point, fragment):
+    def test_rdot_zero_names_precondition(self, cfg_path, capsys, args, fragment):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = run_cli("eval", "--config", cfg_path, "--point", point)
+            rc = run_cli("eval", "--config", cfg_path, "--point", *args.split())
         assert rc == 3
         err = capsys.readouterr().err
         assert fragment in err

@@ -12,7 +12,6 @@ from jetlag.dynamics import (
     DeviationSeries,
     DeviationState,
     SimConfig,
-    TrajectorySeries,
     TrajectoryState,
     _diagnostics,
     closed_form_r0,
@@ -23,8 +22,6 @@ from jetlag.dynamics import (
     integrate_geodesic,
     plateau_interval,
     resonant_trajectory,
-    singularity_scan,
-    time_reverse,
 )
 from jetlag.errors import DomainError
 from jetlag.models import FreePolarModel
@@ -40,15 +37,6 @@ from jetlag.monolayer import (
 
 FP = FreePolarModel(m=1.0)
 FREE = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
-
-
-def series_of(params, t, r, phi, rdot, phidot):
-    """Assemble a TrajectorySeries from raw arrays (for scan tests)."""
-    e_inst, H, H_ym, eym, g11 = _diagnostics(params, t, r, phi, rdot, phidot)
-    return TrajectorySeries(
-        params=params, model_name="synthetic", t=t, r=r, phi=phi, rdot=rdot,
-        phidot=phidot, e_inst=e_inst, H=H, H_ym=H_ym, eym=eym, g11=g11,
-    )
 
 
 class TestIntegrateGeodesic:
@@ -443,15 +431,6 @@ class TestComposeAndReverse:
         assert np.all(np.diff(comp.r) < 0.0)
         assert np.max(np.abs(comp.phi - comp.t)) < 1e-10
 
-    def test_involutive(self, params5):
-        ref = resonant_trajectory(params5, source="ode", n_samples=200)
-        dev = deviation_integrate(ref, DeviationState(1e-4, 0.0, 0.0, 1.0), params5)
-        comp = compose_perturbed(ref, dev)
-        twice = time_reverse(time_reverse(comp))
-        assert np.max(np.abs(twice.r - comp.r)) < 1e-12
-        assert np.max(np.abs(twice.rdot - comp.rdot)) < 1e-12
-        assert np.max(np.abs(twice.phi - comp.phi)) < 1e-12
-
     def test_compose_resamples_foreign_grid(self, params5):
         ref = resonant_trajectory(params5, source="ode")
         coarse_eval = ref.t[:: max(1, len(ref.t) // 60)]
@@ -474,53 +453,6 @@ class TestComposeAndReverse:
         t0, t1, dur = plateau_interval(t, r)
         assert dur > 0.5
         assert t0 >= 0.28
-
-
-class TestSingularityScan:
-    def test_free_polar_no_events(self):
-        cfg = SimConfig(params=FREE, state0=TrajectoryState(0.0, 1.0, 0.0, 1.0, 0.1), t_end=1.0)
-        ser = integrate_geodesic(cfg, FP)
-        events = [e for e in singularity_scan(ser) if e.kind != "einst_zero_crossing"]
-        assert events == []
-
-    def test_rdot_zero_crossing_detected(self):
-        # inward radial motion with angular momentum: rdot crosses zero
-        cfg = SimConfig(params=FREE, state0=TrajectoryState(0.0, 1.0, 0.0, -1.0, 0.8), t_end=2.0)
-        ser = integrate_geodesic(cfg, FP)
-        events = [e for e in singularity_scan(ser) if e.kind == "rdot_zero"]
-        assert len(events) == 1
-        ev = events[0]
-        assert ev.t_lo <= ev.t_event <= ev.t_hi
-        # refined location: interpolated rdot vanishes there
-        i = np.searchsorted(ser.t, ev.t_event)
-        assert ser.rdot[i - 1] * ser.rdot[min(i, len(ser.t) - 1)] <= 0
-
-    def test_synthetic_metric_singular_crossing(self, params5):
-        # consistent trajectory with rdot rising through the g11 = 0 locus
-        # (rdot* ~ 8.55 at t ~ 0, r = 0.5); the t-span is tiny so the e^E
-        # factor cannot push the locus away
-        t = np.linspace(0.0, 1e-5, 81)
-        rdot = 8.0 + 1e5 * t
-        r = 0.5 + 8.0 * t + 5e4 * t**2
-        ser = series_of(params5, t, r, np.zeros_like(t), rdot, np.zeros_like(t))
-        assert ser.g11[0] * ser.g11[-1] < 0  # the synthetic series really crosses
-        events = [e for e in singularity_scan(ser) if e.kind == "metric_singular"]
-        assert len(events) == 1
-        ev = events[0]
-        g11_here = 0.5 * _denominator(ev.t_event, np.interp(ev.t_event, t, r),
-                                      np.interp(ev.t_event, t, rdot), params5)
-        assert abs(g11_here) < 1e-3 * max(abs(ser.g11[0]), abs(ser.g11[-1]))
-
-    def test_einst_zero_crossing(self, params5):
-        # E_inst = kinetic + p r^5 |V| e^E / rdot - U changes sign as |rdot|
-        # shrinks through the instanton locus (|rdot| ~ 8.5 at r = 0.5, t ~ 0)
-        t = np.linspace(0.0, 1e-5, 41)
-        rdot = -9.0 + 1e5 * t
-        r = 0.5 - 9.0 * t + 5e4 * t**2
-        ser = series_of(params5, t, r, np.zeros_like(t), rdot, np.zeros_like(t))
-        assert ser.e_inst[0] * ser.e_inst[-1] < 0
-        kinds = {e.kind for e in singularity_scan(ser)}
-        assert "einst_zero_crossing" in kinds
 
 
 def test_closed_form_r0_horizon_guard(params5):

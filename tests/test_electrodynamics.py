@@ -8,7 +8,7 @@ from jetlag.electrodynamics import (
     closed_em_form,
     electrodynamics_fixture,
 )
-from jetlag.geometry import em_form
+from jetlag.geometry import GeometryEvaluator
 from jetlag.points import jet_point
 
 
@@ -24,7 +24,7 @@ def linear_fixture(a, b, m=1.0, c=1.0, e=1.0):
 
 def test_zero_potential_gives_zero_f():
     model = electrodynamics_fixture(ElectrodynamicsFixtureParams())
-    em = em_form(model, jet_point(0.0, 1.0, 0.3, 0.4, -0.2))
+    em = GeometryEvaluator(model, jet_point(0.0, 1.0, 0.3, 0.4, -0.2)).em_form()
     assert np.max(np.abs(em.F)) < 1e-10
 
 
@@ -32,7 +32,7 @@ def test_linear_potential_arithmetic():
     # A_1 = a x^2, A_2 = b x^1: F_(1)2 = -(e/2m)(a - b)
     params = linear_fixture(a=2.0, b=-1.0, e=1.0, m=1.0)
     model = electrodynamics_fixture(params)
-    em = em_form(model, jet_point(0.0, 1.5, 0.7, 0.3, -0.2))
+    em = GeometryEvaluator(model, jet_point(0.0, 1.5, 0.7, 0.3, -0.2)).em_form()
     assert em.F[0, 1] == pytest.approx(-0.5 * (2.0 - (-1.0)), rel=1e-8)
     closed = closed_em_form(params, [1.5, 0.7])
     assert np.allclose(em.F, closed.F, atol=1e-8)
@@ -47,7 +47,7 @@ def test_generic_vs_closed_at_random_points():
             rng.uniform(0, 1), rng.uniform(0.5, 2.0), rng.uniform(-1, 1),
             rng.uniform(-1, 1), rng.uniform(-1, 1),
         )
-        em = em_form(model, pt)
+        em = GeometryEvaluator(model, pt).em_form()
         closed = closed_em_form(params, np.array(pt.x))
         assert np.max(np.abs(em.F - closed.F)) < 1e-8
 
@@ -71,7 +71,7 @@ def test_nonlinear_potential_with_scalar_background():
             rng.uniform(0, 1), rng.uniform(0.5, 2.0), rng.uniform(-1, 1),
             rng.uniform(-1, 1), rng.uniform(-1, 1),
         )
-        em = em_form(model, pt)
+        em = GeometryEvaluator(model, pt).em_form()
         closed = closed_em_form(params, np.array(pt.x))
         assert np.max(np.abs(em.F - closed.F)) < 1e-7
 
@@ -88,7 +88,7 @@ def test_curved_gravitational_background():
     )
     model = electrodynamics_fixture(params)
     pt = jet_point(0.2, 1.2, 0.4, 0.6, -0.5)
-    em = em_form(model, pt)
+    em = GeometryEvaluator(model, pt).em_form()
     closed = closed_em_form(params, np.array(pt.x))
     assert np.max(np.abs(em.F - closed.F)) < 1e-6
 

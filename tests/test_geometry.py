@@ -5,21 +5,7 @@ import pytest
 
 from jetlag.errors import SingularMetricError
 from jetlag.fd import field_partial
-from jetlag.geometry import (
-    AdaptedFrame,
-    EMForm,
-    GeometryEvaluator,
-    adapted_derivative,
-    em_form,
-    evaluate_bundle,
-    maxwell_vertical_residual,
-    metric_from_lagrangian,
-    metricity_residuals,
-    nonlinear_connection,
-    semispray_from_lagrangian,
-    torsions,
-    ym_energy,
-)
+from jetlag.geometry import CartanConnection, EMForm, GeometryEvaluator, ym_energy
 from jetlag.models import FreePolarModel, PolynomialModel
 from jetlag.monolayer import MonolayerModel, closed_semispray
 from jetlag.points import jet_point
@@ -30,66 +16,66 @@ FP = FreePolarModel(m=1.0)
 
 class TestMetric:
     def test_free_polar_diag(self):
-        met = metric_from_lagrangian(FP, jet_point(0.0, 2.0, 0.0, 1.0, 1.0))
+        met = GeometryEvaluator(FP, jet_point(0.0, 2.0, 0.0, 1.0, 1.0)).metric()
         assert np.allclose(met.g, polar_metric(1.0, 2.0), atol=1e-10)
         assert np.allclose(met.g @ met.g_inv, np.eye(2), atol=1e-10)
 
     def test_monolayer_off_diagonal_zero(self, model5):
-        met = metric_from_lagrangian(model5, jet_point(1e-3, 0.5, 0.0, -1.0, 0.2))
+        met = GeometryEvaluator(model5, jet_point(1e-3, 0.5, 0.0, -1.0, 0.2)).metric()
         assert met.g[0, 1] == pytest.approx(0.0, abs=1e-8 * abs(met.g[0, 0]))
         assert met.g[0, 1] == met.g[1, 0]
 
     def test_monolayer_g11_matches_closed_form(self, model5, params5, sample_pt):
         from jetlag.monolayer import closed_metric
 
-        met = metric_from_lagrangian(model5, sample_pt)
+        met = GeometryEvaluator(model5, sample_pt).metric()
         want = closed_metric(sample_pt, params5).g[0, 0]
         assert met.g[0, 0] == pytest.approx(want, rel=1e-6)
 
     def test_singular_metric_raises(self):
         degenerate = PolynomialModel(lambda t, r, phi, rd, pd: (rd + pd) ** 2)
         with pytest.raises(SingularMetricError):
-            metric_from_lagrangian(degenerate, jet_point(0.0, 1.0, 0.0, 1.0, 1.0))
+            GeometryEvaluator(degenerate, jet_point(0.0, 1.0, 0.0, 1.0, 1.0)).metric()
 
 
 class TestSemispray:
     def test_free_polar_matches_classical(self):
         pt = jet_point(0.0, 2.0, 0.0, 3.0, 0.5)
-        spray = semispray_from_lagrangian(FP, pt)
+        spray = GeometryEvaluator(FP, pt).semispray()
         G1, G2 = polar_spray(pt.r, pt.rdot, pt.phidot)
         assert spray.G[0] == pytest.approx(G1, rel=1e-8)  # -0.25
         assert spray.G[1] == pytest.approx(G2, rel=1e-8)  # 0.75
         assert np.all(spray.H == 0.0)
 
     def test_monolayer_g2_is_exact_form(self, model5, sample_pt):
-        spray = semispray_from_lagrangian(model5, sample_pt)
+        spray = GeometryEvaluator(model5, sample_pt).semispray()
         assert spray.G[1] == pytest.approx(sample_pt.rdot * sample_pt.phidot / sample_pt.r, rel=1e-8)
 
     def test_monolayer_g1_matches_exact_fraction(self, model5, params5, sample_pt):
-        spray = semispray_from_lagrangian(model5, sample_pt)
+        spray = GeometryEvaluator(model5, sample_pt).semispray()
         want = closed_semispray(sample_pt, params5, form="exact").G[0]
         assert spray.G[0] == pytest.approx(want, rel=1e-6)
 
 
 class TestNonlinearConnection:
     def test_monolayer_second_row(self, model5, sample_pt):
-        nlc = nonlinear_connection(model5, sample_pt)
+        nlc = GeometryEvaluator(model5, sample_pt).nonlinear_connection()
         assert nlc.N[1, 0] == pytest.approx(sample_pt.phidot / sample_pt.r, rel=1e-6)
         assert nlc.N[1, 1] == pytest.approx(sample_pt.rdot / sample_pt.r, rel=1e-6)
 
     def test_free_polar_n12(self):
         # N_(1)2^(1) = d(-r phidot^2/2)/dphidot = -r phidot = -1 at r=2, phidot=0.5
-        nlc = nonlinear_connection(FP, jet_point(0.0, 2.0, 0.0, 3.0, 0.5))
+        nlc = GeometryEvaluator(FP, jet_point(0.0, 2.0, 0.0, 3.0, 0.5)).nonlinear_connection()
         assert nlc.N[0, 1] == pytest.approx(-1.0, rel=1e-8)
 
     def test_self_consistency_vs_direct_fd_of_g(self, model5, sample_pt):
         # definition self-consistency in the matrix infinity norm: entries
         # tiny relative to ||N|| sit below the FD-of-G noise floor
-        nlc = nonlinear_connection(model5, sample_pt)
+        nlc = GeometryEvaluator(model5, sample_pt).nonlinear_connection()
 
         def g_component(i):
             def fn(q):
-                return semispray_from_lagrangian(model5, q).G[i]
+                return GeometryEvaluator(model5, q).semispray().G[i]
 
             return fn
 
@@ -102,35 +88,13 @@ class TestNonlinearConnection:
 
     def test_self_consistency_free_polar(self):
         pt = jet_point(0.0, 2.0, 0.0, 3.0, 0.5)
-        nlc = nonlinear_connection(FP, pt)
+        nlc = GeometryEvaluator(FP, pt).nonlinear_connection()
         for i in range(2):
             for j, axis in enumerate(("y1", "y2")):
                 ref = field_partial(
-                    lambda q, i=i: semispray_from_lagrangian(FP, q).G[i], pt, (axis,)
+                    lambda q, i=i: GeometryEvaluator(FP, q).semispray().G[i], pt, (axis,)
                 )
                 assert abs(nlc.N[i, j] - ref) < 1e-8 * max(1.0, abs(ref))
-
-
-class TestAdaptedDerivative:
-    def test_y_independent_field(self, model5, sample_pt):
-        frame = AdaptedFrame.from_connection(nonlinear_connection(model5, sample_pt))
-        got = adapted_derivative(frame, lambda q: q.r**2, sample_pt, 0)
-        assert got == pytest.approx(2 * sample_pt.r, rel=1e-9)
-
-    def test_zero_frame_reduces_to_partial(self, sample_pt):
-        frame = AdaptedFrame(N=np.zeros((2, 2)))
-        got = adapted_derivative(frame, lambda q: q.r * q.rdot, sample_pt, 0)
-        assert got == pytest.approx(sample_pt.rdot, rel=1e-9)
-
-    def test_monolayer_g22_field(self, model5, params5, sample_pt):
-        # g22 = m r^2 / 2 has no fibre dependence: delta g22/delta r = m r
-        frame = AdaptedFrame.from_connection(nonlinear_connection(model5, sample_pt))
-        got = adapted_derivative(frame, lambda q: 0.5 * params5.m * q.r**2, sample_pt, 0)
-        assert got == pytest.approx(params5.m * sample_pt.r, rel=1e-9)
-
-    def test_bad_index(self, sample_pt):
-        with pytest.raises(ValueError):
-            adapted_derivative(AdaptedFrame(N=np.zeros((2, 2))), lambda q: 1.0, sample_pt, 2)
 
 
 class TestCartan:
@@ -165,7 +129,7 @@ class TestCartan:
 
 class TestTorsions:
     def test_r_antisymmetry_any_model(self, model5, sample_pt):
-        tor = torsions(model5, sample_pt)
+        tor = GeometryEvaluator(model5, sample_pt).torsions()
         for k in range(2):
             assert tor.R[k, 0, 1] == -tor.R[k, 1, 0]
             assert tor.R[k, 0, 0] == pytest.approx(0.0, abs=1e-8)
@@ -188,24 +152,24 @@ class TestTorsions:
         assert np.array_equal(ev.torsions().calP, -ev.cartan().G_time)
 
     def test_free_polar_flat(self):
-        tor = torsions(FP, jet_point(0.1, 2.0, 0.0, 1.0, 0.4))
+        tor = GeometryEvaluator(FP, jet_point(0.1, 2.0, 0.0, 1.0, 0.4)).torsions()
         assert np.max(np.abs(tor.R)) < 1e-5
         assert np.max(np.abs(tor.H_tor)) < 1e-8
 
 
 class TestEMForm:
     def test_antisymmetry(self, model5, sample_pt):
-        em = em_form(model5, sample_pt)
+        em = GeometryEvaluator(model5, sample_pt).em_form()
         assert abs(em.F[0, 0]) < 1e-10
         assert abs(em.F[1, 1]) < 1e-10
         assert em.F[0, 1] == -em.F[1, 0]
 
     def test_monolayer_vanishes_at_zero_phidot(self, model5):
-        em = em_form(model5, jet_point(1e-3, 0.5, 0.0, -1.0, 0.0))
+        em = GeometryEvaluator(model5, jet_point(1e-3, 0.5, 0.0, -1.0, 0.0)).em_form()
         assert np.max(np.abs(em.F)) < 1e-9
 
     def test_free_polar_vanishes(self):
-        em = em_form(FP, jet_point(0.0, 2.0, 0.0, 1.0, 0.7))
+        em = GeometryEvaluator(FP, jet_point(0.0, 2.0, 0.0, 1.0, 0.7)).em_form()
         assert np.max(np.abs(em.F)) < 1e-8
 
 
@@ -232,7 +196,7 @@ class TestYMEnergy:
 
 class TestMetricity:
     def test_free_polar(self):
-        res = metricity_residuals(FP, jet_point(0.0, 1.7, 0.0, 0.8, -0.2))
+        res = GeometryEvaluator(FP, jet_point(0.0, 1.7, 0.0, 0.8, -0.2)).metricity_residuals()
         assert max(res) < 1e-8
 
     def test_monolayer_sample(self, model5):
@@ -240,38 +204,92 @@ class TestMetricity:
         for _ in range(100):
             pt = jet_point(rng.uniform(1e-4, 2e-3), rng.uniform(0.3, 1.0), 0.0,
                            rng.uniform(-3, -0.5), rng.uniform(-1, 1))
-            assert max(metricity_residuals(model5, pt)) < 1e-5
+            assert max(GeometryEvaluator(model5, pt).metricity_residuals()) < 1e-5
 
     def test_negative_control(self, model5, sample_pt):
-        from jetlag.geometry import CartanConnection, cartan_connection
-
-        cart = cartan_connection(model5, sample_pt)
+        cart = GeometryEvaluator(model5, sample_pt).cartan()
         perturbed_L = np.array(cart.L, copy=True)
         perturbed_L[1, 0, 1] += 0.1
         bad = CartanConnection(G_time=cart.G_time, L=perturbed_L, C=cart.C)
-        res = metricity_residuals(model5, sample_pt, cartan=bad)
+        res = GeometryEvaluator(model5, sample_pt).metricity_residuals(cartan=bad)
         assert max(res) > 1e-3
 
 
 class TestMaxwellVertical:
     def test_free_polar(self):
-        assert maxwell_vertical_residual(FP, jet_point(0.0, 1.5, 0.0, 1.0, 0.5)) < 1e-8
+        assert GeometryEvaluator(FP, jet_point(0.0, 1.5, 0.0, 1.0, 0.5)).maxwell_vertical_residual() < 1e-8
 
     def test_monolayer(self, model5, sample_pt):
-        assert maxwell_vertical_residual(model5, sample_pt) < 1e-5
+        assert GeometryEvaluator(model5, sample_pt).maxwell_vertical_residual() < 1e-5
 
     def test_degenerate_index_ranges_finite(self, model5, sample_pt):
         # n = 2: every cyclic triple has a repeated index; the residual must
         # still evaluate to a finite number
-        val = maxwell_vertical_residual(model5, sample_pt)
+        val = GeometryEvaluator(model5, sample_pt).maxwell_vertical_residual()
         assert np.isfinite(val)
 
 
 def test_bundle_aggregates(model5, sample_pt):
-    bundle = evaluate_bundle(model5, sample_pt)
+    bundle = GeometryEvaluator(model5, sample_pt).bundle()
     assert bundle.metric.g.shape == (2, 2)
     assert bundle.ym_energy >= 0.0
     assert bundle.em.F.shape == (2, 2)
+
+
+def _asymmetric_lagrangian(t, r, phi, rd, pd):
+    """No symmetry of g, N, L or C can hide a transposed index here."""
+    return (
+        (1 + r**2 + 0.3 * t * r * phi) * rd**2 + 0.7 * r * rd * pd + (2 + phi**2 + 0.2 * t * r) * pd**2
+        + 0.1 * r**3 * rd**3 + 0.05 * phi * rd * pd**2 - 0.4 * r * phi + 0.3 * t * r * rd
+    )
+
+
+# every array of the bundle at (0.3, 1.2, 0.4, 0.8, -0.6), from an
+# evaluation that loops over the components of each index formula
+PINNED_BUNDLE = {
+    "g": [[2.8979199999988956, 0.4079999999994754], [0.4079999999994754, 2.247999999999776]],
+    "G": [0.21846670337792426, 0.0510612033015739],
+    "N": [[0.45155207900487093, 0.033313574740097544], [0.01692416712515926, -0.05603259455812443]],
+    "G_time": [[0.025496922826701195, -0.00771259231442981], [-0.004627555389260723, 0.054780577250187014]],
+    "L": [
+        [[0.5538956932125361, 0.014426946677704652], [0.014426946677704652, -0.04622419400880049]],
+        [[0.034834053562990616, 0.008718098294862225], [0.008718098294862225, 0.19507399261838512]],
+    ],
+    "C": [
+        [[0.09178892217799106, -0.0006427160271759547], [-0.0006427160271759547, 0.0035412392837693]],
+        [[-0.016659199399359503, 0.004565048108556838], [0.004565048108556838, -0.0006427160202692641]],
+    ],
+    "H": [[0.024767485256871336, -0.06482102945932523], [0.08764706680282948, -0.030104799270709928]],
+    "R": [
+        [[0.0, 0.058123686716558015], [-0.058123686716558015, 0.0]],
+        [[0.0, -0.053354982624350934], [0.053354982624350934, 0.0]],
+    ],
+    "P_mixed": [
+        [[0.05981208733374932, -0.0019954201645727004], [-0.001995412796190754, -0.006449830175774808]],
+        [[-0.014847283012213303, -0.007820613623587186], [-0.007820614800067974, 0.0007260330584152874]],
+    ],
+    "F": [[0.0, -0.005318017570267897], [0.005318017570267897, 0.0]],
+}
+
+
+def test_bundle_index_layout_is_pinned():
+    b = GeometryEvaluator(PolynomialModel(_asymmetric_lagrangian), jet_point(0.3, 1.2, 0.4, 0.8, -0.6)).bundle()
+    got = {
+        "g": b.metric.g, "G": b.semispray.G, "N": b.nlc.N, "G_time": b.cartan.G_time, "L": b.cartan.L,
+        "C": b.cartan.C, "H": b.torsions.H_tor, "R": b.torsions.R, "P_mixed": b.torsions.P_mixed, "F": b.em.F,
+    }
+    for name, want in PINNED_BUNDLE.items():
+        want = np.array(want)
+        assert got[name].shape == want.shape, name
+        assert np.max(np.abs(got[name] - want)) <= 1e-11 * np.max(np.abs(want)), name
+
+
+def test_bundle_energy_is_the_eval_rule():
+    # a model without a mass takes m = 1, as `jetlag eval` does
+    ev = GeometryEvaluator(PolynomialModel(_asymmetric_lagrangian), jet_point(0.3, 1.2, 0.4, 0.8, -0.6))
+    energy = ev.bundle().ym_energy
+    assert energy == ym_energy(ev.em_form(), 1.0)
+    assert energy == pytest.approx(ev.em_form().F[1, 0] ** 2, rel=1e-14)
 
 
 class _CountingMonolayer(MonolayerModel):
@@ -286,9 +304,9 @@ def test_bundle_evaluates_each_probe_once(params5, sample_pt):
     # the evaluator's probe memo: 5627 L-evaluations without it, 3131 with
     # it; nothing outlives the evaluator, so a second one pays the same
     model = _CountingMonolayer(params5)
-    evaluate_bundle(model, sample_pt)
+    GeometryEvaluator(model, sample_pt).bundle()
     first = model.calls
-    evaluate_bundle(model, sample_pt)
+    GeometryEvaluator(model, sample_pt).bundle()
     assert first <= 3300
     assert model.calls == 2 * first
 
@@ -325,7 +343,7 @@ class TestBuiltinModelInvariants:
     def test_metric_symmetry_and_inverse(self, name, model5):
         model = {"free_polar": FP, "monolayer": model5}.get(name) or self._ed_model()
         for pt in self._points_for(name):
-            met = metric_from_lagrangian(model, pt)
+            met = GeometryEvaluator(model, pt).metric()
             scale = max(1.0, float(np.max(np.abs(met.g))))
             assert abs(met.g[0, 1] - met.g[1, 0]) < 1e-12 * scale
             assert np.max(np.abs(met.g @ met.g_inv - np.eye(2))) < 1e-10
@@ -334,7 +352,7 @@ class TestBuiltinModelInvariants:
     def test_metricity_all_models(self, name):
         model = FP if name == "free_polar" else self._ed_model()
         for pt in self._points_for(name, n=10):
-            assert max(metricity_residuals(model, pt)) < 1e-5
+            assert max(GeometryEvaluator(model, pt).metricity_residuals()) < 1e-5
 
 
 def test_evaluator_thread_safety(model5):
@@ -343,7 +361,7 @@ def test_evaluator_thread_safety(model5):
     import concurrent.futures
 
     pts = [jet_point(1e-4 + 1e-5 * k, 0.4 + 0.01 * k, 0.0, -1.0 - 0.1 * k, 0.2) for k in range(8)]
-    serial = [evaluate_bundle(model5, pt).ym_energy for pt in pts]
+    serial = [GeometryEvaluator(model5, pt).bundle().ym_energy for pt in pts]
     with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda pt: evaluate_bundle(model5, pt).ym_energy, pts))
+        parallel = list(pool.map(lambda pt: GeometryEvaluator(model5, pt).bundle().ym_energy, pts))
     assert serial == parallel

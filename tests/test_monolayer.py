@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,7 @@ from jetlag.monolayer import (
     potential_U,
     potential_U_dr,
     potential_U_drr,
+    potential_U_dtt,
     pressure_param,
     semispray_series_bracket,
     script_U,
@@ -78,6 +80,31 @@ class TestPotential:
         assert potential_U_dr(t, r, params5) == pytest.approx(fd1, rel=1e-7)
         fd2 = (potential_U_dr(t, r + h, params5) - potential_U_dr(t, r - h, params5)) / (2 * h)
         assert potential_U_drr(t, r, params5) == pytest.approx(fd2, rel=1e-6)
+
+    def test_dtt_against_40_digit_derivative(self, params5):
+        p, V = params5.p, params5.V_abs
+
+        def U(tt, r):
+            w = V * tt
+            E = 2 * w / r
+            poly = (-mpmath.mpf(4) / 3 * r**5 + mpmath.mpf(16) / 15 * w * r**4 + w**2 * r**3 / 30
+                    + w**3 * r**2 / 45 + w**4 * r / 45 + 2 * w**5 / 45)
+            return p * (poly * mpmath.exp(E) - mpmath.mpf(4) / 45 * w**6 / r * mpmath.ei(E))
+
+        worst = 0.0
+        with mpmath.workdps(40):
+            for t in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+                for r in (0.1, 0.5, 1.0, 3.0):
+                    want = float(mpmath.diff(lambda tt: U(tt, r), mpmath.mpf(t), 2))
+                    worst = max(worst, abs(potential_U_dtt(t, r, params5) / want - 1.0))
+        assert worst < 1e-10
+
+    def test_dtt_at_t_zero_and_domain(self, params5):
+        # at w = 0 only the polynomial term survives: p |V|^2 (-r^3)
+        want = -params5.p * params5.V_abs**2 * 0.7**3
+        assert potential_U_dtt(0.0, 0.7, params5) == pytest.approx(want, rel=1e-14)
+        with pytest.raises(DomainError):
+            potential_U_dtt(1e-3, 0.0, params5)
 
 
 class TestLagrangian:
