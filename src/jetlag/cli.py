@@ -68,34 +68,6 @@ def _write_csv(path: Path, header, rows) -> None:
 
 # -- configuration --------------------------------------------------------------
 
-_NUM = (int, float)
-
-SCHEMA = {
-    "model": str,
-    "params": {"m": _NUM, "p": _NUM, "V_abs": _NUM, "R0": _NUM},
-    "initial_state": {"t": _NUM, "r": _NUM, "phi": _NUM, "rdot": _NUM, "phidot": _NUM},
-    "t_end": _NUM,
-    "integrator": {"rtol": _NUM, "atol": _NUM, "max_step": _NUM},
-    "epsilon_phidot": _NUM,
-    "events": {"r_min": _NUM},
-    "seed": int,
-    "tolerances": {"oracle": _NUM, "identity": _NUM},
-    "resonant": {"t_start": _NUM, "t_end": _NUM, "n_samples": int, "rtol": _NUM, "atol": _NUM},
-    "deviation": {
-        "c1": _NUM,
-        "c2": _NUM,
-        "delta_r": _NUM,
-        "delta_rdot": _NUM,
-        "u_second_derivative": str,
-        "resonant_substitution": bool,
-        "rtol": _NUM,
-        "atol": _NUM,
-    },
-    "validate": {"n_points": int},
-    "sweep": {"r": list, "rdot": list, "phidot_values": list, "t_end": _NUM},
-    "fixture": {"m": _NUM, "c": _NUM, "e": _NUM, "a": _NUM, "b": _NUM},
-}
-
 DEFAULTS = {
     "model": "monolayer",
     "params": {"m": 1.0, "p": 10.0, "V_abs": 1000.0, "R0": 1.0},
@@ -123,24 +95,24 @@ DEFAULTS = {
 }
 
 
-def _check_keys(cfg: dict, schema: dict, path: str = ""):
+def _check_keys(cfg: dict, defaults: dict, path: str = ""):
+    """Reject keys without a default and values whose type does not fit the
+    default's: an object for a dict, an int or a float (never a bool) for a
+    float, and exactly the default's type otherwise, so a bool is no int."""
     for key, value in cfg.items():
         here = f"{path}.{key}" if path else key
-        if key not in schema:
+        if key not in defaults:
             raise ConfigError(f"unknown configuration key: {here}")
-        expected = schema[key]
-        if isinstance(expected, dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{here} must be an object")
-            _check_keys(value, expected, here)
-        else:
-            if expected is _NUM:
-                if not isinstance(value, _NUM) or isinstance(value, bool):
-                    raise ConfigError(f"{here} must be a number")
-            elif not isinstance(value, expected) or (
-                expected is int and isinstance(value, bool)
-            ):
-                raise ConfigError(f"{here} must be of type {getattr(expected, '__name__', expected)}")
+            _check_keys(value, default, here)
+        elif isinstance(default, float):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{here} must be a number")
+        elif type(value) is not type(default):
+            raise ConfigError(f"{here} must be of type {type(default).__name__}")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -165,7 +137,7 @@ def load_config(path: str | None, seed_override=None) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be a JSON object")
-        _check_keys(cfg, SCHEMA)
+        _check_keys(cfg, DEFAULTS)
     merged = _merge(DEFAULTS, cfg)
     if merged["model"] not in ("monolayer", "free_polar", "electrodynamics_fixture"):
         raise ConfigError(f"unknown model: {merged['model']}")

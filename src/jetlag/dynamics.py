@@ -7,8 +7,9 @@ an adaptive embedded Runge-Kutta pair (4/5) with terminal events at the
 singular loci (g11 -> 0, rdot -> 0, r -> 0).  When the solver gives up
 because rdot blows up in finite time before r reaches r_min, the run ends
 in the ``finite_time_collapse`` event instead of a failure.  An independent
-Euler-Lagrange residual (all Lagrangian partials by finite differences,
-state derivative from the dense output) is recorded along every run.
+Euler-Lagrange residual is recorded along every run: a
+``GeometryEvaluator`` check with every Lagrangian partial by finite
+differences and the state derivative from the dense output.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import DomainError, JetLagError
 from .expint import exp_integral_f
+from .geometry import GeometryEvaluator
 from .models import LagrangianModel
 from .monolayer import (
     MonolayerParams,
@@ -39,8 +41,8 @@ from .monolayer import (
 )
 from .points import JetPoint, jet_point
 
-_Y_AXES = ("y1", "y2")
-_X_AXES = ("x1", "x2")
+#: at most this many samples of a run get the FD Euler-Lagrange residual
+_EL_MAX_POINTS = 400
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ class SimConfig:
     max_step: float = math.inf
     r_min: float = 1e-6
     compute_el_residual: bool = True
-    el_max_points: int = 400
 
     def __post_init__(self):
         if self.t_end <= self.state0.t:
@@ -161,21 +162,21 @@ class ResonantTrajectory:
     def rdot_spline(self) -> CubicSpline:
         return CubicSpline(self.t, self.r0dot)
 
+    def _resonance_residual(self, exponent) -> np.ndarray:
+        """Relative residual of m r0dot^3 + 6 p |V| r0^5 e^exponent = 0."""
+        p = self.params
+        drive = 6.0 * p.p * p.V_abs * self.r0**5 * np.exp(exponent)
+        kinetic = p.m * self.r0dot**3
+        return np.abs(kinetic + drive) / np.maximum(np.abs(kinetic), drive)
+
     def residual_eq21(self) -> np.ndarray:
         """Relative residual of the r0-exponent resonance condition."""
-        p = self.params
-        drive = 6.0 * p.p * p.V_abs * self.r0**5 * np.exp(2.0 * p.V_abs * self.t / self.r0)
-        res = p.m * self.r0dot**3 + drive
-        return np.abs(res) / np.maximum(np.abs(p.m * self.r0dot**3), drive)
+        return self._resonance_residual(2.0 * self.params.V_abs * self.t / self.r0)
 
     def residual_eq22(self) -> np.ndarray:
         """Relative residual of the large-time resonance condition."""
-        p = self.params
-        drive = 6.0 * p.p * p.V_abs * self.r0**5 * np.exp(
-            2.0 * p.V_abs * self.t / (self.R0 - p.V_abs * self.t)
-        )
-        res = p.m * self.r0dot**3 + drive
-        return np.abs(res) / np.maximum(np.abs(p.m * self.r0dot**3), drive)
+        V = self.params.V_abs
+        return self._resonance_residual(2.0 * V * self.t / (self.R0 - V * self.t))
 
     def ym_bracket_residual(self) -> np.ndarray:
         """Relative residual of the time-reversed zero-Yang-Mills bracket,
@@ -254,8 +255,6 @@ def _spray_of(model: LagrangianModel):
         closed = model.spray(pt)
         if closed is not None:
             return closed
-        from .geometry import GeometryEvaluator
-
         G = GeometryEvaluator(model, pt).semispray().G
         return float(G[0]), float(G[1])
 
@@ -270,32 +269,6 @@ def _safe_state(u, r_floor, needs_rdot):
     if needs_rdot and abs(rdot) < 1e-12:
         rdot = math.copysign(1e-12, rdot if rdot != 0.0 else -1.0)
     return r, phi, rdot, phidot
-
-
-def _el_residual_at(model, pt: JetPoint, ydot_est) -> float:
-    """Normalized Euler-Lagrange residual
-
-        d/dt(dL/dy^s) - dL/dx^s
-          = d2L/dt dy^s + d2L/dx^q dy^s y^q + d2L/dy^q dy^s ydot^q - dL/dx^s
-
-    with every partial from finite differences and ydot estimated from the
-    integrated solution, so the check is independent of the closed-form
-    spray that drove the integration."""
-    from .geometry import GeometryEvaluator
-
-    ev = GeometryEvaluator(model, pt)
-    y = np.array(pt.y)
-    worst = 0.0
-    for s in range(2):
-        terms = [ev.partial("t", _Y_AXES[s]), -ev.partial(_X_AXES[s])]
-        terms += [ev.partial(_X_AXES[q], _Y_AXES[s]) * y[q] for q in range(2)]
-        terms += [
-            ev.partial(_Y_AXES[q], _Y_AXES[s]) * ydot_est[q] for q in range(2)
-        ]
-        scale = max(abs(v) for v in terms)
-        if scale > 0.0:
-            worst = max(worst, abs(sum(terms)) / scale)
-    return worst
 
 
 def _finite_time_collapse(spray, t, u, rtol: float) -> SingularEvent | None:
@@ -401,7 +374,7 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
 
     el = None
     if config.compute_el_residual and len(t) >= 3:
-        stride = max(1, int(math.ceil(len(t) / config.el_max_points)))
+        stride = max(1, int(math.ceil(len(t) / _EL_MAX_POINTS)))
         el = np.full(len(t), np.nan)
         span = t[-1] - t[0]
         dt = max(1e-6 * span, 1e-12)
@@ -413,7 +386,7 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
             uc = sol.sol(tc)
             try:
                 pt = jet_point(tc, uc[0], uc[1], uc[2], uc[3])
-                el[i] = _el_residual_at(model, pt, ydot_est)
+                el[i] = GeometryEvaluator(model, pt).euler_lagrange_residual(ydot_est)
             except (ValueError, DomainError):
                 el[i] = np.nan
 
@@ -671,20 +644,19 @@ def compose_perturbed(
     already carries the time reversal: it satisfies the post-reversal
     resonance equations with rdot0 < 0).  The unperturbed angle is constant
     (the fully separated phidot0 = 0 case), so phi(t) = delta_phi(t)."""
+    dev = deviations
     if len(deviations.t) == len(reference.t) and np.allclose(
         deviations.t, reference.t, rtol=0.0, atol=1e-12 * max(1.0, reference.t[-1])
     ):
         t = reference.t
         r0 = reference.r0
         rd0 = reference.r0dot
-        dev = deviations
     else:
         t = deviations.t
         if t[0] < reference.t[0] - 1e-12 or t[-1] > reference.t[-1] + 1e-12:
             raise ValueError("deviation grid extends beyond the reference span")
         r0 = reference.spline()(t)
         rd0 = reference.rdot_spline()(t)
-        dev = deviations
 
     r = r0 + dev.delta_r
     rdot = rd0 + dev.delta_rdot

@@ -1,8 +1,11 @@
 """Central-difference engine for partial derivatives on the jet space.
 
-Derivatives are requested as a tuple of axis names with repetition, e.g.
-``("y1", "y1")`` for d2/drdot2 or ``("x1", "y2")`` for the mixed
-d2/dr dphidot.  Total order <= 3.
+``numeric_partials`` is the one entry point for partials of a scalar L:
+anything to be differentiated is a model (``models.LagrangianModel``).
+``noisy_field_partial`` differentiates the FD-computed fields of the
+geometry once more.  Derivatives are requested as a tuple of axis names
+with repetition, e.g. ``("y1", "y1")`` for d2/drdot2 or ``("x1", "y2")``
+for the mixed d2/dr dphidot.  Total order <= 3.
 
 Step policy (Ridders): the composite symmetric stencil is evaluated on a
 geometric ladder of steps h0 / 2^i starting from h0 = 0.05 * scale per
@@ -24,8 +27,8 @@ exact coordinates before the ``JetPoint`` is built, the domain checked or
 checks.  The dict defaults to one per call; ``geometry.GeometryEvaluator``
 shares one across the partials at its point, and nested evaluators (the N
 and F fields of the torsions and the Maxwell check) own theirs.  Nothing is
-cached on the model.  This relies on ``value`` and ``domain_ok`` being pure
-functions of the point.
+cached on the model.  This relies on ``value`` and ``domain_violation``
+being pure functions of the point.
 """
 
 from __future__ import annotations
@@ -68,8 +71,7 @@ def default_scales(pt: JetPoint) -> np.ndarray:
 def scales_for(model, pt: JetPoint, spec=None) -> np.ndarray:
     """The step scales for the partial ``spec``: the model's ``fd_scales``
     hint, or ``default_scales`` when it gives none."""
-    hinted = getattr(model, "fd_scales", None)
-    scales = hinted(pt, spec) if hinted is not None else None
+    scales = model.fd_scales(pt, spec)
     return np.asarray(default_scales(pt) if scales is None else scales, dtype=float)
 
 
@@ -101,7 +103,7 @@ def _probe_value(model, q: list) -> float:
             f"finite-difference probe left the coordinate domain at {q}: {exc}",
             probe=q,
         ) from exc
-    if not model.domain_ok(probe):
+    if model.domain_violation(probe) is not None:
         q = np.array(q)
         raise StencilDomainError(
             f"finite-difference probe {q} is outside the model's valid domain",
@@ -175,25 +177,6 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> flo
         if i >= 3 and abs(row[i] - tableau[i - 1][i - 1]) >= _SAFE * err:
             break
     return best
-
-
-class _CallableField:
-    """Adapter so scalar fields on jet space run through the same stencils."""
-
-    def __init__(self, fn, domain_ok=None):
-        self._fn = fn
-        self._domain_ok = domain_ok
-
-    def value(self, pt):
-        return self._fn(pt)
-
-    def domain_ok(self, pt):
-        return True if self._domain_ok is None else self._domain_ok(pt)
-
-
-def field_partial(fn, pt: JetPoint, spec, scales=None, domain_ok=None) -> float:
-    """numeric_partials for a plain callable JetPoint -> float."""
-    return numeric_partials(_CallableField(fn, domain_ok), pt, spec, scales=scales)
 
 
 def noisy_field_partial(fn, pt: JetPoint, axis: str, scale: float, rel_step=2e-3):

@@ -142,6 +142,14 @@ def ym_energy(em: EMForm, m: float) -> float:
     return float(np.sum(F * F) / (2.0 * m))
 
 
+def _term_balance(terms: np.ndarray) -> float:
+    """Worst |sum of terms| / max|term| over the components of ``terms``
+    (stacked on axis 0), 0 where every term is 0: a scale-free residual."""
+    scale = np.abs(terms).max(0)
+    ratio = np.divide(np.abs(terms.sum(0)), scale, out=np.zeros_like(scale), where=scale > 0)
+    return float(ratio.max())
+
+
 def _stage(method):
     """Compute a geometry stage once per evaluator."""
     name = method.__name__
@@ -297,15 +305,21 @@ class GeometryEvaluator:
                     -g.T[:, :, None, None] * gamma[:, None, :, :],
                 ]
             )  # [term, i, j, k]
-            scale = np.abs(terms).max(0)
-            ratio = np.divide(np.abs(terms.sum(0)), scale, out=np.zeros_like(scale), where=scale > 0)
-            return float(ratio.max())
+            return _term_balance(terms)
 
         return (
             residual(self._dg(_T), cart.G_time[:, :, None]),
             residual(self._delta_g(), cart.L),
             residual(self._dg(_Y), cart.C),
         )
+
+    def euler_lagrange_residual(self, ydot) -> float:
+        """Normalized residual of d/dt(dL/dy^s) - dL/dx^s = B_s + d2L/dy^q dy^s ydot^q
+        for the state derivative ``ydot``, with the bracket B_s taken term by
+        term, so a trajectory is checked without the spray that drove it."""
+        y, ydot = np.array(self.pt.y), np.asarray(ydot)
+        terms = [self._d(_T, _Y), -self._d(_X)[None], self._d(_X, _Y) * y[:, None], self._d(_Y, _Y) * ydot[:, None]]
+        return _term_balance(np.concatenate(terms))  # [term, s]
 
     def maxwell_vertical_residual(self) -> float:
         """Normalized cyclic-sum residual of F_(i)j|^(1)_(k) over {i,j,k}."""

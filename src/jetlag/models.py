@@ -3,13 +3,12 @@
 A model supplies its scalar value, a domain predicate and, optionally,
 per-axis finite-difference scale hints and fast closed-form shortcuts
 (spray, g11) that the dynamics integrator uses when present.  The generic
-geometry pipeline itself only ever consumes ``value``/``domain_ok``/
-``fd_scales`` so closed forms can never leak into the oracle.
+geometry pipeline itself only ever consumes ``value``,
+``domain_violation`` and ``fd_scales``, so closed forms can never leak
+into the oracle.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .points import JetPoint
 
@@ -17,9 +16,9 @@ from .points import JetPoint
 class LagrangianModel:
     """Base interface; subclasses implement ``value``.
 
-    ``value`` and ``domain_ok`` must be pure functions of the point: the
-    finite-difference engine memoises L per probe point for the life of a
-    ``GeometryEvaluator`` (see ``fd.py``).
+    ``value`` and ``domain_violation`` must be pure functions of the point:
+    the finite-difference engine memoises L per probe point for the life of
+    a ``GeometryEvaluator`` (see ``fd.py``).
     """
 
     name = "model"
@@ -28,9 +27,6 @@ class LagrangianModel:
 
     def value(self, pt: JetPoint) -> float:
         raise NotImplementedError
-
-    def domain_ok(self, pt: JetPoint) -> bool:
-        return self.domain_violation(pt) is None
 
     def domain_violation(self, pt: JetPoint) -> str | None:
         """None if valid, else a message naming the violated precondition."""
@@ -100,11 +96,3 @@ class PolynomialModel(LagrangianModel):
             return "point outside user-supplied domain"
         return None
 
-
-def build_fd_scales(pt: JetPoint, t=None, x1=None, x2=None, y1=None, y2=None):
-    """Assemble a 5-vector of FD scales, falling back to max(|v|, 1)."""
-    base = np.maximum(np.abs(pt.as_array()), 1.0)
-    for i, override in enumerate((t, x1, x2, y1, y2)):
-        if override is not None:
-            base[i] = override
-    return base

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DomainError
 from .expint import exp_integral_f
 from .geometry import CartanConnection, EMForm, Metric, NonlinearConnection, Semispray, TorsionSet
-from .models import LagrangianModel, build_fd_scales
+from .models import LagrangianModel
 from .points import JetPoint
 
 _G11_REL_FLOOR = 1e-9  # |g11| > floor * m, the valid-domain cut near g11 = 0
@@ -632,12 +632,10 @@ class MonolayerModel(LagrangianModel):
             # a phi/phidot leg cancels the stiff terms exactly, so the
             # power-law rdot axis may stretch too; t and r stay stiff-scaled
             # because their probes inflate |L| itself (e^E growth)
-            return build_fd_scales(
-                pt, t=t_scale, x1=x1_scale, x2=100.0, y1=9.0 * abs(pt.rdot), y2=100.0
-            )
-        return build_fd_scales(
-            pt, t=t_scale, x1=x1_scale, x2=100.0, y1=abs(pt.rdot) / 3.0, y2=100.0
-        )
+            y1 = 9.0 * abs(pt.rdot)
+        else:
+            y1 = abs(pt.rdot) / 3.0
+        return np.array([t_scale, x1_scale, 100.0, y1, 100.0])
 
     def spray(self, pt: JetPoint):
         G = closed_semispray(pt, self.params, form="exact").G

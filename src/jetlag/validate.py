@@ -98,6 +98,12 @@ class DiscrepancyReport:
     def passed(self) -> bool:
         return self.n_flagged_unexplained == 0
 
+    def add(self, quantity: str, point: dict, closed_form: float, oracle, rel_err, tol: float, note: str = ""):
+        """Record one comparison: ok iff ``rel_err < tol`` (so a NaN or a
+        missing ``rel_err`` is flagged), and a flagged record carries ``note``."""
+        verdict, explanation = ("ok", "") if rel_err is not None and rel_err < tol else ("flagged", note)
+        self.records.append(DiscrepancyRecord(quantity, point, closed_form, oracle, rel_err, verdict, explanation))
+
     def to_dict(self) -> dict:
         def clean(rec: dict) -> dict:
             for key in ("closed_form", "oracle", "rel_err"):
@@ -266,33 +272,13 @@ def run_validation(
         if failure is not None:
             note = _DYNRANGE_NOTE.format(kappa=kappa, cut=FD_RESOLVABLE_CUT) + failure
             for name, value in closed.items():
-                report.records.append(
-                    DiscrepancyRecord(
-                        quantity=name,
-                        point=pd,
-                        closed_form=float(value),
-                        oracle=None,
-                        rel_err=None,
-                        verdict="flagged",
-                        explanation=note,
-                    )
-                )
+                report.add(name, pd, float(value), None, None, tolerance, note)
             continue
 
         report.n_points_resolvable += 1
         for name, value in closed.items():
-            err = _rel_err(float(value), float(oracle[name]))
-            report.records.append(
-                DiscrepancyRecord(
-                    quantity=name,
-                    point=pd,
-                    closed_form=float(value),
-                    oracle=float(oracle[name]),
-                    rel_err=err,
-                    verdict="ok" if err < tolerance else "flagged",
-                    explanation="",
-                )
-            )
+            closed_v, oracle_v = float(value), float(oracle[name])
+            report.add(name, pd, closed_v, oracle_v, _rel_err(closed_v, oracle_v), tolerance)
 
         # printed (approximate) display forms
         eps = _expansion_eps(pt, params)
@@ -311,19 +297,8 @@ def run_validation(
             ("F21_printed", f21_pr, oracle["F21_exact"]),
         ]
         for name, closed_v, oracle_v in printed_pairs:
-            err = _rel_err(float(closed_v), float(oracle_v))
-            flagged = err >= tolerance
-            report.records.append(
-                DiscrepancyRecord(
-                    quantity=name,
-                    point=pd,
-                    closed_form=float(closed_v),
-                    oracle=float(oracle_v),
-                    rel_err=err,
-                    verdict="flagged" if flagged else "ok",
-                    explanation=note if flagged else "",
-                )
-            )
+            closed_v, oracle_v = float(closed_v), float(oracle_v)
+            report.add(name, pd, closed_v, oracle_v, _rel_err(closed_v, oracle_v), tolerance, note)
 
         # identity checks ride along as residual-vs-zero records
         cart = ev.cartan()
@@ -348,17 +323,8 @@ def run_validation(
             ("em_antisymmetry", em_antisym, 1e-12),
             ("metric_inverse_identity", inv_dev, 1e-12),
         ]:
-            report.records.append(
-                DiscrepancyRecord(
-                    quantity=name,
-                    point=pd,
-                    closed_form=0.0,
-                    oracle=float(value),
-                    rel_err=float(value),
-                    verdict="ok" if value < tol else "flagged",
-                    explanation="",  # a deliberate perturbation must surface unexplained
-                )
-            )
+            # no note: a deliberate perturbation must surface unexplained
+            report.add(name, pd, 0.0, float(value), float(value), tol)
 
     _append_resonant_records(report, params, tolerance)
     return report
@@ -389,13 +355,4 @@ def _append_resonant_records(report: DiscrepancyReport, params: MonolayerParams,
         ("resonant_ym_bracket_residual", float(np.max(ode.ym_bracket_residual())), 1e-6),
     ]
     for name, value, tol in pairs:
-        report.records.append(
-            DiscrepancyRecord(
-                quantity=name,
-                point=grid_info,
-                closed_form=0.0,
-                oracle=value,
-                rel_err=value,
-                verdict="flagged" if value >= tol else "ok",
-            )
-        )
+        report.add(name, grid_info, 0.0, value, value, tol)

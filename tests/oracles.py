@@ -12,6 +12,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from jetlag.fd import numeric_partials
+from jetlag.models import PolynomialModel
+from jetlag.points import jet_point
+
 
 def pv_exp_integral(z: float) -> float:
     """f(z) = -PV int_{-z}^inf e^-t / t dt by quadrature.
@@ -61,3 +65,12 @@ def polar_christoffel(r: float) -> dict:
 def monolayer_dL_drdot(t, r, rdot, m, p, V) -> float:
     """Hand-differentiated dL/drdot = m rdot + p r^5 |V| e^(2|V|t/r) rdot^-2."""
     return m * rdot + p * r**5 * V * math.exp(2.0 * V * t / r) / rdot**2
+
+
+# -- finite differences of derived fields ----------------------------------------
+
+def field_partial(fn, pt, spec, scales=None) -> float:
+    """numeric_partials of a plain callable JetPoint -> float, wrapped as a
+    model: the same probes and default scales as for any Lagrangian."""
+    model = PolynomialModel(lambda *coords: fn(jet_point(*coords)))
+    return numeric_partials(model, pt, spec, scales=scales)

@@ -22,7 +22,6 @@ from jetlag.dynamics import (
 )
 from jetlag.electrodynamics import ElectrodynamicsFixtureParams, closed_em_form, electrodynamics_fixture
 from jetlag.expint import exp_integral_f
-from jetlag.fd import field_partial
 from jetlag.geometry import GeometryEvaluator
 from jetlag.models import FreePolarModel
 from jetlag.monolayer import (
@@ -38,7 +37,7 @@ from jetlag.validate import (
     run_validation,
     sample_points,
 )
-from oracles import pv_exp_integral
+from oracles import field_partial, pv_exp_integral
 
 PARAMS = MonolayerParams(m=1.0, p=10.0, V_abs=1000.0, R0=1.0)
 MODEL = MonolayerModel(PARAMS)

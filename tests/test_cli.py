@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from jetlag.cli import TRAJECTORY_HEADER, main
+from jetlag.cli import TRAJECTORY_HEADER, load_config, main
 
 
 def run_cli(*args):
@@ -42,10 +42,27 @@ class TestConfig:
         path.write_text('{"params": {"mass": 2.0}}')
         assert run_cli("simulate", "--config", str(path)) == 2
 
-    def test_wrong_type_rejected(self, tmp_path):
+    def test_wrong_type_rejected(self, tmp_path, capsys):
+        # one test id over every type rule the defaults imply
+        cases = [
+            ('{"t_end": "soon"}', "t_end must be a number"),
+            ('{"seed": 1.5}', "seed must be of type int"),
+            ('{"seed": true}', "seed must be of type int"),
+            ('{"t_end": true}', "t_end must be a number"),
+            ('{"sweep": {"r": 3}}', "sweep.r must be of type list"),
+            ('{"deviation": {"resonant_substitution": 1}}', "deviation.resonant_substitution must be of type bool"),
+            ('{"params": 3}', "params must be an object"),
+        ]
         path = tmp_path / "bad.json"
-        path.write_text('{"t_end": "soon"}')
-        assert run_cli("simulate", "--config", str(path)) == 2
+        for cfg, message in cases:
+            path.write_text(cfg)
+            assert run_cli("simulate", "--config", str(path)) == 2, cfg
+            assert capsys.readouterr().err == f"configuration error: {message}\n", cfg
+
+    def test_int_accepted_for_float(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text('{"integrator": {"max_step": 1}}')
+        assert load_config(str(path))["integrator"]["max_step"] == 1
 
     def test_missing_file(self):
         assert run_cli("simulate", "--config", "/nonexistent.json") == 2

@@ -24,7 +24,8 @@ from jetlag.dynamics import (
     resonant_trajectory,
 )
 from jetlag.errors import DomainError
-from jetlag.models import FreePolarModel
+from jetlag.geometry import GeometryEvaluator
+from jetlag.models import FreePolarModel, PolynomialModel
 from jetlag.monolayer import (
     MonolayerModel,
     MonolayerParams,
@@ -34,6 +35,7 @@ from jetlag.monolayer import (
     potential_U,
     zero_energy_bracket,
 )
+from jetlag.points import jet_point
 
 FP = FreePolarModel(m=1.0)
 FREE = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
@@ -458,3 +460,45 @@ class TestComposeAndReverse:
 def test_closed_form_r0_horizon_guard(params5):
     with pytest.raises(ValueError):
         closed_form_r0(np.array([1.1e-3]), params5, 1.0)
+
+
+def _el_residual_reference(model, pt, ydot) -> float:
+    """The Euler-Lagrange residual written out per component s:
+
+        d2L/dt dy^s - dL/dx^s + d2L/dx^q dy^s y^q + d2L/dy^q dy^s ydot^q,
+
+    worst |sum| / max|term| over s, every term a separate partial."""
+    ev = GeometryEvaluator(model, pt)
+    xs, ys = ("x1", "x2"), ("y1", "y2")
+    worst = 0.0
+    for s in range(2):
+        terms = [ev.partial("t", ys[s]), -ev.partial(xs[s])]
+        terms += [ev.partial(xs[q], ys[s]) * pt.y[q] for q in range(2)]
+        terms += [ev.partial(ys[q], ys[s]) * ydot[q] for q in range(2)]
+        scale = max(abs(v) for v in terms)
+        if scale > 0.0:
+            worst = max(worst, abs(sum(terms)) / scale)
+    return worst
+
+
+def _asymmetric_xy(t, r, phi, rd, pd):
+    """d2L/dr dphidot = 0.7 rd + t differs from d2L/dphi drdot = 0.3: a
+    transposed d2L/dx dy changes the residual."""
+    return (1 + r**2) * rd**2 + (2 + phi**2) * pd**2 + 0.7 * r * rd * pd + 0.3 * phi * rd + t * r * pd
+
+
+@pytest.mark.parametrize("which", ["monolayer", "free_polar", "asymmetric"])
+def test_el_residual_matches_component_reference(which):
+    model, box = {
+        # the default simulate state's neighbourhood
+        "monolayer": (MonolayerModel(MonolayerParams()), [(0.0, 2e-3), (0.2, 1.0), (-1, 1), (-5.0, -0.5), (-1, 1)]),
+        "free_polar": (FreePolarModel(m=1.3), [(0.0, 1.0), (0.3, 2.0), (-3, 3), (-2, 2), (-2, 2)]),
+        "asymmetric": (PolynomialModel(_asymmetric_xy), [(0.0, 1.0), (0.3, 2.0), (-3, 3), (-2, 2), (-2, 2)]),
+    }[which]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        pt = jet_point(*(rng.uniform(lo, hi) for lo, hi in box))
+        ydot = rng.normal(scale=10.0, size=2)
+        want = _el_residual_reference(model, pt, ydot)
+        got = GeometryEvaluator(model, pt).euler_lagrange_residual(ydot)
+        assert got == want, (pt, ydot)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from jetlag.errors import SingularMetricError
-from jetlag.fd import field_partial
 from jetlag.geometry import CartanConnection, EMForm, GeometryEvaluator, ym_energy
 from jetlag.models import FreePolarModel, PolynomialModel
 from jetlag.monolayer import MonolayerModel, closed_semispray
 from jetlag.points import jet_point
-from oracles import polar_christoffel, polar_metric, polar_spray
+from oracles import field_partial, polar_christoffel, polar_metric, polar_spray
 
 FP = FreePolarModel(m=1.0)
 

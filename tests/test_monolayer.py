@@ -8,7 +8,7 @@ import pytest
 
 from jetlag.errors import DomainError
 from jetlag.expint import exp_integral_f
-from jetlag.fd import field_partial, numeric_partials
+from jetlag.fd import numeric_partials
 from jetlag.geometry import GeometryEvaluator
 from jetlag.monolayer import (
     MonolayerParams,
@@ -34,6 +34,7 @@ from jetlag.monolayer import (
     zero_energy_bracket,
 )
 from jetlag.points import jet_point
+from oracles import field_partial
 
 
 def independent_U(t, r, p, V):

@@ -85,3 +85,15 @@ def test_resonant_closed_form_regression_is_unexplained(monkeypatch):
     assert rec.verdict == "flagged"
     assert rec.explanation == ""
     assert not rep.passed()
+
+
+def test_nan_residual_is_flagged(monkeypatch):
+    # one verdict rule for every record, ok iff err < tol: a NaN is never ok
+    import jetlag.dynamics as dyn
+
+    monkeypatch.setattr(dyn.ResonantTrajectory, "residual_eq22", lambda self: np.full(len(self.t), np.nan))
+    rep = run_validation(MonolayerParams(R0=1.0), seed=0, n_points=1)
+    recs = [r for r in rep.records if r.quantity.startswith("resonant_eq_large_time_residual_")]
+    assert len(recs) == 2
+    assert all(r.verdict == "flagged" for r in recs)
+    assert not rep.passed()
