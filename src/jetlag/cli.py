@@ -74,7 +74,6 @@ DEFAULTS = {
     "initial_state": {"t": 0.0, "r": 0.5, "phi": 0.0, "rdot": -1.0, "phidot": 0.1},
     "t_end": 2e-3,
     "integrator": {"rtol": 1e-9, "atol": 1e-9, "max_step": 0.0},
-    "epsilon_phidot": 0.0,
     "events": {"r_min": 1e-6},
     "seed": 0,
     "tolerances": {"oracle": 1e-5, "identity": 1e-10},
@@ -95,10 +94,15 @@ DEFAULTS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_keys(cfg: dict, defaults: dict, path: str = ""):
     """Reject keys without a default and values whose type does not fit the
-    default's: an object for a dict, an int or a float (never a bool) for a
-    float, and exactly the default's type otherwise, so a bool is no int."""
+    default's: an object for a dict, a number (an int or a float, never a
+    bool) for a float, a list of numbers for a list, and exactly the
+    default's type otherwise, so a bool is no int."""
     for key, value in cfg.items():
         here = f"{path}.{key}" if path else key
         if key not in defaults:
@@ -109,10 +113,12 @@ def _check_keys(cfg: dict, defaults: dict, path: str = ""):
                 raise ConfigError(f"{here} must be an object")
             _check_keys(value, default, here)
         elif isinstance(default, float):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not _is_number(value):
                 raise ConfigError(f"{here} must be a number")
         elif type(value) is not type(default):
             raise ConfigError(f"{here} must be of type {type(default).__name__}")
+        elif isinstance(default, list) and not all(map(_is_number, value)):
+            raise ConfigError(f"{here} must be a list of numbers")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -399,9 +405,6 @@ def cmd_sweep(cfg: dict, args) -> int:
             raise ConfigError(f"sweep.{key} must be [lo, hi, n]")
     r_lo, r_hi, r_n = sw["r"]
     rd_lo, rd_hi, rd_n = sw["rdot"]
-    phidots = list(sw["phidot_values"])
-    if cfg["epsilon_phidot"] != 0.0 and cfg["epsilon_phidot"] not in phidots:
-        phidots.append(cfg["epsilon_phidot"])
     model = _model_from(cfg)
     out_dir = _out_dir(args)
     index_path = out_dir / "index.csv"
@@ -409,7 +412,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     run_id = 0
     for r0 in np.linspace(r_lo, r_hi, int(r_n)):
         for rd0 in np.linspace(rd_lo, rd_hi, int(rd_n)):
-            for pd0 in phidots:
+            for pd0 in sw["phidot_values"]:
                 state0 = TrajectoryState(0.0, float(r0), 0.0, float(rd0), float(pd0))
                 sim = _sim_config(cfg, state0, sw["t_end"], compute_el_residual=False)
                 name = f"run_{run_id:03d}.csv"

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import DomainError, JetLagError
 from .expint import exp_integral_f
@@ -156,10 +154,14 @@ class ResonantTrajectory:
     source: str
     flags: list[str] = field(default_factory=list)
 
-    def spline(self) -> CubicHermiteSpline:
+    def spline(self):
+        from scipy.interpolate import CubicHermiteSpline
+
         return CubicHermiteSpline(self.t, self.r0, self.r0dot)
 
-    def rdot_spline(self) -> CubicSpline:
+    def rdot_spline(self):
+        from scipy.interpolate import CubicSpline
+
         return CubicSpline(self.t, self.r0dot)
 
     def _resonance_residual(self, exponent) -> np.ndarray:
@@ -337,6 +339,8 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
         events.append(ev_g11)
         kinds.append("metric_singular")
 
+    from scipy.integrate import solve_ivp  # here, so `import jetlag` skips scipy.integrate
+
     u0 = [config.state0.r, config.state0.phi, config.state0.rdot, config.state0.phidot]
     sol = solve_ivp(
         rhs,
@@ -500,6 +504,8 @@ def resonant_trajectory(
     grid = np.linspace(t0, t1, n_samples)
     flags: list[str] = []
     if source == "ode":
+        from scipy.integrate import solve_ivp
+
         seed = R0 * (1.0 - t0 * V / R0)
         sol = solve_ivp(
             lambda t, r: resonant_rhs(t, r, params, R0),
@@ -609,6 +615,8 @@ def deviation_integrate(
             ddr = 0.0
         ddphi = 0.0 if resonant_substitution else -phi_coeff(t, r0, rd0) * dphid
         return [drd, ddr, dphid, ddphi]
+
+    from scipy.integrate import solve_ivp
 
     if t_eval is None:
         t_eval = reference.t

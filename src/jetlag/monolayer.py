@@ -8,19 +8,33 @@ with the layer potential U built from the special function f (see
 :mod:`jetlag.expint`).  Two families of closed forms coexist:
 
 * ``form="exact"``   -- algebraically exact expressions (the rational
-  fraction for G^1, quotient-rule N, and the L / F entries that follow from
-  them).  These must agree with the generic FD pipeline to oracle tolerance.
+  fraction for G^1, N = dG/dy, and the Cartan and F entries that follow
+  from them).  These must agree with the generic FD pipeline to oracle
+  tolerance.
 * ``form="printed"`` -- the leading-order display expansions (polynomial
   G^1, the series N built on the script-U function, the approximate L
-  entries, the approximate F).  These are expansions in
-  eps = m rdot^3 e^(-2|V|t/r) / (2 p r^5 |V|) and are only close to the
-  exact values where |eps| is small; the validation report tracks them.
+  entries, the approximate F).  These are expansions in eps (below) and are
+  only close to the exact values where |eps| is small; the validation
+  report tracks them.
 
-e^E, E = 2|V|t/r, has two overflow policies.  It saturates to inf
-(``_exp``) in the potential, its r-derivatives and ``_denominator``, which
-stray FD probes and bisection iterates may push past the float range.
-Everywhere else an overflow raises a ``DomainError`` naming the function
-and E.
+The exact geometry depends on the stiff factor e^E, E = 2|V|t/r, only
+through one term, ``_stiff_term``:
+
+    a = 2 p r^5 |V| e^E / rdot^3,   eps = m / a,   D = m - a = 2 g11
+      = m (1 - 1/eps),
+
+so every exact form past the spray is rational in a and D; the Cartan
+entries and F go through q = a / D = 1 / (eps - 1).  D = 0 (eps = 1) is the
+singular locus of the metric, and every exact form raises a ``DomainError``
+there.  The printed torsions take P_(1)i(j)^(k)(1) = dN^k_i/dy^j - L^k_ij
+from the printed N and Cartan L, the definition the FD pipeline uses.
+
+e^E has two overflow policies.  It saturates to inf (``_exp``) in the
+potential, its r-derivatives and ``_denominator``, which stray FD probes
+and bisection iterates may push past the float range.  Everywhere else,
+``_stiff_term`` included, an overflow raises a ``DomainError`` naming the
+function and E.  a itself stays finite far past the point where D^2 would
+overflow, so N and the Cartan entries are finite wherever e^E is.
 
 All functions are pure; parameter records are frozen.  The pieces of the
 trajectory diagnostics (``potential_U``, ``electrocapillarity_U_s``,
@@ -261,6 +275,26 @@ def _denominator(t, r, rdot, params):
     return params.m - 2.0 * params.p * r**5 * params.V_abs * expE / rdot**3
 
 
+def _stiff_term(t, r, rdot, params, where: str):
+    """a = 2 p r^5 |V| e^E / rdot^3, 0 at p = 0; m - a is ``_denominator``
+    bit for bit wherever e^E is finite.  An overflowing e^E or rdot^3 = 0
+    raises a DomainError naming ``where``."""
+    if params.p == 0.0:
+        return _full_like(r, 0.0)
+    rdot3 = rdot**3
+    if _any(rdot3 == 0.0):
+        raise DomainError(f"{where} requires rdot^3 != 0 (the Lagrangian contains rdot^-1)")
+    expE = _exp_checked(2.0 * params.V_abs * t / r, where)
+    return 2.0 * params.p * r**5 * params.V_abs * expE / rdot3
+
+
+def _nonsingular(D, what: str):
+    """D = m - a itself; a DomainError naming ``what`` on the locus D = 0."""
+    if _any(D == 0.0):
+        raise DomainError(f"singular {what} denominator m - 2 p r^5 |V| e^E rdot^-3 = 0")
+    return D
+
+
 def closed_metric(pt: JetPoint, params: MonolayerParams) -> Metric:
     """g = diag((m - 2 p r^5 |V| e^E rdot^-3)/2, m r^2/2) and its inverse."""
     if params.p != 0.0 and pt.rdot == 0.0:
@@ -299,23 +333,18 @@ def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact")
     G^2 = (rdot/r) phidot in both forms.
     """
     # the ODE right-hand side: it reads the coordinate tuples, not the point's
-    # properties, and catches an overflowing e^E inline, to stay lean
+    # properties, to stay lean
     t, (r, _), (rdot, phidot) = pt.t, pt.x, pt.y
     if params.p != 0.0 and rdot == 0.0:
         raise DomainError("semispray requires rdot != 0")
     V = params.V_abs
     E = 2.0 * V * t / r
     if form == "exact":
-        D = _denominator(t, r, rdot, params)
-        if D == 0.0:
-            raise DomainError("singular semispray denominator m - 2 p r^5 |V| e^E rdot^-3 = 0")
+        D = _nonsingular(_denominator(t, r, rdot, params), "semispray")
         if params.p == 0.0:
             G1 = -0.5 * r * phidot**2
         else:
-            try:
-                expE = math.exp(E)
-            except OverflowError:
-                raise _overflow("closed_semispray", E) from None
+            expE = _exp_checked(E, "closed_semispray")
             num = (
                 params.p * r**3 * V * expE
                 * (5.0 * r / rdot - 2.0 * V * t / rdot + V * r / rdot**2)
@@ -362,31 +391,16 @@ def script_U_dt(t: float, r: float, params: MonolayerParams) -> float:
     return out
 
 
-def _exact_N11(t, r, rdot, phidot, params) -> float:
-    """dG^1_exact/drdot by the quotient rule."""
-    if params.p == 0.0:
-        return 0.0
-    V = params.V_abs
-    E = 2.0 * V * t / r
-    expE = _exp_checked(E, "closed_nonlinear_connection")
-    D = _denominator(t, r, rdot, params)
-    num = (
-        params.p * r**3 * V * expE * (5.0 * r / rdot - 2.0 * V * t / rdot + V * r / rdot**2)
-        - 0.5 * potential_U_dr(t, r, params)
-        - 0.5 * params.m * r * phidot**2
-    )
-    num_rd = params.p * r**3 * V * expE * (-(5.0 * r - 2.0 * V * t) / rdot**2 - 2.0 * V * r / rdot**3)
-    D_rd = 6.0 * params.p * r**5 * V * expE / rdot**4
-    return (num_rd * D - num * D_rd) / D**2
-
-
 def closed_nonlinear_connection(
     pt: JetPoint, params: MonolayerParams, form: str = "printed"
 ) -> NonlinearConnection:
-    """N_(1)j^(i): the printed display components or the exact dG/dy."""
+    """N_(1)j^(i): the printed display components or the exact dG/dy.
+
+    Exact: the spray is G^1 = num / D and da/drdot = -3a/rdot, so
+    N^1_1 = (dnum/drdot - 3 a G^1 / rdot) / D and N^1_2 = -m r phidot / D.
+    """
     t, r, rdot, phidot = pt.t, pt.r, pt.rdot, pt.phidot
     V = params.V_abs
-    E = 2.0 * V * t / r
     N = np.empty((2, 2))
     N[1, 0] = phidot / r
     N[1, 1] = rdot / r
@@ -394,6 +408,7 @@ def closed_nonlinear_connection(
         _require_printed(params, "the printed N")
         if rdot == 0.0:
             raise DomainError("N requires rdot != 0")
+        E = 2.0 * V * t / r
         N[0, 0] = (
             -0.5 * V / r
             + (2.0 * V * t / r**2 - 5.0 / r) * rdot
@@ -402,70 +417,44 @@ def closed_nonlinear_connection(
         )
         N[0, 1] = params.m * math.exp(-E) / (2.0 * params.p * V * r**4) * rdot**3 * phidot
     elif form == "exact":
-        if params.p != 0.0 and rdot == 0.0:
-            raise DomainError("N requires rdot != 0")
-        D = _denominator(t, r, rdot, params)
-        N[0, 0] = _exact_N11(t, r, rdot, phidot, params)
+        a = _stiff_term(t, r, rdot, params, "closed_nonlinear_connection")
+        D = _nonsingular(params.m - a, "nonlinear-connection")
+        N[0, 0] = 0.0  # at p = 0, where rdot = 0 is a valid free-polar point
+        if params.p != 0.0:
+            G1 = closed_semispray(pt, params, form="exact").G[0]
+            num_rd = -a * (rdot * (5.0 * r - 2.0 * V * t) + 2.0 * V * r) / (2.0 * r**2)
+            N[0, 0] = (num_rd - 3.0 * a * G1 / rdot) / D
         N[0, 1] = -params.m * r * phidot / D
     else:
         raise ValueError(f"unknown nonlinear-connection form {form!r}")
     return NonlinearConnection(M=np.zeros(2), N=N)
 
 
-def _c111(t, r, rdot, params) -> float:
-    """C^{1(1)}_{1(1)} = 3 p r^5 |V| / (m rdot^4 e^-E - 2 p r^5 |V| rdot); exact."""
-    V = params.V_abs
-    E = 2.0 * V * t / r
-    return 3.0 * params.p * r**5 * V / (params.m * rdot**4 * math.exp(-E) - 2.0 * params.p * r**5 * V * rdot)
-
-
 def closed_cartan(pt: JetPoint, params: MonolayerParams, form: str = "printed") -> CartanConnection:
-    """Cartan coefficients: G_time and C are exact in both forms; the L
-    entries follow the printed displays or the exact N."""
+    """Cartan coefficients through q = a / D = 1 / (eps - 1): G_time and C
+    are exact in both forms; the L entries follow the printed displays or
+    the exact N."""
     t, r, rdot, phidot = pt.t, pt.r, pt.rdot, pt.phidot
-    V = params.V_abs
-    if params.p != 0.0 and rdot == 0.0:
-        raise DomainError("Cartan coefficients require rdot != 0")
-    E = 2.0 * V * t / r
-    expE = _exp_checked(E, "closed_cartan")
+    if form not in ("printed", "exact"):
+        raise ValueError(f"unknown cartan form {form!r}")
+    if form == "printed":
+        _require_printed(params, "the printed Cartan L entries")
+    a = _stiff_term(t, r, rdot, params, "closed_cartan")
+    D = _nonsingular(params.m - a, "Cartan")
+    q = a / D
+    N = closed_nonlinear_connection(pt, params, form=form).N
 
     G_time = np.zeros((2, 2))
     C = np.zeros((2, 2, 2))
     L = np.zeros((2, 2, 2))
+    G_time[0, 0] = -params.V_abs * q / r
+    # at p = 0, rdot = 0 is a valid free-polar point
+    c111 = C[0, 0, 0] = 0.0 if params.p == 0.0 else 1.5 * q / rdot
+    L[0, 0, 0] = (2.0 * params.V_abs * t - 5.0 * r) * q / (2.0 * r**2) - N[0, 0] * c111
+    L[0, 0, 1] = L[0, 1, 0] = -N[0, 1] * c111
+    L[0, 1, 1] = -params.m * r / D
+    L[1, 0, 0] = 1.5 * phidot / (r * rdot) if form == "printed" else -c111 * phidot / r
     L[1, 0, 1] = L[1, 1, 0] = 1.0 / r
-
-    if params.p == 0.0:
-        # free polar limit: only the Christoffel symbols of flat polar
-        # coordinates survive, valid for any rdot
-        if form not in ("printed", "exact"):
-            raise ValueError(f"unknown cartan form {form!r}")
-        if form == "printed":
-            _require_printed(params, "the printed Cartan L entries")
-        L[0, 1, 1] = -r
-        return CartanConnection(G_time=G_time, L=L, C=C, kappa111=0.0)
-
-    denom_gt = 2.0 * params.p * r**5 * V - params.m * rdot**3 * math.exp(-E)
-    if denom_gt == 0.0:
-        raise DomainError("singular G_time denominator 2 p r^5 |V| - m rdot^3 e^-E = 0")
-    G_time[0, 0] = 2.0 * params.p * r**4 * V**2 / denom_gt
-    C[0, 0, 0] = _c111(t, r, rdot, params)
-
-    denom_l111 = params.m * rdot**3 * math.exp(-E) - 2.0 * params.p * r**5 * V
-    L[0, 1, 1] = params.m * r / (2.0 * params.p * r**5 * V * expE / rdot**3 - params.m)
-
-    if form == "printed":
-        _require_printed(params, "the printed Cartan L entries")
-        nlc = closed_nonlinear_connection(pt, params, form="printed")
-        L[1, 0, 0] = 1.5 * phidot / (r * rdot)
-    elif form == "exact":
-        nlc = closed_nonlinear_connection(pt, params, form="exact")
-        D = _denominator(t, r, rdot, params)
-        L[1, 0, 0] = -3.0 * params.p * r**4 * V * expE * phidot / (rdot**4 * D)
-    else:
-        raise ValueError(f"unknown cartan form {form!r}")
-
-    L[0, 0, 0] = params.p * r**3 * V * (2.0 * V * t - 5.0 * r) / denom_l111 - nlc.N[0, 0] * C[0, 0, 0]
-    L[0, 0, 1] = L[0, 1, 0] = -nlc.N[0, 1] * C[0, 0, 0]
     return CartanConnection(G_time=G_time, L=L, C=C, kappa111=0.0)
 
 
@@ -476,73 +465,60 @@ def closed_torsions(pt: JetPoint, params: MonolayerParams) -> TorsionSet:
     if rdot == 0.0:
         raise DomainError("torsions require rdot != 0")
     V = params.V_abs
-    m, p = params.m, params.p
     E = 2.0 * V * t / r
-    exp_mE = math.exp(-E)
+    k = params.m * math.exp(-E) / (2.0 * params.p * V * r**4)  # N^1_2 = k rdot^3 phidot
     cart = closed_cartan(pt, params, form="printed")
-    c111 = cart.C[0, 0, 0]
     N11 = closed_nonlinear_connection(pt, params, form="printed").N[0, 0]
     # drdot of the printed N11
     dN11_drdot = (
-        (2.0 * V * t / r**2 - 5.0 / r)
-        - 2.0 * script_U(t, r, params) * rdot
-        + 3.0 * m * exp_mE / (2.0 * p * V * r**4) * rdot * phidot**2
+        (2.0 * V * t / r**2 - 5.0 / r) - 2.0 * script_U(t, r, params) * rdot + 3.0 * k * rdot * phidot**2
     )
 
     H_tor = np.zeros((2, 2))
     H_tor[0, 0] = (
         script_U_dt(t, r, params) * rdot**2
         - 2.0 * V / r**2 * rdot
-        + 3.0 * m * exp_mE / (2.0 * p * r**5) * rdot**2 * phidot**2
+        + 3.0 * k * V / r * rdot**2 * phidot**2
     )
-    H_tor[0, 1] = m * exp_mE / (p * r**5) * rdot**3 * phidot
+    H_tor[0, 1] = 2.0 * k * V / r * rdot**3 * phidot
 
     R = np.zeros((2, 2, 2))
     R[0, 0, 1] = (
-        m * exp_mE / (p * V * r**4)
-        * (1.5 * N11 - 0.5 * dN11_drdot * rdot + (1.0 / r - V * t / r**2) * rdot)
-        * rdot**2
-        * phidot
+        2.0 * k * (1.5 * N11 - 0.5 * dN11_drdot * rdot + (1.0 / r - V * t / r**2) * rdot) * rdot**2 * phidot
     )
     R[0, 1, 0] = -R[0, 0, 1]
     R[1, 0, 1] = N11 / r
     R[1, 1, 0] = -R[1, 0, 1]
 
-    P_mixed = np.zeros((2, 2, 2))
-    denom = m * rdot**3 * exp_mE - 2.0 * p * r**5 * V
-    P_mixed[0, 0, 0] = dN11_drdot + N11 * c111 - p * r**3 * V * (2.0 * V * t - 5.0 * r) / denom
-    P_mixed[0, 0, 1] = P_mixed[0, 1, 0] = (
-        m * exp_mE / (2.0 * p * V * r**4) * (3.0 + rdot * c111) * rdot**2 * phidot
+    # dN_dy[k, i, j] = d N^k_i / dy^j of the printed N
+    dN12_drdot = 3.0 * k * rdot**2 * phidot
+    dN_dy = np.array(
+        [
+            [[dN11_drdot, dN12_drdot], [dN12_drdot, k * rdot**3]],
+            [[0.0, 1.0 / r], [1.0 / r, 0.0]],
+        ]
     )
-    P_mixed[0, 1, 1] = m * exp_mE * rdot**3 / (2.0 * p * V * r**4) - m * r / (
-        2.0 * p * r**5 * V * math.exp(E) / rdot**3 - m
-    )
-    P_mixed[1, 0, 0] = -1.5 * phidot / (r * rdot)
 
     return TorsionSet(
         T=-cart.G_time.copy(),
         H_tor=H_tor,
         R=R,
-        P_mixed=P_mixed,
+        P_mixed=dN_dy - cart.L,
         P_vert=cart.C.copy(),
         calP=-cart.G_time.copy(),
     )
 
 
 def em_component_f21(pt: JetPoint, params: MonolayerParams, form: str = "exact"):
-    """F_(2)1^(1) = -F_(1)2^(1), exact fraction or the printed display."""
-    t, r, rdot, phidot = pt.t, pt.r, pt.rdot, pt.phidot
-    V, m, p = params.V_abs, params.m, params.p
-    E = 2.0 * V * t / r
+    """F_(2)1^(1) = -F_(1)2^(1): exactly -(3/4) m r phidot q with q = a / D,
+    or the printed display."""
     if form == "exact":
-        expE = _exp_checked(E, "em_component_f21")
-        denom = 2.0 * p * r**5 * V * expE - m * rdot**3
-        if _any(denom == 0.0):
-            raise DomainError("singular EM denominator 2 p r^5 |V| e^E - m rdot^3 = 0")
-        return 1.5 * m * p * r**6 * V * expE * phidot / denom
+        a = _stiff_term(pt.t, pt.r, pt.rdot, params, "em_component_f21")
+        D = _nonsingular(params.m - a, "EM")
+        return -0.75 * params.m * pt.r * pt.phidot * (a / D)
     if form == "printed":
         _require_printed(params, "the printed F")
-        return 0.5 * zero_energy_bracket(t, r, rdot, params) * phidot
+        return 0.5 * zero_energy_bracket(pt.t, pt.r, pt.rdot, params) * pt.phidot
     raise ValueError(f"unknown EM form {form!r}")
 
 

@@ -186,8 +186,8 @@ def _point_dict(pt: JetPoint) -> dict:
 
 
 def _expansion_eps(pt: JetPoint, params: MonolayerParams) -> float:
-    E = 2.0 * params.V_abs * pt.t / pt.r
-    return params.m * pt.rdot**3 * math.exp(-E) / (2.0 * params.p * pt.r**5 * params.V_abs)
+    """eps = m / a, the printed displays' expansion parameter."""
+    return params.m / mono._stiff_term(pt.t, pt.r, pt.rdot, params, "_expansion_eps")
 
 
 def _exact_table(g, G, N, cartan: CartanConnection, F21) -> dict[str, float]:

@@ -2,13 +2,17 @@
 
 These never touch the implementations they check: the special-function
 oracle is adaptive quadrature of the defining principal-value integral,
-and the mechanics oracles are hand-derived classical results.
+the mechanics oracles are hand-derived classical results, and the
+monolayer reference differentiates L symbolically and evaluates at 40
+digits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -74,3 +78,97 @@ def field_partial(fn, pt, spec, scales=None) -> float:
     model: the same probes and default scales as for any Lagrangian."""
     model = PolynomialModel(lambda *coords: fn(jet_point(*coords)))
     return numeric_partials(model, pt, spec, scales=scales)
+
+
+# -- the monolayer geometry at 40 digits ------------------------------------------
+
+REFERENCE_DPS = 40
+
+
+@functools.lru_cache(maxsize=None)
+def _monolayer_reference_fn():
+    """L of the monolayer in sympy (f = Ei) and the geometry derived from it:
+    the quantity names, with the 16 of ``validate._exact_table`` under its
+    keys, and their values lambdified to mpmath as a function of
+    (coordinates, m, p, |V|).  Built once, on first use.
+
+    The conventions are ``geometry.py``'s: g_ij = d2L/dy^i dy^j / 2,
+    G = g^-1 B / 4 with B_s = d2L/dx^q dy^s y^q - dL/dx^s + d2L/dt dy^s,
+    N^i_j = dG^i/dy^j, G_time = g^-1 dg/dt / 2, L and C the Christoffel
+    symbols of delta g / delta x^k = dg/dx^k - N^q_k dg/dy^q and of dg/dy,
+    and F_ij = [g_js N^s_i - g_is N^s_j + (g_iq L^q_js - g_jq L^q_is) y^s] / 2.
+    """
+    import sympy as sp
+
+    t, r, phi, rdot, phidot, m, p, V = sp.symbols("t r phi rdot phidot m p V", real=True)
+    X, Y = (r, phi), (rdot, phidot)
+    w = V * t
+    E = 2 * w / r
+    poly = (
+        -sp.Rational(4, 3) * r**5
+        + sp.Rational(16, 15) * w * r**4
+        + sp.Rational(1, 30) * w**2 * r**3
+        + sp.Rational(1, 45) * w**3 * r**2
+        + sp.Rational(1, 45) * w**4 * r
+        + sp.Rational(2, 45) * w**5
+    )
+    U = p * (poly * sp.exp(E) - sp.Rational(4, 45) * w**6 / r * sp.Ei(E))
+    L = m * rdot**2 / 2 + m * r**2 * phidot**2 / 2 - p * r**5 * V * sp.exp(E) / rdot + U
+
+    two = range(2)
+    g = sp.Matrix(2, 2, lambda i, j: sp.diff(L, Y[i], Y[j]) / 2)
+    ginv = g.inv()
+    B = [sum(sp.diff(L, X[q], Y[s]) * Y[q] for q in two) - sp.diff(L, X[s]) + sp.diff(L, t, Y[s]) for s in two]
+    G = [sum(ginv[i, s] * B[s] for s in two) / 4 for i in two]
+    N = [[sp.diff(G[i], Y[j]) for j in two] for i in two]
+
+    def christoffel(d):
+        """[i][j][k] = g^is (d(k, j, s) + d(j, k, s) - d(s, j, k)) / 2, d(k, i, j) = d_k g_ij."""
+        return [
+            [[sum(ginv[i, s] * (d(k, j, s) + d(j, k, s) - d(s, j, k)) for s in two) / 2 for k in two] for j in two]
+            for i in two
+        ]
+
+    def delta_g(k, i, j):
+        return sp.diff(g[i, j], X[k]) - sum(N[q][k] * sp.diff(g[i, j], Y[q]) for q in two)
+
+    Lc = christoffel(delta_g)
+    C = christoffel(lambda k, i, j: sp.diff(g[i, j], Y[k]))
+    G_time = [[sum(ginv[k, s] * sp.diff(g[s, j], t) for s in two) / 2 for j in two] for k in two]
+    F21 = (
+        sum(g[0, s] * N[s][1] - g[1, s] * N[s][0] for s in two)
+        + sum((g[1, q] * Lc[q][0][s] - g[0, q] * Lc[q][1][s]) * Y[s] for q in two for s in two)
+    ) / 2
+    quantities = {
+        "L": L,
+        # the sum of |term| over L's expanded terms: the scale of L's float roundoff
+        "L_terms": sum(abs(term) for term in sp.Add.make_args(sp.expand(L))),
+        "g11": g[0, 0],
+        "g22": g[1, 1],
+        "G1_exact": G[0],
+        "G2": G[1],
+        "Gtime_11": G_time[0][0],
+        "C1_11": C[0][0][0],
+        "N11_exact": N[0][0],
+        "N12_exact": N[0][1],
+        "N21": N[1][0],
+        "N22": N[1][1],
+        "L1_11_exact": Lc[0][0][0],
+        "L1_12_exact": Lc[0][0][1],
+        "L1_22": Lc[0][1][1],
+        "L2_11_exact": Lc[1][0][0],
+        "L2_12": Lc[1][0][1],
+        "F21_exact": F21,
+    }
+    fn = sp.lambdify([t, r, phi, rdot, phidot, m, p, V], list(quantities.values()), modules="mpmath", cse=True)
+    return tuple(quantities), fn
+
+
+def monolayer_reference(pt, params) -> dict:
+    """L, the sum of |term| over L's terms, and the 16 exact quantities at a
+    jet point, as 40-digit mpf values (every float input converts exactly)."""
+    names, fn = _monolayer_reference_fn()
+    args = (pt.t, pt.r, pt.phi, pt.rdot, pt.phidot, params.m, params.p, params.V_abs)
+    with mpmath.workdps(REFERENCE_DPS):
+        values = fn(*map(mpmath.mpf, args))
+    return dict(zip(names, values))

@@ -50,6 +50,8 @@ class TestConfig:
             ('{"seed": true}', "seed must be of type int"),
             ('{"t_end": true}', "t_end must be a number"),
             ('{"sweep": {"r": 3}}', "sweep.r must be of type list"),
+            ('{"sweep": {"r": ["a", 1, 5]}}', "sweep.r must be a list of numbers"),
+            ('{"sweep": {"phidot_values": ["x"]}}', "sweep.phidot_values must be a list of numbers"),
             ('{"deviation": {"resonant_substitution": 1}}', "deviation.resonant_substitution must be of type bool"),
             ('{"params": 3}', "params must be an object"),
         ]
@@ -369,3 +371,15 @@ def test_log_env_var(cfg_path, tmp_path):
         env={**__import__("os").environ, "JETLAG_LOG": "debug"},
     )
     assert proc.returncode == 0
+
+
+def test_import_leaves_the_ode_solver_unloaded():
+    # scipy.integrate is imported where a solve starts, so `eval` and library
+    # use of the closed forms skip its import cost
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jetlag; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

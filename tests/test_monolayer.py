@@ -245,6 +245,15 @@ class TestClosedCartan:
         assert np.allclose(got.C, want.C, rtol=1e-5, atol=1e-12)
         assert np.allclose(got.G_time, want.G_time, rtol=1e-5, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "closed", [closed_semispray, closed_nonlinear_connection, closed_cartan, em_component_f21]
+    )
+    def test_singular_locus_raises_domain_error(self, closed):
+        # D = m - 2 p r^5 |V| e^E / rdot^3 = 1 - 1 = 0 exactly at t = 0, r = 1, p = 4, |V| = 1, rdot = 2
+        params = MonolayerParams(m=1.0, p=4.0, V_abs=1.0)
+        with pytest.raises(DomainError, match="singular"):
+            closed(jet_point(0.0, 1.0, 0.0, 2.0, 0.3), params, form="exact")
+
 
 class TestClosedTorsions:
     def test_r_diagonal_zeros(self, params5, sample_pt):
