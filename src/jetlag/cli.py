@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -121,6 +122,18 @@ def _check_keys(cfg: dict, defaults: dict, path: str = ""):
             raise ConfigError(f"{here} must be a list of numbers")
 
 
+def _check_sweep(sw: dict):
+    """Sweep axes are [lo, hi, n], n whole and >= 1, for at most 10^6 runs."""
+    runs = len(sw["phidot_values"])
+    for key in ("r", "rdot"):
+        n = sw[key][2] if len(sw[key]) == 3 else 0
+        if not (math.isfinite(n) and n == int(n) and n >= 1):
+            raise ConfigError(f"sweep.{key} must be [lo, hi, n] with n a whole number >= 1, got {sw[key]}")
+        runs *= int(n)
+    if runs > 10**6:
+        raise ConfigError(f"sweep.r, sweep.rdot and sweep.phidot_values make {runs} runs, more than 10^6")
+
+
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -149,6 +162,7 @@ def load_config(path: str | None, seed_override=None) -> dict:
         raise ConfigError(f"unknown model: {merged['model']}")
     if merged["deviation"]["u_second_derivative"] not in ("r", "t"):
         raise ConfigError("deviation.u_second_derivative must be 'r' or 't'")
+    _check_sweep(merged["sweep"])
     if seed_override is not None:
         merged["seed"] = int(seed_override)
     return merged
@@ -400,9 +414,6 @@ def cmd_sweep(cfg: dict, args) -> int:
     if cfg["model"] == "electrodynamics_fixture":
         raise ConfigError("sweep supports the monolayer and free_polar models")
     sw = cfg["sweep"]
-    for key in ("r", "rdot"):
-        if len(sw[key]) != 3:
-            raise ConfigError(f"sweep.{key} must be [lo, hi, n]")
     r_lo, r_hi, r_n = sw["r"]
     rd_lo, rd_hi, rd_n = sw["rdot"]
     model = _model_from(cfg)

@@ -41,6 +41,8 @@ from .points import JetPoint, jet_point
 
 #: at most this many samples of a run get the FD Euler-Lagrange residual
 _EL_MAX_POINTS = 400
+#: a give-up with r/|rdot| within this many float spacings of t is a collapse
+_COLLAPSE_SPACINGS = 2**20
 
 
 @dataclass(frozen=True)
@@ -194,11 +196,27 @@ class ResonantTrajectory:
 # -- pointwise diagnostics -----------------------------------------------------
 
 
+def _require_sample(state: TrajectoryState):
+    """The invariants a JetPoint enforces, with the exception class it raises."""
+    if not all(np.isfinite(v).all() for v in vars(state).values()) or _any(state.r <= 0.0):
+        raise ValueError("a trajectory sample needs finite components and r > 0")
+
+
 def instanton_energy(state: TrajectoryState, params: MonolayerParams):
     """E_inst = (m/2) rdot^2 + (m r^2/2) phidot^2 + p r^5 |V| e^E / rdot - U,
     the kinetic term minus U_s."""
     kinetic = 0.5 * params.m * (state.rdot**2 + state.r**2 * state.phidot**2)
     return kinetic - electrocapillarity_U_s(state.t, state.r, state.rdot, params)
+
+
+def _energies(state: TrajectoryState, params: MonolayerParams, L):
+    """(H, H_YM, g11): H = g11 rdot^2 + g22 phidot^2 - L, H_YM printed (0 at p = 0)."""
+    t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
+    g11 = 0.5 * _denominator(t, r, rdot, params)
+    H = g11 * rdot**2 + 0.5 * params.m * r**2 * phidot**2 - L
+    if params.p == 0.0:
+        return H, _full_like(r, 0.0), g11
+    return H, phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * params.m), g11
 
 
 def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
@@ -210,22 +228,15 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
     L0 = g22 phidot^2 + g11 rdot^2 - H_YM are genuine cross-checks.
     At p = 0 all potential pieces vanish and H = H_YM = delta_L = 0.
     """
+    _require_sample(state)
+    # lagrangian_value raises a DomainError at rdot = 0 when p != 0
+    H, H_ym, g11 = _energies(state, params, lagrangian_value(state, params))
     t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
-    # the invariants a JetPoint enforces, with the exception class it raises
-    if not all(np.isfinite(v).all() for v in vars(state).values()) or _any(r <= 0.0):
-        raise ValueError("a trajectory sample needs finite components and r > 0")
-    L = lagrangian_value(state, params)  # a DomainError at rdot = 0 when p != 0
     m, p, V = params.m, params.p, params.V_abs
-    g11 = 0.5 * _denominator(t, r, rdot, params)
-    g22 = 0.5 * m * r**2
-    H = g11 * rdot**2 + g22 * phidot**2 - L
-
     if p == 0.0:
-        zero = _full_like(r, 0.0)
-        return H, zero, zero, g22 * phidot**2 + g11 * rdot**2
+        return H, H_ym, _full_like(r, 0.0), 0.5 * m * r**2 * phidot**2 + g11 * rdot**2
 
     E = 2.0 * V * t / r
-    H_ym = phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * m)
     # e^(-2E) (m rdot^3 + 6 p |V| r^5 e^E)^2 grouped as (m rdot^3 e^-E + ...)^2
     # so the huge exponentials cancel before they can overflow/underflow
     stable = (m * rdot**3 * _exp_checked(-E, "hamiltonian_split") + 6.0 * p * V * r**5) ** 2
@@ -236,16 +247,15 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
 
 
 def _diagnostics(params: MonolayerParams, t, r, phi, rdot, phidot):
-    """Per-sample (E_inst, H, H_YM, EYM, g11), one array pass per series."""
+    """Per-sample (E_inst, H, H_YM, EYM, g11), one array pass per series:
+    E_inst = kinetic - U_s and L = kinetic + U_s share one potential pass."""
     state = TrajectoryState(*(np.asarray(v, dtype=float) for v in (t, r, phi, rdot, phidot)))
-    e_inst = instanton_energy(state, params)
-    H, H_ym, _, _ = hamiltonian_split(state, params)
-    g11 = 0.5 * _denominator(state.t, state.r, state.rdot, params)
-    if params.p == 0.0:
-        eym = np.zeros(len(state.t))
-    else:
-        eym = em_component_f21(state, params, form="exact") ** 2 / params.m
-    return e_inst, H, H_ym, eym, g11
+    U_s = electrocapillarity_U_s(state.t, state.r, state.rdot, params)
+    _require_sample(state)
+    kinetic = 0.5 * params.m * (state.rdot**2 + state.r**2 * state.phidot**2)
+    H, H_ym, g11 = _energies(state, params, kinetic + U_s)
+    eym = np.zeros(len(state.t)) if params.p == 0.0 else em_component_f21(state, params) ** 2 / params.m
+    return kinetic - U_s, H, H_ym, eym, g11
 
 
 # -- geodesic integration ------------------------------------------------------
@@ -273,13 +283,13 @@ def _safe_state(u, r_floor, needs_rdot):
     return r, phi, rdot, phidot
 
 
-def _finite_time_collapse(spray, t, u, rtol: float) -> SingularEvent | None:
+def _finite_time_collapse(spray, t, u) -> SingularEvent | None:
     """Classify a solver give-up at state u = (r, phi, rdot, phidot), time t.
 
     It is a finite-time collapse when the motion is inward (rdot < 0) and
     accelerating inward (-2 G^1 < 0), and r/|rdot| -- which then bounds the
-    time left until r = 0 -- is below the solver's relative resolution
-    rtol |t|: rdot blows up before r reaches r_min."""
+    time left until r = 0 -- is within _COLLAPSE_SPACINGS float spacings of
+    t, a scale of t's own resolution and not of the solver tolerances."""
     r, phi, rdot, phidot = (float(v) for v in u)
     if not rdot < 0.0:
         return None
@@ -288,7 +298,7 @@ def _finite_time_collapse(spray, t, u, rtol: float) -> SingularEvent | None:
     except (JetLagError, ValueError, ArithmeticError):
         return None
     left = r / -rdot
-    if -2.0 * G1 < 0.0 and left <= rtol * abs(t):
+    if -2.0 * G1 < 0.0 and left <= _COLLAPSE_SPACINGS * math.ulp(t):
         return SingularEvent("finite_time_collapse", float(t), float(t) + left, float(t))
     return None
 
@@ -367,7 +377,7 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
                 recorded.append(SingularEvent(kind, float(t_lo), float(tev[0]), float(tev[0])))
                 status = f"event:{kind}"
     elif sol.status < 0:
-        collapse = _finite_time_collapse(spray, t[-1], sol.y[:, -1], config.rtol)
+        collapse = _finite_time_collapse(spray, t[-1], sol.y[:, -1])
         if collapse is None:
             status = f"failed:{sol.message}"
         else:

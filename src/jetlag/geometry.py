@@ -127,8 +127,8 @@ def _invert_2x2(g: np.ndarray) -> tuple[np.ndarray, float]:
     scale = (abs(g[0, 0]) + abs(g[0, 1])) * (abs(g[1, 0]) + abs(g[1, 1])) + _TINY
     if abs(det) < 1e-12 * scale:
         raise SingularMetricError(
-            f"metric is singular within tolerance (det = {det}, scale = {scale}); "
-            "this is the g11 = 0 locus"
+            f"metric is singular within tolerance: g = {g.tolist()}, det = {det}, "
+            f"row-norm product {scale}"
         )
     inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
     return inv, float(det)

@@ -4,8 +4,13 @@ The Lagrangian is
 
     L = (m/2) rdot^2 + (m r^2/2) phidot^2 - p r^5 |V| e^(2|V|t/r) / rdot + U(t, r)
 
-with the layer potential U built from the special function f (see
-:mod:`jetlag.expint`).  Two families of closed forms coexist:
+with the layer potential U = p r^5 u(E), E = 2|V|t/r, built on f = Ei (see
+:mod:`jetlag.expint`): u = P e^E - (E^6/720) Ei with P = -4/3 + 8E/15 +
+E^2/120 + E^3/360 + E^4/720 + E^5/720.  Each derivative of U the code uses
+is a form A e^E + B Ei with polynomials A and B, derived at import in exact
+rationals by (A e^E + B Ei)' = (A + A' + B/E) e^E + B' Ei and the chain rule
+(dE/dr = -E/r, dE/dt = 2|V|/r), and evaluated by ``_ei_form``.  Two families
+of closed forms coexist:
 
 * ``form="exact"``   -- algebraically exact expressions (the rational
   fraction for G^1, N = dG/dy, and the Cartan and F entries that follow
@@ -30,7 +35,7 @@ there.  The printed torsions take P_(1)i(j)^(k)(1) = dN^k_i/dy^j - L^k_ij
 from the printed N and Cartan L, the definition the FD pipeline uses.
 
 e^E has two overflow policies.  It saturates to inf (``_exp``) in the
-potential, its r-derivatives and ``_denominator``, which stray FD probes
+potential, its derivatives and ``_denominator``, which stray FD probes
 and bisection iterates may push past the float range.  Everywhere else,
 ``_stiff_term`` included, an overflow raises a ``DomainError`` naming the
 function and E.  a itself stays finite far past the point where D^2 would
@@ -46,8 +51,10 @@ coordinates of equal-length arrays; floats stay on :mod:`math`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,15 +68,13 @@ _G11_REL_FLOOR = 1e-9  # |g11| > floor * m, the valid-domain cut near g11 = 0
 _ndarray = np.ndarray  # the float/array dispatch: np.ndarray costs a lookup per call
 
 
-def _exp(x: float) -> float:
-    """exp that saturates to inf instead of raising (stray FD probes and
-    bisection iterates can push 2|V|t/r past the float range)."""
+def _exp(x):
+    """exp of a float or an array that saturates to inf instead of raising
+    (stray FD probes and bisection iterates can push 2|V|t/r past the float
+    range)."""
+    if type(x) is _ndarray:
+        return np.where(x < 709.0, np.exp(np.minimum(x, 709.0)), math.inf)
     return math.exp(x) if x < 709.0 else math.inf
-
-
-def _exp_array(x: np.ndarray) -> np.ndarray:
-    """_exp elementwise, in one numpy pass."""
-    return np.where(x < 709.0, np.exp(np.minimum(x, 709.0)), math.inf)
 
 
 def _overflow(where: str, E) -> DomainError:
@@ -153,96 +158,95 @@ def _require_printed(params: MonolayerParams, what: str):
 
 
 # -- the layer potential -------------------------------------------------------
+# A form (A, B) is A e^E + B Ei with polynomials A and B, held as _N exact
+# coefficients from the lowest degree up; _N exceeds every degree here.
+
+_N = 9
+
+
+def _poly_dE(p):
+    return [k * c for k, c in enumerate(p)][1:] + [0]
+
+
+def _dE(form):
+    """(A e^E + B Ei)' = (A + A' + B/E) e^E + B' Ei; B/E needs B(0) = 0."""
+    A, B = form
+    assert B[0] == 0, "B/E must be a polynomial"
+    return [a + da + b for a, da, b in zip(A, _poly_dE(A), B[1:] + [0])], _poly_dE(B)
+
+
+def _combine(*terms):
+    """The form sum c E^k f over the terms (c, k, f)."""
+    return tuple([sum(c * f[i][j - k] for c, k, f in terms if j >= k) for j in range(_N)] for i in (0, 1))
+
+
+def _compiled(form):
+    """(A, B~, k) with B = E^k B~, in floats from the top nonzero degree down."""
+    A, B = form
+    k = next(j for j, c in enumerate(B) if c)
+    A, B = (tuple(itertools.dropwhile(lambda c: c == 0, map(float, p[::-1]))) for p in (A, B[k:]))
+    return A, B, k
+
+
+_F = Fraction
+# u = P e^E - (E^6/720) Ei with U = p r^5 u
+_u = [_F(-4, 3), _F(8, 15), _F(1, 120), _F(1, 360), _F(1, 720), _F(1, 720), 0, 0, 0], [0] * 6 + [_F(-1, 720), 0, 0]
+_u1 = _dE(_u)
+_u2 = _dE(_u1)
+_u_r = _combine((5, 0, _u), (-1, 1, _u1))  # r^-4 dU/dr / p = 5u - E u', as dE/dr = -E/r
+_U = _compiled(_u)
+_U_R = _compiled(_u_r)
+_U_RR = _compiled(_combine((20, 0, _u), (-8, 1, _u1), (1, 2, _u2)))  # r^-3 d2U/dr2 / p
+_U_TT = _compiled(_u2)  # d2U/dt2 = 4 p |V|^2 r^3 u'', as dE/dt = 2|V|/r
+_SCRIPT_U_DT = _compiled(_combine((1, 0, _dE(_u_r)), (-1, 0, _u_r)))  # e^E d/dE [e^-E (5u - E u')]
+
+
+def _ei_form(form, E, scaled: bool = False):
+    """A e^E + B Ei at E for a compiled form, or with ``scaled`` A + B e^-E Ei;
+    floats stay on :mod:`math`.  The Ei term is 0 at E = 0, where B(0) = 0.
+    e^E saturates to inf (``_exp``); e^-E raises on overflow."""
+    A, B, k = form
+    a = b = 0.0
+    for c in A:
+        a = a * E + c
+    for c in B:
+        b = b * E + c
+    vec = type(E) is _ndarray
+    if not vec and E == 0.0:
+        return a
+    ei = b * E**k * exp_integral_f(np.where(E == 0.0, 1.0, E) if vec else E)
+    if scaled:
+        return a + (np.exp(-E) if vec else math.exp(-E)) * ei
+    return a * _exp(E) + ei
+
+
+def _potential(form, power: int, t, r, params: MonolayerParams, where: str):
+    """p r^power times the form at E = 2|V|t/r; 0 at p = 0."""
+    if _any(r <= 0):
+        raise DomainError(f"{where} requires r > 0, got r = {np.min(r)}")
+    if params.p == 0.0:
+        return _full_like(r, 0.0)
+    return params.p * r**power * _ei_form(form, 2.0 * params.V_abs * t / r)
 
 
 def potential_U(t, r, params: MonolayerParams):
-    """U(t, r); the f-term is defined as 0 at |V|t = 0 (removable limit)."""
-    vec = type(r) is _ndarray
-    if (r <= 0).any() if vec else r <= 0:
-        raise DomainError(f"potential_U requires r > 0, got r = {np.min(r)}")
-    if params.p == 0.0:
-        return _full_like(r, 0.0)
-    w = params.V_abs * t
-    E = 2.0 * w / r
-    poly = (
-        -4.0 / 3.0 * r**5
-        + 16.0 / 15.0 * w * r**4
-        + 1.0 / 30.0 * w**2 * r**3
-        + 1.0 / 45.0 * w**3 * r**2
-        + 1.0 / 45.0 * w**4 * r
-        + 2.0 / 45.0 * w**5
-    )
-    out = poly * (_exp_array(E) if vec else math.exp(E) if E < 709.0 else math.inf)
-    if vec:  # f(0) is singular, but w^6 = 0 zeroes the term there anyway
-        E = np.where(w == 0.0, 1.0, E)
-    elif w == 0.0:
-        return params.p * out
-    out -= 4.0 / 45.0 * (w**6 / r) * exp_integral_f(E)
-    return params.p * out
-
-
-def _dU_dr_poly(w: float, r: float) -> float:
-    """Q(w, r) with dU/dr = p [Q e^E + 4 w^6 f(E) / (45 r^2)], w = |V| t."""
-    return (
-        -20.0 / 3.0 * r**4
-        + 104.0 / 15.0 * w * r**3
-        - 61.0 / 30.0 * w**2 * r**2
-        - 1.0 / 45.0 * w**3 * r
-        - 1.0 / 45.0 * w**4
-        - 2.0 / 45.0 * w**5 / r
-    )
+    """U(t, r) = p r^5 u(E); the Ei-term is 0 at |V|t = 0 (removable limit)."""
+    return _potential(_U, 5, t, r, params, "potential_U")
 
 
 def potential_U_dr(t: float, r: float, params: MonolayerParams) -> float:
-    """dU/dr in closed form (cross-validated against FD in the tests)."""
-    if r <= 0:
-        raise DomainError(f"potential_U_dr requires r > 0, got r = {r}")
-    if params.p == 0.0:
-        return 0.0
-    w = params.V_abs * t
-    E = 2.0 * w / r
-    out = _dU_dr_poly(w, r) * _exp(E)
-    if w != 0.0:
-        out += 4.0 / 45.0 * w**6 * exp_integral_f(E) / r**2
-    return params.p * out
+    """dU/dr = p r^4 (5u - E u')."""
+    return _potential(_U_R, 4, t, r, params, "potential_U_dr")
 
 
 def potential_U_drr(t: float, r: float, params: MonolayerParams) -> float:
-    """d2U/dr2 in closed form (the deviation equation's U-double-dot)."""
-    if r <= 0:
-        raise DomainError(f"potential_U_drr requires r > 0, got r = {r}")
-    if params.p == 0.0:
-        return 0.0
-    w = params.V_abs * t
-    E = 2.0 * w / r
-    Q = _dU_dr_poly(w, r)
-    Qr = (
-        -80.0 / 3.0 * r**3
-        + 104.0 / 5.0 * w * r**2
-        - 61.0 / 15.0 * w**2 * r
-        - 1.0 / 45.0 * w**3
-        + 2.0 / 45.0 * w**5 / r**2
-    )
-    out = (Qr - 2.0 * w / r**2 * Q) * _exp(E)
-    if w != 0.0:
-        out -= 4.0 / 45.0 * w**6 * _exp(E) / r**3
-        out -= 8.0 / 45.0 * w**6 * exp_integral_f(E) / r**3
-    return params.p * out
+    """d2U/dr2 = p r^3 (20u - 8E u' + E^2 u''), the deviation equation's Udd."""
+    return _potential(_U_RR, 3, t, r, params, "potential_U_drr")
 
 
 def potential_U_dtt(t: float, r: float, params: MonolayerParams) -> float:
-    """d2U/dt2 in closed form (the alternative U-double-dot reading):
-    p |V|^2 [(-r^3 + 14/3 w r^2 + 2/3 w^2 r + 4/3 w^3) e^E - 8 w^4 f(E) / (3 r)]."""
-    if r <= 0:
-        raise DomainError(f"potential_U_dtt requires r > 0, got r = {r}")
-    if params.p == 0.0:
-        return 0.0
-    w = params.V_abs * t
-    E = 2.0 * w / r
-    out = (-(r**3) + 14.0 / 3.0 * w * r**2 + 2.0 / 3.0 * w**2 * r + 4.0 / 3.0 * w**3) * _exp(E)
-    if w != 0.0:
-        out -= 8.0 / 3.0 * w**4 * exp_integral_f(E) / r
-    return params.p * params.V_abs**2 * out
+    """d2U/dt2 = 4 p |V|^2 r^3 u'' (the alternative U-double-dot reading)."""
+    return 4.0 * params.V_abs**2 * _potential(_U_TT, 3, t, r, params, "potential_U_dtt")
 
 
 def electrocapillarity_U_s(t, r, rdot, params: MonolayerParams):
@@ -268,10 +272,7 @@ def _denominator(t, r, rdot, params):
     """D = m - 2 p r^5 |V| e^E / rdot^3 = 2 g11."""
     if params.p == 0.0:
         return _full_like(r, params.m)
-    E = 2.0 * params.V_abs * t / r
-    # _exp inlined for floats, here and in potential_U: they run for every
-    # FD probe, model-cache miss and RHS call
-    expE = _exp_array(E) if type(E) is _ndarray else math.exp(E) if E < 709.0 else math.inf
+    expE = _exp(2.0 * params.V_abs * t / r)
     return params.m - 2.0 * params.p * r**5 * params.V_abs * expE / rdot**3
 
 
@@ -311,20 +312,9 @@ def closed_metric(pt: JetPoint, params: MonolayerParams) -> Metric:
 
 
 def semispray_series_bracket(t: float, r: float, params: MonolayerParams) -> float:
-    """The series bracket of the polynomial (approximate) G^1."""
-    w = params.V_abs * t
-    E = 2.0 * w / r
-    out = (
-        5.0 / 3.0 / r
-        - 26.0 * w / (15.0 * r**2)
-        + 61.0 * w**2 / (120.0 * r**3)
-        + w**3 / (180.0 * r**4)
-        + w**4 / (180.0 * r**5)
-        + w**5 / (90.0 * r**6)
-    )
-    if w != 0.0:
-        out -= w**6 / (45.0 * r**7) * math.exp(-E) * exp_integral_f(E)
-    return out
+    """The series bracket of the polynomial (approximate) G^1:
+    -e^-E (dU/dr) / (4 p r^5) = -e^-E (5u - E u') / (4r)."""
+    return -_ei_form(_U_R, 2.0 * params.V_abs * t / r, scaled=True) / (4.0 * r)
 
 
 def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact") -> Semispray:
@@ -372,23 +362,9 @@ def script_U(t: float, r: float, params: MonolayerParams) -> float:
 
 
 def script_U_dt(t: float, r: float, params: MonolayerParams) -> float:
-    """d(curly-U)/dt in closed form, used by the printed H torsion."""
-    V = params.V_abs
-    w = V * t
-    E = 2.0 * w / r
-    out = (
-        -26.0 / (5.0 * r**2)
-        + 61.0 * w / (20.0 * r**3)
-        + w**2 / (20.0 * r**4)
-        + w**3 / (15.0 * r**5)
-        + w**4 / (6.0 * r**6)
-    )
-    if w != 0.0:
-        ef = math.exp(-E) * exp_integral_f(E)
-        out -= 2.0 * w**5 / (5.0 * r**7) * ef
-        out -= w**5 / (15.0 * r**7)
-        out += 2.0 * w**6 / (15.0 * r**8) * ef
-    return out
+    """d(curly-U)/dt = -(3 / (2 r^2)) d/dE [e^-E (5u - E u')], used by the
+    printed H torsion."""
+    return -1.5 / r**2 * _ei_form(_SCRIPT_U_DT, 2.0 * params.V_abs * t / r, scaled=True)
 
 
 def closed_nonlinear_connection(

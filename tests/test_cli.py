@@ -44,6 +44,7 @@ class TestConfig:
 
     def test_wrong_type_rejected(self, tmp_path, capsys):
         # one test id over every type rule the defaults imply
+        whole = "sweep.r must be [lo, hi, n] with n a whole number >= 1, got"
         cases = [
             ('{"t_end": "soon"}', "t_end must be a number"),
             ('{"seed": 1.5}', "seed must be of type int"),
@@ -54,6 +55,12 @@ class TestConfig:
             ('{"sweep": {"phidot_values": ["x"]}}', "sweep.phidot_values must be a list of numbers"),
             ('{"deviation": {"resonant_substitution": 1}}', "deviation.resonant_substitution must be of type bool"),
             ('{"params": 3}', "params must be an object"),
+            ('{"sweep": {"rdot": [-1, 1]}}', "sweep.rdot must be [lo, hi, n] with n a whole number >= 1, got [-1, 1]"),
+            ('{"sweep": {"r": [0.2, 1.0, -3]}}', f"{whole} [0.2, 1.0, -3]"),
+            ('{"sweep": {"r": [0.2, 1.0, 2.7]}}', f"{whole} [0.2, 1.0, 2.7]"),
+            ('{"sweep": {"r": [0.2, 1.0, 0]}}', f"{whole} [0.2, 1.0, 0]"),
+            ('{"sweep": {"r": [0.2, 1.0, 1e12]}}',
+             "sweep.r, sweep.rdot and sweep.phidot_values make 5000000000000 runs, more than 10^6"),
         ]
         path = tmp_path / "bad.json"
         for cfg, message in cases:
@@ -116,6 +123,12 @@ class TestEval:
             "numerical/domain error: invalid point: g11 = -inf is not finite at rdot = 1e-107",
             id="step-underflow",
         ),
+        pytest.param(
+            # E = 600: the FD oracle reads g22 = 0 there, while the closed g11 is ~3.8e264
+            "0.3,1,0,-1,0.2",
+            "numerical/domain error: metric is singular within tolerance: g = [[",
+            id="fd-metric-singular",
+        ),
     ])
     def test_rdot_zero_names_precondition(self, cfg_path, capsys, args, fragment):
         with warnings.catch_warnings(record=True) as caught:
@@ -124,7 +137,7 @@ class TestEval:
         assert rc == 3
         err = capsys.readouterr().err
         assert fragment in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "g11 = 0" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_oracle_only_leaves_closed_blank(self, cfg_path, capsys):

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from scipy.special import expi
 
 from jetlag.dynamics import (
+    _COLLAPSE_SPACINGS,
     DeviationSeries,
     DeviationState,
     SimConfig,
     TrajectoryState,
     _diagnostics,
+    _finite_time_collapse,
+    _spray_of,
     closed_form_r0,
     compose_perturbed,
     deviation_integrate,
@@ -102,14 +105,18 @@ class TestIntegrateGeodesic:
         assert ser.r[-1] == pytest.approx(0.05, abs=1e-3)
         assert ser.events[0].t_lo <= ser.events[0].t_event <= ser.events[0].t_hi
 
-    def test_finite_time_collapse_named(self):
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_finite_time_collapse_named(self, tol):
         # a default-sweep start: rdot blows up before r reaches r_min and the
-        # solver's step size falls below the spacing of t
+        # solver's step size falls below the spacing of t, whatever its
+        # tolerances
         params = MonolayerParams()
         cfg = SimConfig(
             params=params,
             state0=TrajectoryState(0.0, 0.2, 0.0, -5.0, 0.0),
             t_end=2e-3,
+            rtol=tol,
+            atol=tol,
             compute_el_residual=False,
         )
         ser = integrate_geodesic(cfg, MonolayerModel(params))
@@ -117,10 +124,21 @@ class TestIntegrateGeodesic:
         (ev,) = ser.events
         assert ev.kind == "finite_time_collapse"
         assert ev.t_lo <= ev.t_event <= ev.t_hi
-        assert ev.t_hi - ev.t_lo <= cfg.rtol * ev.t_lo
+        assert ev.t_hi - ev.t_lo <= _COLLAPSE_SPACINGS * math.ulp(ev.t_lo)
         assert ev.t_lo == ser.t[-1] and ser.r[-1] > cfg.r_min
         for col in (ser.r, ser.rdot, ser.e_inst, ser.H, ser.g11):
             assert np.all(np.isfinite(col))
+
+    def test_finite_time_collapse_needs_inward_motion_near_the_blow_up(self, model5):
+        # from a collapse state at t ~ 1.29e-3: moving outward, or inward but
+        # with r/|rdot| = 1e-3 t left, the give-up is not a collapse
+        spray = _spray_of(model5)
+        t, r = 1.2947835e-3, 0.036
+        slow = -r / (1e-3 * t)
+        assert spray(t, r, 0.0, slow, 0.0)[0] > 0.0  # still accelerating inward
+        assert _finite_time_collapse(spray, t, (r, 0.0, -slow, 0.0)) is None
+        assert _finite_time_collapse(spray, t, (r, 0.0, slow, 0.0)) is None
+        assert _finite_time_collapse(spray, t, (r, 0.0, -r / (1e3 * math.ulp(t)), 0.0)) is not None
 
 
 class TestInstanton:
@@ -233,6 +251,30 @@ class TestArrayDiagnostics:
         if p == 0.0:
             assert np.all(got[2] == 0.0) and np.all(got[3] == 0.0)
             assert np.all(got[4] == 0.5 * params.m)
+
+    def test_one_potential_pass_per_series(self, params5, monkeypatch):
+        import jetlag.dynamics
+        import jetlag.monolayer
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return potential_U(*args)
+
+        monkeypatch.setattr(jetlag.monolayer, "potential_U", counted)
+        monkeypatch.setattr(jetlag.dynamics, "potential_U", counted)
+        t, r = np.linspace(0.0, 1e-3, 7), np.linspace(0.5, 0.4, 7)
+        phi, rdot, phidot = np.zeros(7), np.full(7, -1.0), np.full(7, 0.2)
+        got = _diagnostics(params5, t, r, phi, rdot, phidot)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        s = TrajectoryState(t, r, phi, rdot, phidot)
+        H, H_ym, _, _ = hamiltonian_split(s, params5)
+        want = (instanton_energy(s, params5), H, H_ym, em_component_f21(s, params5) ** 2 / params5.m,
+                0.5 * _denominator(t, r, rdot, params5))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     @staticmethod
     def _raised(fn):

@@ -1,5 +1,6 @@
 """Closed forms of the monolayer model: printed values, exact forms, oracles."""
 
+import functools
 import math
 
 import mpmath
@@ -55,12 +56,79 @@ def independent_U(t, r, p, V):
     return p * out
 
 
+def mp_U(t, r, p, V):
+    """The layer potential in mpmath, term by term in (w, r), w = |V| t."""
+    w = V * t
+    E = 2 * w / r
+    poly = (-mpmath.mpf(4) / 3 * r**5 + mpmath.mpf(16) / 15 * w * r**4 + w**2 * r**3 / 30
+            + w**3 * r**2 / 45 + w**4 * r / 45 + 2 * w**5 / 45)
+    return p * (poly * mpmath.exp(E) - mpmath.mpf(4) / 45 * w**6 / r * mpmath.ei(E))
+
+
+#: the reference grid in E = 2|V|t/r and r, and the upper edges of its E bands
+REF_E = (-40.0, -20.0, -5.0, -1.0, 1e-3, 0.1, 1.0, 5.0, 10.0, 20.0, 40.0, 80.0, 200.0)
+REF_R = (0.1, 0.2, 0.5, 1.0)
+REF_BANDS = (0.0, 1.0, 10.0, 40.0, 200.0)
+
+# worst relative error per E band (E < 0, (0, 1], (1, 10], (10, 40],
+# (40, 200]): 4x what the (w, r) transcriptions these forms replaced
+# reached on the same grid, which is
+#   U           5.4e-13 2.0e-16 9.1e-15 5.9e-12 1.4e-9
+#   U_r         2.4e-14 2.9e-16 1.8e-15 1.5e-13 6.4e-12
+#   U_rr        1.1e-14 3.4e-16 1.6e-15 2.1e-14 2.7e-12
+#   U_tt        1.7e-14 3.5e-16 3.3e-15 9.3e-14 1.2e-12
+#   bracket     1.2e-14 2.3e-16 2.1e-15 1.9e-13 6.5e-12
+#   script_U_dt 7.4e-13 1.7e-16 5.6e-15 2.9e-12 1.1e-9
+# The large-E error is the e^E / Ei cancellation inside u.
+REF_BOUNDS = {
+    "U": (potential_U, (2.2e-12, 8e-16, 3.7e-14, 2.4e-11, 5.6e-9)),
+    "U_r": (potential_U_dr, (9.6e-14, 1.2e-15, 7.2e-15, 6e-13, 2.6e-11)),
+    "U_rr": (potential_U_drr, (4.4e-14, 1.4e-15, 6.4e-15, 8.4e-14, 1.1e-11)),
+    "U_tt": (potential_U_dtt, (6.8e-14, 1.4e-15, 1.3e-14, 3.7e-13, 4.8e-12)),
+    "bracket": (semispray_series_bracket, (4.8e-14, 9.2e-16, 8.4e-15, 7.6e-13, 2.6e-11)),
+    "script_U_dt": (script_U_dt, (3e-12, 6.8e-16, 2.2e-14, 1.2e-11, 4.4e-9)),
+}
+
+
+@functools.lru_cache(maxsize=1)
+def potential_references():
+    """{(E, r): (t, {name: 40-digit value})} for p = 10, |V| = 1000, with the
+    derivatives by mpmath.diff of mp_U."""
+    p, V = 10.0, 1000.0
+    out = {}
+    with mpmath.workdps(40):
+        def U(tt, rr):
+            return mp_U(tt, rr, p, V)
+
+        for E in REF_E:
+            for r in REF_R:
+                t = E * r / (2 * V)
+                tm, rm = mpmath.mpf(t), mpmath.mpf(r)
+                Em = 2 * V * tm / rm
+                U_r = mpmath.diff(U, (tm, rm), (0, 1))
+                U_tr = mpmath.diff(U, (tm, rm), (1, 1))
+                out[E, r] = t, {
+                    "U": U(tm, rm),
+                    "U_r": U_r,
+                    "U_rr": mpmath.diff(U, (tm, rm), (0, 2)),
+                    "U_tt": mpmath.diff(U, (tm, rm), (2, 0)),
+                    # -e^-E dU/dr / (4 p r^5), and d/dt of 3/|V| times it
+                    "bracket": -mpmath.exp(-Em) * U_r / (4 * p * rm**5),
+                    "script_U_dt": -3 / (4 * p * V * rm**5) * mpmath.exp(-Em) * (U_tr - 2 * V / rm * U_r),
+                }
+    return out
+
+
 class TestPotential:
     def test_t_zero_closed_form(self, params5):
+        p = params5.p
         for r in (0.3, 1.0, 2.5):
-            assert potential_U(0.0, r, params5) == pytest.approx(
-                -4.0 / 3.0 * params5.p * r**5, rel=1e-14
-            )
+            for fn, want in (
+                (potential_U, -4.0 / 3.0 * p * r**5),
+                (potential_U_dr, -20.0 / 3.0 * p * r**4),
+                (potential_U_drr, -80.0 / 3.0 * p * r**3),
+            ):
+                assert fn(0.0, r, params5) == pytest.approx(want, rel=1e-14)
 
     def test_t_zero_at_unit_radius(self, params5):
         assert potential_U(0.0, 1.0, params5) == pytest.approx(-40.0 / 3.0, rel=1e-14)
@@ -82,23 +150,15 @@ class TestPotential:
         fd2 = (potential_U_dr(t, r + h, params5) - potential_U_dr(t, r - h, params5)) / (2 * h)
         assert potential_U_drr(t, r, params5) == pytest.approx(fd2, rel=1e-6)
 
-    def test_dtt_against_40_digit_derivative(self, params5):
-        p, V = params5.p, params5.V_abs
-
-        def U(tt, r):
-            w = V * tt
-            E = 2 * w / r
-            poly = (-mpmath.mpf(4) / 3 * r**5 + mpmath.mpf(16) / 15 * w * r**4 + w**2 * r**3 / 30
-                    + w**3 * r**2 / 45 + w**4 * r / 45 + 2 * w**5 / 45)
-            return p * (poly * mpmath.exp(E) - mpmath.mpf(4) / 45 * w**6 / r * mpmath.ei(E))
-
-        worst = 0.0
-        with mpmath.workdps(40):
-            for t in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-                for r in (0.1, 0.5, 1.0, 3.0):
-                    want = float(mpmath.diff(lambda tt: U(tt, r), mpmath.mpf(t), 2))
-                    worst = max(worst, abs(potential_U_dtt(t, r, params5) / want - 1.0))
-        assert worst < 1e-10
+    @pytest.mark.parametrize("name", list(REF_BOUNDS))
+    def test_against_40_digit_reference(self, params5, name):
+        fn, bounds = REF_BOUNDS[name]
+        worst = [0.0] * len(REF_BANDS)
+        for (E, r), (t, ref) in potential_references().items():
+            band = next(i for i, top in enumerate(REF_BANDS) if E <= top)
+            err = float(abs(fn(t, r, params5) / ref[name] - 1))
+            worst[band] = max(worst[band], err)
+        assert all(w <= b for w, b in zip(worst, bounds)), (name, worst)
 
     def test_dtt_at_t_zero_and_domain(self, params5):
         # at w = 0 only the polynomial term survives: p |V|^2 (-r^3)
