@@ -459,7 +459,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="geometry bundle at one jet point")
     common(p_eval)
-    p_eval.add_argument("--point", required=True, help="t,r,phi,rdot,phidot")
+    p_eval.add_argument(
+        "--point", required=True,
+        help="t,r,phi,rdot,phidot; a negative t needs the = form: --point=-0.35,0.1,0,-1,0.2",
+    )
     p_eval.add_argument("--oracle-only", action="store_true", help="skip closed-form columns")
     p_eval.add_argument("--csv", default=None, help="also write a one-row CSV")
 

@@ -22,7 +22,8 @@ class StencilDomainError(DomainError):
 
 class SingularMetricError(JetLagError):
     """|det g| fell below 1e-12 times the product of the rows' 1-norms of g
-    (at the g11 = 0 locus, or where FD reads a row of g as 0)."""
+    (at the g11 = 0 locus, or where FD reads a row of g as 0), or g is not
+    finite."""
 
 
 class ConfigError(JetLagError):

@@ -25,8 +25,10 @@ Probe memo: each probe is looked up in a ``values`` dict keyed by its five
 exact coordinates before the ``JetPoint`` is built, the domain checked or
 ``model.value`` called, and L is stored only for probes that pass both
 checks.  The dict defaults to one per call; ``geometry.GeometryEvaluator``
-shares one across the partials at its point, and nested evaluators (the N
-and F fields of the torsions and the Maxwell check) own theirs.  Nothing is
+shares one across the partials at its point.  Its nested evaluators, one
+per probe point of ``noisy_field_partial``, are kept and shared by the N
+field of the torsions and the F field of the Maxwell check; each keeps its
+own memo, as no probe of one evaluator recurs in another.  Nothing is
 cached on the model.  This relies on ``value`` and ``domain_violation``
 being pure functions of the point.
 """

@@ -122,7 +122,10 @@ class GeometryBundle:
 
 
 def _invert_2x2(g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Adjugate inverse with a relative singularity guard."""
+    """Adjugate inverse with a relative singularity guard; a non-finite g
+    has no inverse either."""
+    if not np.isfinite(g).all():
+        raise SingularMetricError(f"metric is not finite: g = {g.tolist()}")
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     scale = (abs(g[0, 0]) + abs(g[0, 1])) * (abs(g[1, 0]) + abs(g[1, 1])) + _TINY
     if abs(det) < 1e-12 * scale:
@@ -164,8 +167,8 @@ def _stage(method):
 
 
 class GeometryEvaluator:
-    """The geometry at one jet point; its stages share the L-partials and
-    the finite-difference probe memo."""
+    """The geometry at one jet point; its stages share the L-partials, the
+    finite-difference probe memo and the nested evaluators of the fields."""
 
     def __init__(self, model: LagrangianModel, pt: JetPoint):
         self.model = model
@@ -173,6 +176,7 @@ class GeometryEvaluator:
         self._partials: dict[tuple, float] = {}
         self._values: dict[tuple, float] = {}  # the FD probe memo, see fd.py
         self._objects: dict[str, object] = {}
+        self._children: dict[JetPoint, GeometryEvaluator] = {}  # by probe point, see _field_partials
 
     # -- L-partials ------------------------------------------------------------
     def partial(self, *spec) -> float:
@@ -192,11 +196,20 @@ class GeometryEvaluator:
 
     def _field_partials(self, field, axes) -> np.ndarray:
         """[a, ...] = d field / d axes[a] by nested FD; ``field`` maps the
-        evaluator at a probe point to an array."""
+        evaluator at a probe point to an array.
+
+        The evaluator at each probe point q = pt +- h e_a is built on first
+        use and kept, with its own stages and probe memo, so every field
+        differentiated here (N for the torsions, F for the Maxwell check)
+        is read off one family of at most ten children, in any call order.
+        """
         scales = scales_for(self.model, self.pt)
 
         def at(q: JetPoint) -> np.ndarray:
-            return field(GeometryEvaluator(self.model, q))
+            child = self._children.get(q)
+            if child is None:
+                child = self._children[q] = GeometryEvaluator(self.model, q)
+            return field(child)
 
         return np.array([noisy_field_partial(at, self.pt, a, scales[AXES.index(a)]) for a in axes])
 

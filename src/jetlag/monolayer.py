@@ -278,15 +278,19 @@ def _denominator(t, r, rdot, params):
 
 def _stiff_term(t, r, rdot, params, where: str):
     """a = 2 p r^5 |V| e^E / rdot^3, 0 at p = 0; m - a is ``_denominator``
-    bit for bit wherever e^E is finite.  An overflowing e^E or rdot^3 = 0
-    raises a DomainError naming ``where``."""
+    bit for bit wherever e^E is finite.  An overflowing e^E, rdot^3 = 0 or
+    an a that overflows raises a DomainError naming ``where``."""
     if params.p == 0.0:
         return _full_like(r, 0.0)
     rdot3 = rdot**3
     if _any(rdot3 == 0.0):
         raise DomainError(f"{where} requires rdot^3 != 0 (the Lagrangian contains rdot^-1)")
     expE = _exp_checked(2.0 * params.V_abs * t / r, where)
-    return 2.0 * params.p * r**5 * params.V_abs * expE / rdot3
+    with np.errstate(over="ignore"):
+        a = 2.0 * params.p * r**5 * params.V_abs * expE / rdot3
+    if _any(~np.isfinite(a)):
+        raise DomainError(f"{where}: a = 2 p r^5 |V| e^E / rdot^3 is not finite at |rdot| = {np.min(np.abs(rdot)):.6g}")
+    return a
 
 
 def _nonsingular(D, what: str):
@@ -311,10 +315,25 @@ def closed_metric(pt: JetPoint, params: MonolayerParams) -> Metric:
     return Metric(g=g, g_inv=g_inv, det_g=float(g11 * g22))
 
 
+def _scaled_form(form, t: float, r: float, params: MonolayerParams, where: str) -> float:
+    """e^-E times the form at E = 2|V|t/r, the printed series' building block;
+    a DomainError naming ``where`` for r <= 0 or a non-finite E."""
+    if r <= 0:
+        raise DomainError(f"{where} requires r > 0, got r = {r}")
+    E = 2.0 * params.V_abs * t / r
+    if not math.isfinite(E):
+        raise DomainError(f"{where} requires a finite E = 2|V|t/r, got E = {E} at t = {t}, r = {r}")
+    return _ei_form(form, E, scaled=True)
+
+
+def _series_bracket(t: float, r: float, params: MonolayerParams, where: str) -> float:
+    return -_scaled_form(_U_R, t, r, params, where) / (4.0 * r)
+
+
 def semispray_series_bracket(t: float, r: float, params: MonolayerParams) -> float:
     """The series bracket of the polynomial (approximate) G^1:
     -e^-E (dU/dr) / (4 p r^5) = -e^-E (5u - E u') / (4r)."""
-    return -_ei_form(_U_R, 2.0 * params.V_abs * t / r, scaled=True) / (4.0 * r)
+    return _series_bracket(t, r, params, "semispray_series_bracket")
 
 
 def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact") -> Semispray:
@@ -358,13 +377,14 @@ def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact")
 def script_U(t: float, r: float, params: MonolayerParams) -> float:
     """The curly-U(t, r) series entering the printed N11: 3/|V| times the
     polynomial-semispray bracket."""
-    return 3.0 * semispray_series_bracket(t, r, params) / params.V_abs
+    return 3.0 * _series_bracket(t, r, params, "script_U") / params.V_abs
 
 
 def script_U_dt(t: float, r: float, params: MonolayerParams) -> float:
     """d(curly-U)/dt = -(3 / (2 r^2)) d/dE [e^-E (5u - E u')], used by the
     printed H torsion."""
-    return -1.5 / r**2 * _ei_form(_SCRIPT_U_DT, 2.0 * params.V_abs * t / r, scaled=True)
+    form = _scaled_form(_SCRIPT_U_DT, t, r, params, "script_U_dt")
+    return -1.5 / r**2 * form
 
 
 def closed_nonlinear_connection(
@@ -560,6 +580,11 @@ class MonolayerModel(LagrangianModel):
             g11 = 0.5 * _denominator(pt.t, pt.r, pt.rdot, self.params)
             if not math.isfinite(pt.r**5 / pt.rdot**3):
                 return f"g11 = {g11} is not finite at rdot = {pt.rdot} (r^5 / rdot^3 overflows)"
+            if not math.isfinite(g11):
+                # where e^E itself overflows, L and the closed forms name it
+                E = 2.0 * self.params.V_abs * pt.t / pt.r
+                if math.isfinite(_exp(E)):
+                    return f"g11 = {g11} is not finite at E = {E:.6g}, rdot = {pt.rdot} (2 p r^5 |V| e^E / rdot^3 overflows)"
             if abs(g11) <= _G11_REL_FLOOR * self.params.m:
                 return f"g11 = {g11} within {_G11_REL_FLOOR}*m of the singular locus"
         return None

@@ -124,6 +124,12 @@ class TestEval:
             id="step-underflow",
         ),
         pytest.param(
+            # E = 200 keeps e^E finite, but e^E / rdot^3 overflows
+            "0.1,1,0,-1e-100,0.2",
+            "numerical/domain error: invalid point: g11 = inf is not finite at E = 200, rdot = -1e-100",
+            id="stiff-overflow",
+        ),
+        pytest.param(
             # E = 600: the FD oracle reads g22 = 0 there, while the closed g11 is ~3.8e264
             "0.3,1,0,-1,0.2",
             "numerical/domain error: metric is singular within tolerance: g = [[",
@@ -163,6 +169,11 @@ class TestEval:
         for name, cell in zip(header[5:], row[5:]):
             side, quantity = name.split("_", 1)
             assert (cell == "") == (side == "closed" and quantity not in closed), name
+
+    def test_negative_first_value_takes_the_equals_form(self, cfg_path, capsys):
+        # argparse reads "--point -0.35,..." as a missing value and an option
+        assert run_cli("eval", "--config", cfg_path, "--point=-0.35,0.1,0,-1,0.2") == 0
+        assert "point: t=-0.35 r=0.1" in capsys.readouterr().out
 
     def test_malformed_point(self, cfg_path):
         assert run_cli("eval", "--config", cfg_path, "--point", "1,2,3") == 2

@@ -1,5 +1,7 @@
 """Generic geometry pipeline against classical and closed-form oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from jetlag.geometry import CartanConnection, EMForm, GeometryEvaluator, ym_ener
 from jetlag.models import FreePolarModel, PolynomialModel
 from jetlag.monolayer import MonolayerModel, closed_semispray
 from jetlag.points import jet_point
-from oracles import field_partial, polar_christoffel, polar_metric, polar_spray
+from oracles import FreshChildEvaluator, field_partial, polar_christoffel, polar_metric, polar_spray
 
 FP = FreePolarModel(m=1.0)
 
@@ -30,6 +32,15 @@ class TestMetric:
         met = GeometryEvaluator(model5, sample_pt).metric()
         want = closed_metric(sample_pt, params5).g[0, 0]
         assert met.g[0, 0] == pytest.approx(want, rel=1e-6)
+
+    def test_non_finite_metric_raises(self):
+        from jetlag.geometry import _invert_2x2
+
+        for bad in (np.inf, -np.inf, np.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularMetricError, match="metric is not finite"):
+                    _invert_2x2(np.array([[bad, 0.0], [0.0, 0.5]]))
 
     def test_singular_metric_raises(self):
         degenerate = PolynomialModel(lambda t, r, phi, rd, pd: (rd + pd) ** 2)
@@ -308,6 +319,63 @@ def test_bundle_evaluates_each_probe_once(params5, sample_pt):
     GeometryEvaluator(model, sample_pt).bundle()
     assert first <= 3300
     assert model.calls == 2 * first
+
+
+def test_maxwell_reads_the_torsions_children(params5):
+    # the N field of the torsions and the F field of the Maxwell check share
+    # their children at pt +- h e_y: after bundle() the check evaluates no L
+    pt = jet_point(1e-4, 0.5, 0.0, -1.0, 0.2)
+    model = _CountingMonolayer(params5)
+    ev = GeometryEvaluator(model, pt)
+    ev.bundle()
+    before = model.calls
+    ev.maxwell_vertical_residual()
+    assert model.calls == before
+
+
+def test_torsions_after_maxwell_add_the_six_other_children(params5):
+    pt = jet_point(1e-4, 0.5, 0.0, -1.0, 0.2)
+    model = _CountingMonolayer(params5)
+    ev = GeometryEvaluator(model, pt)
+    ev.maxwell_vertical_residual()
+    y_children = set(ev._children)
+    before = model.calls
+    ev.torsions()
+    added = set(ev._children) - y_children
+    # one child at pt +- h along each of t, x1, x2, and N from each costs
+    # what it costs a fresh evaluator there
+    assert len(y_children) == 4 and len(added) == 6
+    for q in added:
+        moved = np.flatnonzero(q.as_array() != pt.as_array())
+        assert len(moved) == 1 and moved[0] < 3, q
+    fresh = _CountingMonolayer(params5)
+    for q in added:
+        GeometryEvaluator(fresh, q).nonlinear_connection()
+    assert model.calls - before == fresh.calls > 0
+
+
+@pytest.mark.parametrize("name", ["monolayer", "free_polar", "asymmetric"])
+def test_shared_children_match_fresh_evaluators(name, model5):
+    # bit for bit, in both call orders: a kept child returns what a fresh
+    # evaluator at its point returns
+    rng = np.random.default_rng(23)
+    model = {"monolayer": model5, "free_polar": FP}.get(name) or PolynomialModel(_asymmetric_lagrangian)
+    for k in range(20):
+        if name == "monolayer":
+            pt = jet_point(rng.uniform(1e-4, 1e-3), rng.uniform(0.3, 1.0), 0.0,
+                           rng.uniform(-3.0, -0.3), rng.uniform(-1, 1))
+        else:
+            pt = jet_point(*rng.uniform((0.0, 0.5, -1.0, -2.0, -2.0), (1.0, 2.0, 1.0, 2.0, 2.0)))
+        ev, ref = GeometryEvaluator(model, pt), FreshChildEvaluator(model, pt)
+        if k % 2:
+            maxwell = ev.maxwell_vertical_residual()
+            torsions = ev.torsions()
+        else:
+            torsions = ev.torsions()
+            maxwell = ev.maxwell_vertical_residual()
+        assert maxwell == ref.maxwell_vertical_residual(), pt
+        for field, want in vars(ref.torsions()).items():
+            assert np.array_equal(getattr(torsions, field), want), (pt, field)
 
 
 class TestBuiltinModelInvariants:

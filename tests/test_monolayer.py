@@ -197,6 +197,42 @@ class TestLagrangian:
             lagrangian_value(jet_point(0.0, 1.0, 0.0, 0.0, 0.2), params5)
 
 
+@pytest.mark.parametrize("fn", [semispray_series_bracket, script_U, script_U_dt])
+class TestPrintedSeriesDomain:
+    # the printed series raise the DomainError the potential raises, naming themselves
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_r_nonpositive_raises(self, params5, fn, r):
+        with pytest.raises(DomainError, match=f"^{fn.__name__} requires r > 0, got r = {r}"):
+            fn(1e-3, r, params5)
+
+    @pytest.mark.parametrize("t, r", [(math.nan, 0.5), (math.inf, 0.5), (1e-3, 1e-320)])
+    def test_non_finite_E_raises(self, params5, fn, t, r):
+        with pytest.raises(DomainError, match=f"^{fn.__name__} requires a finite E"):
+            fn(t, r, params5)
+
+
+class TestStiffOverflow:
+    # E = 200 keeps e^E finite, but e^E / rdot^3 overflows at rdot = -1e-100
+    PT = jet_point(0.1, 1.0, 0.0, -1e-100, 0.2)
+
+    def test_domain_predicate_rejects_infinite_g11(self, model5):
+        assert model5.domain_violation(self.PT) == (
+            "g11 = inf is not finite at E = 200, rdot = -1e-100 (2 p r^5 |V| e^E / rdot^3 overflows)"
+        )
+
+    @pytest.mark.parametrize("fn", [closed_cartan, closed_nonlinear_connection, em_component_f21])
+    def test_stiff_term_names_the_caller(self, params5, fn):
+        with pytest.raises(DomainError, match=f"^{fn.__name__}: a = 2 p r\\^5 .* is not finite at \\|rdot\\| = 1e-100"):
+            fn(self.PT, params5, form="exact")
+
+    def test_arrays(self, params5):
+        from jetlag.monolayer import _stiff_term
+
+        rdot = np.array([-1.0, -1e-100])
+        with pytest.raises(DomainError, match="^diagnostics: a = .* is not finite at \\|rdot\\| = 1e-100"):
+            _stiff_term(np.full(2, 0.1), np.ones(2), rdot, params5, "diagnostics")
+
+
 class TestClosedMetric:
     def test_g22(self, params5):
         met = closed_metric(jet_point(0.0, 2.0, 0.0, -1.0, 0.0), params5)
