@@ -35,7 +35,6 @@ from .dynamics import (
     compose_perturbed,
     deviation_integrate,
     integrate_geodesic,
-    plateau_interval,
     resonant_trajectory,
 )
 from .electrodynamics import ElectrodynamicsFixtureParams, closed_em_form, electrodynamics_fixture
@@ -77,7 +76,7 @@ DEFAULTS = {
     "integrator": {"rtol": 1e-9, "atol": 1e-9, "max_step": 0.0},
     "events": {"r_min": 1e-6},
     "seed": 0,
-    "tolerances": {"oracle": 1e-5, "identity": 1e-10},
+    "tolerances": {"oracle": 1e-5},
     "resonant": {"t_start": 0.0, "t_end": 0.0, "n_samples": 400, "rtol": 1e-12, "atol": 1e-14},
     "deviation": {
         "c1": 0.0,
@@ -334,9 +333,7 @@ def cmd_resonant(cfg: dict, args) -> int:
     out = _out_dir(args) / "resonant.csv"
     header = ["t", "r0", "r0dot", "residual_eq21", "residual_eq22", "closed_form_r0", "closed_form_residual"]
     _write_csv(out, header, zip(traj.t, traj.r0, traj.r0dot, res21, res22, closed_r0, closed_res))
-    t_lo, t_hi, dur = plateau_interval(traj.t, traj.r0)
     print(f"wrote {out} ({len(traj.t)} samples)")
-    print(f"plateau: longest low-|dr/dt| interval [{_fmt(t_lo)}, {_fmt(t_hi)}] duration {_fmt(dur)}")
     print(f"max residual_eq22: {np.max(res22):.3e}  max YM bracket residual: {np.max(traj.ym_bracket_residual()):.3e}")
     for flag in traj.flags:
         print(f"flag: {flag}", file=sys.stderr)

@@ -8,8 +8,11 @@ singular loci (g11 -> 0, rdot -> 0, r -> 0).  When the solver gives up
 because rdot blows up in finite time before r reaches r_min, the run ends
 in the ``finite_time_collapse`` event instead of a failure.  An independent
 Euler-Lagrange residual is recorded along every run: a
-``GeometryEvaluator`` check with every Lagrangian partial by finite
-differences and the state derivative from the dense output.
+``GeometryEvaluator`` check at the solver's own nodes, with every
+Lagrangian partial by finite differences and the state derivative
+ydot = -2G from the spray the solver integrated.  At a node that is the
+derivative itself, so the check does not depend on the solver tolerances
+(Hairer, Norsett & Wanner, Solving ODEs I, section II.6).
 """
 
 from __future__ import annotations
@@ -361,7 +364,7 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
         atol=config.atol,
         max_step=config.max_step,
         events=events,
-        dense_output=True,
+        dense_output=True,  # only with it does solve_ivp drop a repeated t
     )
 
     t = sol.t
@@ -390,17 +393,12 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
     if config.compute_el_residual and len(t) >= 3:
         stride = max(1, int(math.ceil(len(t) / _EL_MAX_POINTS)))
         el = np.full(len(t), np.nan)
-        span = t[-1] - t[0]
-        dt = max(1e-6 * span, 1e-12)
         for i in range(0, len(t), stride):
-            tc = min(max(t[i], t[0] + dt), t[-1] - dt)
-            up = sol.sol(tc + dt)
-            dn = sol.sol(tc - dt)
-            ydot_est = ((up - dn) / (2.0 * dt))[2:]
-            uc = sol.sol(tc)
+            node = (t[i], r[i], phi[i], rdot[i], phidot[i])
             try:
-                pt = jet_point(tc, uc[0], uc[1], uc[2], uc[3])
-                el[i] = GeometryEvaluator(model, pt).euler_lagrange_residual(ydot_est)
+                G1, G2 = spray(*node)
+                ev = GeometryEvaluator(model, jet_point(*node))
+                el[i] = ev.euler_lagrange_residual([-2.0 * G1, -2.0 * G2])
             except (ValueError, DomainError):
                 el[i] = np.nan
 
@@ -696,30 +694,3 @@ def compose_perturbed(
         g11=g11,
     )
 
-
-def plateau_interval(t, r, threshold: float | None = None):
-    """Longest interval with |dr/dt| below threshold (isotherm-style plateau).
-
-    The threshold is artifact-defined; default is 10% of the mean |dr/dt|.
-    Returns (t_start, t_end, duration); duration 0 when no sample qualifies.
-    """
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    drdt = np.gradient(r, t)
-    if threshold is None:
-        threshold = 0.1 * float(np.mean(np.abs(drdt)))
-    ok = np.abs(drdt) < threshold
-    best = (t[0], t[0], 0.0)
-    i = 0
-    n = len(t)
-    while i < n:
-        if ok[i]:
-            j = i
-            while j + 1 < n and ok[j + 1]:
-                j += 1
-            if t[j] - t[i] > best[2]:
-                best = (float(t[i]), float(t[j]), float(t[j] - t[i]))
-            i = j + 1
-        else:
-            i += 1
-    return best

@@ -220,13 +220,25 @@ def _ei_form(form, E, scaled: bool = False):
     return a * _exp(E) + ei
 
 
+def _finite_E(t, r, params: MonolayerParams, where: str):
+    """E = 2|V|t/r; a DomainError naming ``where`` and E where E is not finite."""
+    E = 2.0 * params.V_abs * t / r
+    if type(E) is _ndarray:
+        if not np.isfinite(E).all():
+            raise DomainError(f"{where} requires a finite E = 2|V|t/r, got E = {E[~np.isfinite(E)][0]}")
+    elif not math.isfinite(E):
+        raise DomainError(f"{where} requires a finite E = 2|V|t/r, got E = {E} at t = {t}, r = {r}")
+    return E
+
+
 def _potential(form, power: int, t, r, params: MonolayerParams, where: str):
-    """p r^power times the form at E = 2|V|t/r; 0 at p = 0."""
+    """p r^power times the form at E = 2|V|t/r; 0 at p = 0.  A DomainError
+    naming ``where`` for r <= 0 or, at p != 0, a non-finite E."""
     if _any(r <= 0):
         raise DomainError(f"{where} requires r > 0, got r = {np.min(r)}")
     if params.p == 0.0:
         return _full_like(r, 0.0)
-    return params.p * r**power * _ei_form(form, 2.0 * params.V_abs * t / r)
+    return params.p * r**power * _ei_form(form, _finite_E(t, r, params, where))
 
 
 def potential_U(t, r, params: MonolayerParams):
@@ -320,10 +332,7 @@ def _scaled_form(form, t: float, r: float, params: MonolayerParams, where: str) 
     a DomainError naming ``where`` for r <= 0 or a non-finite E."""
     if r <= 0:
         raise DomainError(f"{where} requires r > 0, got r = {r}")
-    E = 2.0 * params.V_abs * t / r
-    if not math.isfinite(E):
-        raise DomainError(f"{where} requires a finite E = 2|V|t/r, got E = {E} at t = {t}, r = {r}")
-    return _ei_form(form, E, scaled=True)
+    return _ei_form(form, _finite_E(t, r, params, where), scaled=True)
 
 
 def _series_bracket(t: float, r: float, params: MonolayerParams, where: str) -> float:
@@ -575,10 +584,18 @@ class MonolayerModel(LagrangianModel):
         if self.params.p != 0.0:
             if pt.rdot == 0.0:
                 return "rdot = 0 (the Lagrangian contains rdot^-1)"
-            if pt.rdot**3 == 0.0:
+            try:
+                rdot3 = pt.rdot**3
+            except OverflowError:
+                return f"rdot^3 overflows at rdot = {pt.rdot} (g11 divides by rdot^3)"
+            try:
+                r5 = pt.r**5
+            except OverflowError:
+                return f"r^5 overflows at r = {pt.r} (L contains p r^5 |V| e^E / rdot)"
+            if rdot3 == 0.0:
                 return f"rdot^3 underflows to 0 at rdot = {pt.rdot} (g11 divides by rdot^3)"
             g11 = 0.5 * _denominator(pt.t, pt.r, pt.rdot, self.params)
-            if not math.isfinite(pt.r**5 / pt.rdot**3):
+            if not math.isfinite(r5 / rdot3):
                 return f"g11 = {g11} is not finite at rdot = {pt.rdot} (r^5 / rdot^3 overflows)"
             if not math.isfinite(g11):
                 # where e^E itself overflows, L and the closed forms name it
@@ -587,6 +604,8 @@ class MonolayerModel(LagrangianModel):
                     return f"g11 = {g11} is not finite at E = {E:.6g}, rdot = {pt.rdot} (2 p r^5 |V| e^E / rdot^3 overflows)"
             if abs(g11) <= _G11_REL_FLOOR * self.params.m:
                 return f"g11 = {g11} within {_G11_REL_FLOOR}*m of the singular locus"
+        if 0.5 * self.params.m * pt.r**2 == 0.0:
+            return f"g22 = m r^2 / 2 underflows to 0 at r = {pt.r} (the metric inverse divides by g22)"
         return None
 
     def fd_scales(self, pt: JetPoint, spec=None):

@@ -68,6 +68,13 @@ class TestConfig:
             assert run_cli("simulate", "--config", str(path)) == 2, cfg
             assert capsys.readouterr().err == f"configuration error: {message}\n", cfg
 
+    def test_dead_identity_tolerance_rejected(self, tmp_path, capsys):
+        # nothing reads an identity tolerance, so the schema has no such key
+        path = tmp_path / "bad.json"
+        path.write_text('{"tolerances": {"identity": 1e-10}}')
+        assert run_cli("validate", "--config", str(path)) == 2
+        assert capsys.readouterr().err == "configuration error: unknown configuration key: tolerances.identity\n"
+
     def test_int_accepted_for_float(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text('{"integrator": {"max_step": 1}}')
@@ -135,6 +142,28 @@ class TestEval:
             "numerical/domain error: metric is singular within tolerance: g = [[",
             id="fd-metric-singular",
         ),
+        *[
+            pytest.param(point + extra, fragment, id=name + extra)
+            for name, point, fragment in [
+                ("rdot3-overflow", "0,0.1,0,-1e300,0.2",
+                 "numerical/domain error: invalid point: rdot^3 overflows at rdot = -1e+300"),
+                ("r5-overflow", "0,1e100,0,-1,0.2",
+                 "numerical/domain error: invalid point: r^5 overflows at r = 1e+100"),
+                ("g22-underflow", "0,1e-300,0,-1,0.2",
+                 "numerical/domain error: invalid point: g22 = m r^2 / 2 underflows to 0 at r = 1e-300"),
+            ]
+            for extra in ("", " --oracle-only")
+        ],
+        pytest.param(
+            "1e308,1e-5,0,-1,0.2",
+            "numerical/domain error: potential_U_dr requires a finite E = 2|V|t/r, got E = inf",
+            id="E-overflow",
+        ),
+        pytest.param(
+            "1e308,1e-5,0,-1,0.2 --oracle-only",
+            "numerical/domain error: potential_U requires a finite E = 2|V|t/r, got E = inf",
+            id="E-overflow --oracle-only",
+        ),
     ])
     def test_rdot_zero_names_precondition(self, cfg_path, capsys, args, fragment):
         with warnings.catch_warnings(record=True) as caught:
@@ -198,7 +227,10 @@ class TestSimulate:
         ))
         out = tmp_path / "o"
         assert run_cli("simulate", "--config", str(path), "--out", str(out)) == 0
-        assert "status=event:finite_time_collapse" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "status=event:finite_time_collapse" in printed
+        # at the solver's nodes the residual checks the spray it integrated
+        assert float(printed.split("max Euler-Lagrange residual: ")[1].split()[0]) < 1e-7
         last = (out / "trajectory.csv").read_text().splitlines()[-1]
         assert last.endswith(",finite_time_collapse")
 
@@ -254,11 +286,6 @@ class TestResonant:
         line = (out / "resonant.csv").read_text().splitlines()[1]
         cells = line.split(",")
         assert cells[5] != "" and cells[6] != ""
-
-    def test_plateau_summary_printed(self, cfg_path, tmp_path, capsys):
-        out = tmp_path / "o"
-        assert run_cli("resonant", "--config", cfg_path, "--out", str(out)) == 0
-        assert "plateau" in capsys.readouterr().out
 
 
 class TestDeviation:

@@ -10,6 +10,7 @@ from scipy.special import expi
 
 from jetlag.dynamics import (
     _COLLAPSE_SPACINGS,
+    _EL_MAX_POINTS,
     DeviationSeries,
     DeviationState,
     SimConfig,
@@ -23,7 +24,6 @@ from jetlag.dynamics import (
     hamiltonian_split,
     instanton_energy,
     integrate_geodesic,
-    plateau_interval,
     resonant_trajectory,
 )
 from jetlag.errors import DomainError
@@ -42,6 +42,23 @@ from jetlag.points import jet_point
 
 FP = FreePolarModel(m=1.0)
 FREE = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
+_DEFAULT_START = TrajectoryState(0.0, 0.5, 0.0, -1.0, 0.1)
+_COLLAPSING_START = TrajectoryState(0.0, 0.2, 0.0, -5.0, 0.0)
+
+
+class _ScaledSprayModel(MonolayerModel):
+    """The monolayer with G^1 scaled by 1 + 1e-6: the EL check must reject it."""
+
+    def spray(self, pt):
+        G1, G2 = super().spray(pt)
+        return G1 * (1.0 + 1e-6), G2
+
+
+def _checked_el(ser) -> np.ndarray:
+    """The EL residual at every checked sample; none of them reads NaN."""
+    el = ser.el_residual[:: math.ceil(len(ser.t) / _EL_MAX_POINTS)]
+    assert np.isfinite(el).all()
+    return el
 
 
 class TestIntegrateGeodesic:
@@ -81,15 +98,31 @@ class TestIntegrateGeodesic:
             integrate_geodesic(cfg, model5)
 
     def test_tolerance_scaling(self):
-        # a curved free-polar run: a 1000x tolerance tightening must cut the
-        # EL residual by well over 10x (until the FD noise floor ~2e-9)
+        # a curved free-polar run against its exact Cartesian straight line
+        # x = 1 - 0.2 t, y = 0.9 t: a 1000x tolerance tightening must cut the
+        # integration error by well over 10x
         state0 = TrajectoryState(0.0, 1.0, 0.0, -0.2, 0.9)
-        res = {}
+        err = {}
         for rtol in (1e-3, 1e-6):
-            cfg = SimConfig(params=FREE, state0=state0, t_end=1.0, rtol=rtol, atol=rtol)
+            cfg = SimConfig(params=FREE, state0=state0, t_end=1.0, rtol=rtol, atol=rtol,
+                            compute_el_residual=False)
             ser = integrate_geodesic(cfg, FP)
-            res[rtol] = np.nanmax(ser.el_residual)
-        assert res[1e-6] < max(res[1e-3] / 10.0, 5e-9)
+            x, y = 1.0 - 0.2 * ser.t, 0.9 * ser.t
+            err[rtol] = max(np.max(np.abs(ser.r - np.hypot(x, y))), np.max(np.abs(ser.phi - np.arctan2(y, x))))
+        assert err[1e-6] < err[1e-3] / 10.0
+
+    def test_el_residual_on_collapsing_run(self, params5, model5):
+        # a default-sweep start that ends in finite_time_collapse: at the
+        # solver's nodes the residual checks the spray it integrated
+        ser = integrate_geodesic(SimConfig(params5, _COLLAPSING_START, 2e-3), model5)
+        assert ser.status == "event:finite_time_collapse"
+        assert _checked_el(ser).max() < 1e-7
+
+    @pytest.mark.parametrize("state0", [_DEFAULT_START, _COLLAPSING_START], ids=["default", "collapsing"])
+    def test_el_residual_rejects_a_perturbed_spray(self, params5, state0):
+        # G^1 scaled by 1 + 1e-6 must fire at every checked sample
+        ser = integrate_geodesic(SimConfig(params5, state0, 2e-3), _ScaledSprayModel(params5))
+        assert _checked_el(ser).min() >= 5e-7
 
     def test_event_stops_near_collapse(self, params5, model5):
         cfg = SimConfig(
@@ -490,13 +523,6 @@ class TestComposeAndReverse:
         )
         with pytest.raises(ValueError):
             compose_perturbed(ref, bad)
-
-    def test_plateau_detector(self, params5):
-        t = np.linspace(0.0, 1.0, 101)
-        r = np.where(t < 0.3, 1.0 - t, 0.7)  # flat after t = 0.3
-        t0, t1, dur = plateau_interval(t, r)
-        assert dur > 0.5
-        assert t0 >= 0.28
 
 
 def test_closed_form_r0_horizon_guard(params5):
