@@ -21,6 +21,13 @@ stiff axes.  ``scales_for`` is that one policy; the nested steps of
 A probe where L is not finite raises ``StencilDomainError``.  Everything
 is deterministic for fixed inputs.
 
+One pass per ladder: the stencil, weights and step powers of a spec are
+a plan built once (``_plan``), and a call forms the steps and probes of
+all ``_NTAB`` levels in one array expression.  Each level's step product
+(the denominator) stays a 1-D expression of its own, evaluated when the
+tableau reaches the level: numpy's broadcast ``power`` rounds some
+squares differently, so a batched product would move partials' last bits.
+
 Probe memo: each probe is looked up in a ``values`` dict keyed by its five
 exact coordinates before the ``JetPoint`` is built, the domain checked or
 ``model.value`` called, and L is stored only for probes that pass both
@@ -38,20 +45,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
 from .errors import StencilDomainError
 from .points import AXES, JetPoint
 
-_EPS = float(np.finfo(float).eps)
-
 _H0_FACTOR = 0.05
 _CON = 2.0
 _CON2 = _CON * _CON
 _NTAB = 8
 _SAFE = 4.0
+#: the step ladder h0 / CON^i, i < NTAB, as factors of h0
+_SHRINK = np.array([_CON**-i for i in range(_NTAB)])
 
 # symmetric central stencils per axis order: (offset, weight) pairs
 _STENCILS = {
@@ -77,22 +83,23 @@ def scales_for(model, pt: JetPoint, spec=None) -> np.ndarray:
     return np.asarray(default_scales(pt) if scales is None else scales, dtype=float)
 
 
-def _axis_orders(spec) -> tuple[int, ...]:
-    counts = Counter(spec)
-    unknown = set(counts) - set(AXES)
+@functools.cache
+def _plan(spec: tuple):
+    """What a partial takes from its spec alone, built once per spec: the
+    composite stencil (offsets matrix, weights tuple) and the active axes
+    with the power of each step in the denominator."""
+    unknown = set(spec) - set(AXES)
     if unknown:
         raise ValueError(f"unknown axes in derivative spec: {sorted(unknown)}")
-    return tuple(counts.get(a, 0) for a in AXES)
-
-
-@functools.cache
-def _composite_stencil(orders):
-    """Tensor product of per-axis stencils: (offsets matrix, weights tuple)."""
+    orders = [spec.count(a) for a in AXES]
     per_axis = [_STENCILS[order] if order else ((0, 1.0),) for order in orders]
     combos = list(itertools.product(*per_axis))
     offsets = np.array([[c[0] for c in combo] for combo in combos], dtype=float)
-    offsets.flags.writeable = False
-    return offsets, tuple(math.prod(c[1] for c in combo) for combo in combos)
+    active = np.array(orders) > 0
+    powers = np.array(orders, dtype=float)[active]
+    for arr in (offsets, active, powers):
+        arr.flags.writeable = False
+    return offsets, tuple(math.prod(c[1] for c in combo) for combo in combos), active, powers
 
 
 def _probe_value(model, q: list) -> float:
@@ -132,28 +139,31 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> flo
     total = len(spec)
     if not 1 <= total <= MAX_ORDER:
         raise ValueError(f"derivative order must be 1..{MAX_ORDER}, got {total}")
-    orders = _axis_orders(spec)
+    offsets, weights, active, powers = _plan(spec)
     if values is None:
         values = {}
 
     scales = scales_for(model, pt, spec) if scales is None else np.asarray(scales, dtype=float)
+    hs = scales * _H0_FACTOR * _SHRINK[:, None]  # [level, axis]: the whole ladder
+    steps = hs[:, active]
 
-    h0 = scales * _H0_FACTOR
-    offsets, weights = _composite_stencil(orders)
-    base = pt.as_array()
-    denom_pow = np.array(orders, dtype=float)
-    active = denom_pow > 0
-
-    def apply(shrink: float) -> float:
-        hs = h0 * shrink
-        denom = float((hs[active] ** denom_pow[active]).prod())
+    def step_product(i: int) -> float:
+        denom = float((steps[i] ** powers).prod())
         if denom == 0.0 or not math.isfinite(denom):
             raise StencilDomainError(
                 f"finite-difference step product is {denom} for spec {spec} "
-                f"at steps {hs[active]}: the steps are too small or too large"
+                f"at steps {steps[i]}: the steps are too small or too large"
             )
+        return denom
+
+    # level 0's steps are checked before any probe is formed, so an infinite
+    # step raises without numpy's invalid-value warning from inf * 0
+    denom = step_product(0)
+    probes = (pt.as_array() + offsets * hs[:, None]).tolist()  # [level][stencil point]
+
+    def apply(i: int, denom: float) -> float:
         acc = 0.0
-        for q, weight in zip((base + offsets * hs).tolist(), weights):
+        for q, weight in zip(probes[i], weights):
             key = tuple(q)
             v = values.get(key)
             if v is None:
@@ -162,11 +172,11 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> flo
         return acc / denom
 
     # Ridders: Neville tableau in h^2 over steps h0 / CON^i
-    tableau = [[apply(1.0)]]
+    tableau = [[apply(0, denom)]]
     best = tableau[0][0]
     err = math.inf
     for i in range(1, _NTAB):
-        row = [apply(_CON**-i)]
+        row = [apply(i, step_product(i))]
         fac = _CON2
         for j in range(1, i + 1):
             prev = tableau[i - 1]

@@ -572,40 +572,45 @@ class MonolayerModel(LagrangianModel):
 
     def value(self, pt: JetPoint) -> float:
         p = self.params
-        expE, U = self._tr(pt.t, pt.r)
-        out = 0.5 * p.m * (pt.rdot**2 + pt.r**2 * pt.phidot**2) + U
+        t, (r, _), (rdot, phidot) = pt.t, pt.x, pt.y
+        expE, U = self._tr(t, r)
+        out = 0.5 * p.m * (rdot**2 + r**2 * phidot**2) + U
         if p.p != 0.0:
-            out -= p.p * pt.r**5 * p.V_abs * expE / pt.rdot
+            out -= p.p * r**5 * p.V_abs * expE / rdot
         return out
 
     def domain_violation(self, pt: JetPoint) -> str | None:
-        if pt.r <= 0.0:
-            return f"r = {pt.r} <= 0"
-        if self.params.p != 0.0:
-            if pt.rdot == 0.0:
+        params = self.params
+        t, (r, _), (rdot, _) = pt.t, pt.x, pt.y
+        if r <= 0.0:
+            return f"r = {r} <= 0"
+        if params.p != 0.0:
+            if rdot == 0.0:
                 return "rdot = 0 (the Lagrangian contains rdot^-1)"
             try:
-                rdot3 = pt.rdot**3
+                rdot3 = rdot**3
             except OverflowError:
-                return f"rdot^3 overflows at rdot = {pt.rdot} (g11 divides by rdot^3)"
+                return f"rdot^3 overflows at rdot = {rdot} (g11 divides by rdot^3)"
             try:
-                r5 = pt.r**5
+                r5 = r**5
             except OverflowError:
-                return f"r^5 overflows at r = {pt.r} (L contains p r^5 |V| e^E / rdot)"
+                return f"r^5 overflows at r = {r} (L contains p r^5 |V| e^E / rdot)"
             if rdot3 == 0.0:
-                return f"rdot^3 underflows to 0 at rdot = {pt.rdot} (g11 divides by rdot^3)"
-            g11 = 0.5 * _denominator(pt.t, pt.r, pt.rdot, self.params)
+                return f"rdot^3 underflows to 0 at rdot = {rdot} (g11 divides by rdot^3)"
+            # 0.5 * _denominator, in its operation order, from the powers above
+            E = 2.0 * params.V_abs * t / r
+            expE = _exp(E)
+            g11 = 0.5 * (params.m - 2.0 * params.p * r5 * params.V_abs * expE / rdot3)
             if not math.isfinite(r5 / rdot3):
-                return f"g11 = {g11} is not finite at rdot = {pt.rdot} (r^5 / rdot^3 overflows)"
+                return f"g11 = {g11} is not finite at rdot = {rdot} (r^5 / rdot^3 overflows)"
             if not math.isfinite(g11):
                 # where e^E itself overflows, L and the closed forms name it
-                E = 2.0 * self.params.V_abs * pt.t / pt.r
-                if math.isfinite(_exp(E)):
-                    return f"g11 = {g11} is not finite at E = {E:.6g}, rdot = {pt.rdot} (2 p r^5 |V| e^E / rdot^3 overflows)"
-            if abs(g11) <= _G11_REL_FLOOR * self.params.m:
+                if math.isfinite(expE):
+                    return f"g11 = {g11} is not finite at E = {E:.6g}, rdot = {rdot} (2 p r^5 |V| e^E / rdot^3 overflows)"
+            if abs(g11) <= _G11_REL_FLOOR * params.m:
                 return f"g11 = {g11} within {_G11_REL_FLOOR}*m of the singular locus"
-        if 0.5 * self.params.m * pt.r**2 == 0.0:
-            return f"g22 = m r^2 / 2 underflows to 0 at r = {pt.r} (the metric inverse divides by g22)"
+        if 0.5 * params.m * r**2 == 0.0:
+            return f"g22 = m r^2 / 2 underflows to 0 at r = {r} (the metric inverse divides by g22)"
         return None
 
     def fd_scales(self, pt: JetPoint, spec=None):

@@ -30,11 +30,12 @@ class JetPoint:
     y: tuple[float, float]
 
     def __post_init__(self):
-        vals = (self.t, *self.x, *self.y)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite jet point component in {vals}")
-        if self.x[0] <= 0.0:
-            raise ValueError(f"jet point requires r > 0, got r = {self.x[0]}")
+        t, (r, phi), (rdot, phidot) = self.t, self.x, self.y
+        if not (math.isfinite(t) and math.isfinite(r) and math.isfinite(phi)
+                and math.isfinite(rdot) and math.isfinite(phidot)):
+            raise ValueError(f"non-finite jet point component in {(t, r, phi, rdot, phidot)}")
+        if r <= 0.0:
+            raise ValueError(f"jet point requires r > 0, got r = {r}")
 
     @property
     def r(self) -> float:

@@ -19,6 +19,7 @@ from scipy.integrate import quad
 from jetlag.fd import noisy_field_partial, numeric_partials, scales_for
 from jetlag.geometry import GeometryEvaluator
 from jetlag.models import PolynomialModel
+from jetlag.monolayer import MonolayerModel
 from jetlag.points import AXES, jet_point
 
 
@@ -65,6 +66,24 @@ def polar_spray(r: float, rdot: float, phidot: float) -> tuple[float, float]:
 def polar_christoffel(r: float) -> dict:
     """Nonzero Christoffel symbols of the flat metric in polar coordinates."""
     return {"L1_22": -r, "L2_12": 1.0 / r}
+
+
+def asymmetric_lagrangian(t, r, phi, rd, pd):
+    """No symmetry of g, N, L or C can hide a transposed index here."""
+    return (
+        (1 + r**2 + 0.3 * t * r * phi) * rd**2 + 0.7 * r * rd * pd + (2 + phi**2 + 0.2 * t * r) * pd**2
+        + 0.1 * r**3 * rd**3 + 0.05 * phi * rd * pd**2 - 0.4 * r * phi + 0.3 * t * r * rd
+    )
+
+
+class CountingMonolayer(MonolayerModel):
+    """The monolayer model, counting its L-evaluations."""
+
+    calls = 0
+
+    def value(self, pt):
+        self.calls += 1
+        return super().value(pt)
 
 
 def monolayer_dL_drdot(t, r, rdot, m, p, V) -> float:

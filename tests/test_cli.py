@@ -1,12 +1,18 @@
 """CLI contract: subcommands, exit codes, strict config, stable CSV output."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import re
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetlag.cli import TRAJECTORY_HEADER, load_config, main
 
@@ -206,6 +212,34 @@ class TestEval:
 
     def test_malformed_point(self, cfg_path):
         assert run_cli("eval", "--config", cfg_path, "--point", "1,2,3") == 2
+
+    # edge values of each coordinate, one ordinary range (so that some draws
+    # are valid points) and the whole edge range; the example is a point where
+    # e^E and r^5 / rdot^3 are finite but g11 overflows
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @example(t=0.1, r=1.0, rdot=-1e-100, phidot=0.2)
+    @given(
+        t=st.sampled_from([0.0, 1e-300, 1e-3, 0.5, 1e100, 1e308, -1e-3, -1e308])
+        | st.floats(0.0, 1e-3) | st.floats(-1e308, 1e308),
+        r=st.sampled_from([1e-300, 1e-100, 1e-5, 0.5, 1e10, 1e100]) | st.floats(0.1, 1.0) | st.floats(1e-300, 1e100),
+        rdot=st.sampled_from([-1e300, -1e100, -5.0, -1e-100, -1e-300, 1e-300, 5.0])
+        | st.floats(-5.0, -0.1) | st.floats(-1e300, 5.0),
+        phidot=st.sampled_from([0.0, -1.0, 1e150, -1e150]) | st.floats(-1.0, 1.0) | st.floats(-1e150, 1e150),
+    )
+    def test_edge_points_end_in_a_result_or_a_classified_failure(self, t, r, rdot, phidot):
+        point = ",".join(repr(v) for v in (t, r, 0.0, rdot, phidot))
+        for extra in ([], ["--oracle-only"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = run_cli("eval", f"--point={point}", *extra)
+            assert rc in (0, 2, 3), (point, extra)
+            assert "Traceback" not in err.getvalue()
+            if rc == 0:
+                numbers = []
+                for token in re.split(r"[\s=]+", out.getvalue()):
+                    with contextlib.suppress(ValueError):
+                        numbers.append(float(token))
+                assert numbers and all(map(math.isfinite, numbers)), (point, extra, out.getvalue())
 
 
 class TestSimulate:

@@ -8,9 +8,17 @@ import pytest
 from jetlag.errors import SingularMetricError
 from jetlag.geometry import CartanConnection, EMForm, GeometryEvaluator, ym_energy
 from jetlag.models import FreePolarModel, PolynomialModel
-from jetlag.monolayer import MonolayerModel, closed_semispray
+from jetlag.monolayer import closed_semispray
 from jetlag.points import jet_point
-from oracles import FreshChildEvaluator, field_partial, polar_christoffel, polar_metric, polar_spray
+from oracles import (
+    CountingMonolayer,
+    FreshChildEvaluator,
+    asymmetric_lagrangian,
+    field_partial,
+    polar_christoffel,
+    polar_metric,
+    polar_spray,
+)
 
 FP = FreePolarModel(m=1.0)
 
@@ -246,14 +254,6 @@ def test_bundle_aggregates(model5, sample_pt):
     assert bundle.em.F.shape == (2, 2)
 
 
-def _asymmetric_lagrangian(t, r, phi, rd, pd):
-    """No symmetry of g, N, L or C can hide a transposed index here."""
-    return (
-        (1 + r**2 + 0.3 * t * r * phi) * rd**2 + 0.7 * r * rd * pd + (2 + phi**2 + 0.2 * t * r) * pd**2
-        + 0.1 * r**3 * rd**3 + 0.05 * phi * rd * pd**2 - 0.4 * r * phi + 0.3 * t * r * rd
-    )
-
-
 # every array of the bundle at (0.3, 1.2, 0.4, 0.8, -0.6), from an
 # evaluation that loops over the components of each index formula
 PINNED_BUNDLE = {
@@ -283,7 +283,7 @@ PINNED_BUNDLE = {
 
 
 def test_bundle_index_layout_is_pinned():
-    b = GeometryEvaluator(PolynomialModel(_asymmetric_lagrangian), jet_point(0.3, 1.2, 0.4, 0.8, -0.6)).bundle()
+    b = GeometryEvaluator(PolynomialModel(asymmetric_lagrangian), jet_point(0.3, 1.2, 0.4, 0.8, -0.6)).bundle()
     got = {
         "g": b.metric.g, "G": b.semispray.G, "N": b.nlc.N, "G_time": b.cartan.G_time, "L": b.cartan.L,
         "C": b.cartan.C, "H": b.torsions.H_tor, "R": b.torsions.R, "P_mixed": b.torsions.P_mixed, "F": b.em.F,
@@ -296,24 +296,16 @@ def test_bundle_index_layout_is_pinned():
 
 def test_bundle_energy_is_the_eval_rule():
     # a model without a mass takes m = 1, as `jetlag eval` does
-    ev = GeometryEvaluator(PolynomialModel(_asymmetric_lagrangian), jet_point(0.3, 1.2, 0.4, 0.8, -0.6))
+    ev = GeometryEvaluator(PolynomialModel(asymmetric_lagrangian), jet_point(0.3, 1.2, 0.4, 0.8, -0.6))
     energy = ev.bundle().ym_energy
     assert energy == ym_energy(ev.em_form(), 1.0)
     assert energy == pytest.approx(ev.em_form().F[1, 0] ** 2, rel=1e-14)
 
 
-class _CountingMonolayer(MonolayerModel):
-    calls = 0
-
-    def value(self, pt):
-        self.calls += 1
-        return super().value(pt)
-
-
 def test_bundle_evaluates_each_probe_once(params5, sample_pt):
     # the evaluator's probe memo: 5627 L-evaluations without it, 3131 with
     # it; nothing outlives the evaluator, so a second one pays the same
-    model = _CountingMonolayer(params5)
+    model = CountingMonolayer(params5)
     GeometryEvaluator(model, sample_pt).bundle()
     first = model.calls
     GeometryEvaluator(model, sample_pt).bundle()
@@ -325,7 +317,7 @@ def test_maxwell_reads_the_torsions_children(params5):
     # the N field of the torsions and the F field of the Maxwell check share
     # their children at pt +- h e_y: after bundle() the check evaluates no L
     pt = jet_point(1e-4, 0.5, 0.0, -1.0, 0.2)
-    model = _CountingMonolayer(params5)
+    model = CountingMonolayer(params5)
     ev = GeometryEvaluator(model, pt)
     ev.bundle()
     before = model.calls
@@ -335,7 +327,7 @@ def test_maxwell_reads_the_torsions_children(params5):
 
 def test_torsions_after_maxwell_add_the_six_other_children(params5):
     pt = jet_point(1e-4, 0.5, 0.0, -1.0, 0.2)
-    model = _CountingMonolayer(params5)
+    model = CountingMonolayer(params5)
     ev = GeometryEvaluator(model, pt)
     ev.maxwell_vertical_residual()
     y_children = set(ev._children)
@@ -348,7 +340,7 @@ def test_torsions_after_maxwell_add_the_six_other_children(params5):
     for q in added:
         moved = np.flatnonzero(q.as_array() != pt.as_array())
         assert len(moved) == 1 and moved[0] < 3, q
-    fresh = _CountingMonolayer(params5)
+    fresh = CountingMonolayer(params5)
     for q in added:
         GeometryEvaluator(fresh, q).nonlinear_connection()
     assert model.calls - before == fresh.calls > 0
@@ -359,7 +351,7 @@ def test_shared_children_match_fresh_evaluators(name, model5):
     # bit for bit, in both call orders: a kept child returns what a fresh
     # evaluator at its point returns
     rng = np.random.default_rng(23)
-    model = {"monolayer": model5, "free_polar": FP}.get(name) or PolynomialModel(_asymmetric_lagrangian)
+    model = {"monolayer": model5, "free_polar": FP}.get(name) or PolynomialModel(asymmetric_lagrangian)
     for k in range(20):
         if name == "monolayer":
             pt = jet_point(rng.uniform(1e-4, 1e-3), rng.uniform(0.3, 1.0), 0.0,
