@@ -4,10 +4,11 @@ Subcommands: eval, simulate, resonant, deviation, validate, sweep.
 Configuration is strict JSON (unknown keys are rejected) merged over the reference-parameter
 defaults (m=1, p=10, |V|=1000); all numeric CSV fields are written with 17 significant digits so
 repeated runs with the same config and seed are byte-identical.  Every CSV goes through one
-writer: a missing value is an empty cell, and a text cell holding a comma, a quote or a newline
-(a sweep's ``invalid:`` status) is quoted as RFC 4180 says.  ``simulate`` and each ``sweep`` run
-build their integrator from the same config path, so ``sweep`` honours every ``integrator``
-setting, ``max_step`` included.
+writer: a missing value is an empty cell, a text cell holding a comma, a quote or a newline
+(a sweep's ``invalid:`` status) is quoted as RFC 4180 says, and an inf or a NaN is a
+numerical failure.  ``simulate`` and each ``sweep`` run build their integrator from the same
+config path, so ``sweep`` honours every ``integrator`` setting, ``max_step`` included.  Each
+command runs the models ``_COMMAND_MODELS`` lists for it; any other exits 2.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical/domain failure.  JETLAG_LOG=debug|info|warning|error controls
@@ -57,8 +58,15 @@ def _fmt(x) -> str:
 def _write_csv(path: Path, header, rows) -> None:
     """Write one CSV table: str cells as they are, None as an empty cell, numbers via _fmt.
 
-    csv.writer quotes only the cells that hold a comma, a quote or a newline.
+    A non-finite number raises a DomainError naming the file and the column
+    before the file is opened.  csv.writer quotes only the cells that hold a
+    comma, a quote or a newline.
     """
+    rows = [list(row) for row in rows]
+    for row in rows:
+        for name, v in zip(header, row):
+            if not (v is None or isinstance(v, str) or math.isfinite(v)):
+                raise DomainError(f"{path.name}: column {name} holds the non-finite number {v}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -83,7 +91,6 @@ DEFAULTS = {
         "c2": 1.0,
         "delta_r": 0.0,
         "delta_rdot": 0.0,
-        "u_second_derivative": "r",
         "resonant_substitution": True,
         "rtol": 1e-10,
         "atol": 1e-12,
@@ -96,6 +103,17 @@ DEFAULTS = {
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: the models each command runs; ``eval`` runs every model there is
+_COMMAND_MODELS = {
+    "eval": ("monolayer", "free_polar", "electrodynamics_fixture"),
+    "simulate": ("monolayer", "free_polar"),
+    "sweep": ("monolayer", "free_polar"),
+    "resonant": ("monolayer",),
+    "deviation": ("monolayer",),
+    "validate": ("monolayer",),
+}
 
 
 def _check_keys(cfg: dict, defaults: dict, path: str = ""):
@@ -157,10 +175,8 @@ def load_config(path: str | None, seed_override=None) -> dict:
             raise ConfigError("top-level config must be a JSON object")
         _check_keys(cfg, DEFAULTS)
     merged = _merge(DEFAULTS, cfg)
-    if merged["model"] not in ("monolayer", "free_polar", "electrodynamics_fixture"):
+    if merged["model"] not in _COMMAND_MODELS["eval"]:
         raise ConfigError(f"unknown model: {merged['model']}")
-    if merged["deviation"]["u_second_derivative"] not in ("r", "t"):
-        raise ConfigError("deviation.u_second_derivative must be 'r' or 't'")
     _check_sweep(merged["sweep"])
     if seed_override is not None:
         merged["seed"] = int(seed_override)
@@ -289,8 +305,6 @@ def cmd_eval(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     model = _model_from(cfg)
-    if cfg["model"] == "electrodynamics_fixture":
-        raise ConfigError("simulate supports the monolayer and free_polar models")
     sim = _sim_config(cfg, TrajectoryState(**cfg["initial_state"]), cfg["t_end"])
     series = integrate_geodesic(sim, model)
     out = _out_dir(args) / "trajectory.csv"
@@ -352,7 +366,6 @@ def cmd_deviation(cfg: dict, args) -> int:
         init,
         params,
         resonant_substitution=d["resonant_substitution"],
-        u_second_derivative=d["u_second_derivative"],
         rtol=d["rtol"],
         atol=d["atol"],
     )
@@ -408,8 +421,6 @@ def cmd_validate(cfg: dict, args) -> int:
 
 
 def cmd_sweep(cfg: dict, args) -> int:
-    if cfg["model"] == "electrodynamics_fixture":
-        raise ConfigError("sweep supports the monolayer and free_polar models")
     sw = cfg["sweep"]
     r_lo, r_hi, r_n = sw["r"]
     rd_lo, rd_hi, rd_n = sw["rdot"]
@@ -504,6 +515,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed)
+        models = _COMMAND_MODELS[args.command]
+        if cfg["model"] not in models:
+            raise ConfigError(f"{args.command} does not run the {cfg['model']} model; it runs {', '.join(models)}")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

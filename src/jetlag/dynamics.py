@@ -37,7 +37,6 @@ from .monolayer import (
     lagrangian_value,
     potential_U,
     potential_U_drr,
-    potential_U_dtt,
     zero_energy_bracket,
 )
 from .points import JetPoint, jet_point
@@ -525,7 +524,7 @@ def resonant_trajectory(
             dense_output=True,
         )
         if sol.status != 0:
-            raise RuntimeError(f"resonant integration failed: {sol.message}")
+            raise JetLagError(f"resonant integration failed: {sol.message}")
         # merge the solver's accepted steps into the grid: steep initial
         # decay (large R0) is then resolved well enough for the Hermite
         # interpolation the deviation equations ride on
@@ -553,30 +552,26 @@ def deviation_integrate(
     reference: ResonantTrajectory,
     init: DeviationState,
     params: MonolayerParams,
-    t_eval=None,
     resonant_substitution: bool = True,
-    u_second_derivative: str = "r",
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> DeviationSeries:
-    """Integrate the explicit deviation ODEs along a resonant reference.
+    """Integrate the explicit deviation ODEs along a resonant reference,
+    sampled on the reference's own grid.
 
     delta_r obeys
 
         (2 p |V| r0^5 e^E0 - m rdot0^3) ddot(dr)
           + p |V| r0^3 e^E0 (2t|V| - 5 r0) rdot0 dot(dr)
-          + rdot0^3 Udd(t, r0) dr = 0
+          + rdot0^3 d2U/dr2(t, r0) dr = 0
 
-    with Udd = d2U/dr2 (default) or d2U/dt2.  On resonant references the
+    Each term has the units of the first, M L^4 T^-5; d2U/dt2 in place of
+    d2U/dr2 would carry an extra (L/T)^2.  On resonant references the
     delta_phi friction coefficient is identically reduced to zero (the
     resonance-condition substitution), so delta_phi = C1 + C2 t; pass
     resonant_substitution=False to evaluate the printed coefficient
     literally instead.
     """
-    if u_second_derivative not in ("r", "t"):
-        raise ValueError("u_second_derivative must be 'r' or 't'")
-    udd = potential_U_drr if u_second_derivative == "r" else potential_U_dtt
-
     spl = reference.spline()
     rdot_spl = reference.rdot_spline()
     # coarse-grid guard: the Hermite derivative must agree with the stored
@@ -597,7 +592,7 @@ def deviation_integrate(
         expE0 = math.exp(E0)
         A = 2.0 * p * V * r0**5 * expE0 - m * rd0**3
         B = p * V * r0**3 * expE0 * (2.0 * t * V - 5.0 * r0) * rd0
-        C = rd0**3 * udd(t, r0, params)
+        C = rd0**3 * potential_U_drr(t, r0, params)
         return r0, rd0, A, B, C
 
     def phi_coeff(t, r0, rd0):
@@ -626,22 +621,19 @@ def deviation_integrate(
 
     from scipy.integrate import solve_ivp
 
-    if t_eval is None:
-        t_eval = reference.t
-    t_eval = np.asarray(t_eval, dtype=float)
     w0 = [init.delta_r, init.delta_rdot, init.delta_phi, init.delta_phidot]
     sol = solve_ivp(
         rhs,
-        (t_eval[0], t_eval[-1]),
+        (reference.t[0], reference.t[-1]),
         w0,
         method="RK45",
         rtol=rtol,
         atol=atol,
-        t_eval=t_eval,
+        t_eval=reference.t,
         dense_output=False,
     )
     if sol.status != 0:
-        raise RuntimeError(f"deviation integration failed: {sol.message}")
+        raise JetLagError(f"deviation integration failed: {sol.message}")
     return DeviationSeries(
         t=sol.t,
         delta_r=sol.y[0],
@@ -659,30 +651,22 @@ def compose_perturbed(
     """r(t) = r0 + delta_r(t) on the reference's convention (the stored r0
     already carries the time reversal: it satisfies the post-reversal
     resonance equations with rdot0 < 0).  The unperturbed angle is constant
-    (the fully separated phidot0 = 0 case), so phi(t) = delta_phi(t)."""
+    (the fully separated phidot0 = 0 case), so phi(t) = delta_phi(t).  The
+    deviations must sit on the reference's grid, as ``deviation_integrate``
+    leaves them."""
     dev = deviations
-    if len(deviations.t) == len(reference.t) and np.allclose(
-        deviations.t, reference.t, rtol=0.0, atol=1e-12 * max(1.0, reference.t[-1])
-    ):
-        t = reference.t
-        r0 = reference.r0
-        rd0 = reference.r0dot
-    else:
-        t = deviations.t
-        if t[0] < reference.t[0] - 1e-12 or t[-1] > reference.t[-1] + 1e-12:
-            raise ValueError("deviation grid extends beyond the reference span")
-        r0 = reference.spline()(t)
-        rd0 = reference.rdot_spline()(t)
-
-    r = r0 + dev.delta_r
-    rdot = rd0 + dev.delta_rdot
+    t = reference.t
+    if len(dev.t) != len(t) or not np.allclose(dev.t, t, rtol=0.0, atol=1e-12 * max(1.0, t[-1])):
+        raise ValueError("deviations are not sampled on the reference grid")
+    r = reference.r0 + dev.delta_r
+    rdot = reference.r0dot + dev.delta_rdot
     phi = dev.delta_phi.copy()
     phidot = dev.delta_phidot.copy()
     e_inst, H, H_ym, eym, g11 = _diagnostics(reference.params, t, r, phi, rdot, phidot)
     return TrajectorySeries(
         params=reference.params,
         model_name="monolayer(composed)",
-        t=np.asarray(t, dtype=float),
+        t=t,
         r=r,
         phi=phi,
         rdot=rdot,

@@ -197,7 +197,6 @@ _u_r = _combine((5, 0, _u), (-1, 1, _u1))  # r^-4 dU/dr / p = 5u - E u', as dE/d
 _U = _compiled(_u)
 _U_R = _compiled(_u_r)
 _U_RR = _compiled(_combine((20, 0, _u), (-8, 1, _u1), (1, 2, _u2)))  # r^-3 d2U/dr2 / p
-_U_TT = _compiled(_u2)  # d2U/dt2 = 4 p |V|^2 r^3 u'', as dE/dt = 2|V|/r
 _SCRIPT_U_DT = _compiled(_combine((1, 0, _dE(_u_r)), (-1, 0, _u_r)))  # e^E d/dE [e^-E (5u - E u')]
 
 
@@ -254,11 +253,6 @@ def potential_U_dr(t: float, r: float, params: MonolayerParams) -> float:
 def potential_U_drr(t: float, r: float, params: MonolayerParams) -> float:
     """d2U/dr2 = p r^3 (20u - 8E u' + E^2 u''), the deviation equation's Udd."""
     return _potential(_U_RR, 3, t, r, params, "potential_U_drr")
-
-
-def potential_U_dtt(t: float, r: float, params: MonolayerParams) -> float:
-    """d2U/dt2 = 4 p |V|^2 r^3 u'' (the alternative U-double-dot reading)."""
-    return 4.0 * params.V_abs**2 * _potential(_U_TT, 3, t, r, params, "potential_U_dtt")
 
 
 def electrocapillarity_U_s(t, r, rdot, params: MonolayerParams):
@@ -428,7 +422,12 @@ def closed_nonlinear_connection(
         if params.p != 0.0:
             G1 = closed_semispray(pt, params, form="exact").G[0]
             num_rd = -a * (rdot * (5.0 * r - 2.0 * V * t) + 2.0 * V * r) / (2.0 * r**2)
-            N[0, 0] = (num_rd - 3.0 * a * G1 / rdot) / D
+            with np.errstate(over="ignore", invalid="ignore"):
+                N[0, 0] = (num_rd - 3.0 * a * G1 / rdot) / D
+            if not math.isfinite(N[0, 0]):
+                raise DomainError(
+                    f"closed_nonlinear_connection: N11 = {N[0, 0]} is not finite at |rdot| = {abs(rdot):.6g}"
+                )
         N[0, 1] = -params.m * r * phidot / D
     else:
         raise ValueError(f"unknown nonlinear-connection form {form!r}")

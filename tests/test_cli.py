@@ -8,7 +8,9 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -148,6 +150,12 @@ class TestEval:
             "numerical/domain error: metric is singular within tolerance: g = [[",
             id="fd-metric-singular",
         ),
+        pytest.param(
+            # a = 2 p r^5 |V| e^E / rdot^3 is finite there, but 3 a G^1 / rdot in N11 is not
+            "7.44e-4,0.125,0,-1e-100,0",
+            "numerical/domain error: closed_nonlinear_connection: N11 = nan is not finite at |rdot| = 1e-100",
+            id="N11-overflow",
+        ),
         *[
             pytest.param(point + extra, fragment, id=name + extra)
             for name, point, fragment in [
@@ -218,6 +226,7 @@ class TestEval:
     # e^E and r^5 / rdot^3 are finite but g11 overflows
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @example(t=0.1, r=1.0, rdot=-1e-100, phidot=0.2)
+    @example(t=7.44e-4, r=0.125, rdot=-1e-100, phidot=0.0)  # a is finite, N11 is not
     @given(
         t=st.sampled_from([0.0, 1e-300, 1e-3, 0.5, 1e100, 1e308, -1e-3, -1e308])
         | st.floats(0.0, 1e-3) | st.floats(-1e308, 1e308),
@@ -240,6 +249,62 @@ class TestEval:
                     with contextlib.suppress(ValueError):
                         numbers.append(float(token))
                 assert numbers and all(map(math.isfinite, numbers)), (point, extra, out.getvalue())
+
+
+#: edge values of the parameters, as for the eval points above
+_EDGE = [1e-300, 1e-100, 1e-5, 0.5, 1e10, 1e100, 1e300]
+
+
+@st.composite
+def _edge_configs(draw):
+    """A command and a config of it with p, m, |V| and R0 from 1e-300 to 1e300, each
+    run short: simulate to t_end <= 1e-3, a sweep of 1 or 2 runs, few resonant samples."""
+    cmd = draw(st.sampled_from(["simulate", "sweep", "resonant", "deviation"]))
+    defaults = {"p": 10.0, "m": 1.0, "V_abs": 1000.0, "R0": 1.0}
+    cfg = {"params": {k: draw(st.sampled_from([v, *_EDGE]) | st.floats(1e-300, 1e300)) for k, v in defaults.items()}}
+    t_end = draw(st.sampled_from([1e-6, 1e-3]) | st.floats(1e-9, 1e-3))
+    if cmd == "simulate":
+        cfg["t_end"] = t_end
+    elif cmd == "sweep":
+        n = draw(st.integers(1, 2))
+        cfg["sweep"] = {"r": [0.2, 1.0, n], "rdot": [-5.0, -0.5, 1], "phidot_values": [0.0], "t_end": t_end}
+    else:
+        cfg["resonant"] = {"n_samples": draw(st.integers(2, 30))}
+    if cmd == "deviation":
+        cfg["deviation"] = {
+            k: draw(st.sampled_from([0.0, 1e-300, 1e-5, 1.0, 1e300]) | st.floats(0.0, 1e300))
+            for k in ("delta_r", "delta_rdot")
+        }
+    return cmd, cfg
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@example(("resonant", {"params": {"R0": 1e300}}))  # the solver gives up
+@example(("deviation", {"deviation": {"delta_r": 1e300}}))
+@example(("resonant", {"model": "electrodynamics_fixture"}))  # a model resonant does not run
+@example(("resonant", {"params": {"p": 1e300}}))  # non-finite CSV cells
+@example(("resonant", {"params": {"m": 1e-300}}))
+@example(("resonant", {"params": {"R0": 1e-300}}))
+@example(("sweep", {"params": {"p": 1e-300}, "sweep": {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "t_end": 1e-4}}))
+@given(_edge_configs())
+def test_edge_configs_end_in_a_result_or_a_classified_failure(case):
+    cmd, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = run_cli(cmd, "--config", str(path), "--out", str(Path(tmp) / "o"))
+        assert rc in (0, 2, 3), (cmd, cfg)
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            for table in Path(tmp).glob("o/*.csv"):
+                with open(table, newline="") as fh:
+                    for row in csv.reader(fh):
+                        for cell in row:
+                            with contextlib.suppress(ValueError):
+                                assert math.isfinite(float(cell)), (cmd, cfg, table.name, row)
 
 
 class TestSimulate:
@@ -412,6 +477,16 @@ class TestSweep:
         assert invalid[6:] == ["", "", ""]  # t_last, r_last, file
         assert valid[header.index("status")] == "completed"
 
+    def test_nonfinite_cell_is_an_invalid_run(self, tmp_path):
+        # p = 1e-300 leaves the zero-energy bracket ~ 1/p, whose square overflows in H_YM
+        sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 1e-4}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out, rows = self._sweep(tmp_path, {"params": {"p": 1e-300}, "sweep": sweep})
+        header, run = rows
+        assert run[header.index("status")] == "invalid:run_000.csv: column H_YM holds the non-finite number nan"
+        assert not (out / "run_000.csv").exists()
+
     def test_honours_integrator_max_step(self, tmp_path):
         sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 1e-4}
         out, rows = self._sweep(tmp_path, {"integrator": {"max_step": 1e-6}, "sweep": sweep})
@@ -434,6 +509,37 @@ def test_eval_other_models(tmp_path, capsys):
     out = capsys.readouterr().out
     f21_line = next(l for l in out.splitlines() if l.startswith("F21"))
     assert float(f21_line.split()[1]) == pytest.approx(1.5, rel=1e-12)  # (e/2m)(a-b)
+
+
+@pytest.mark.parametrize("cmd, model", [
+    *[(cmd, model) for cmd in ("resonant", "deviation", "validate") for model in ("free_polar", "electrodynamics_fixture")],
+    ("simulate", "electrodynamics_fixture"),
+    ("sweep", "electrodynamics_fixture"),
+])
+def test_commands_reject_a_model_they_do_not_run(tmp_path, capsys, cmd, model):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": model}))
+    assert run_cli(cmd, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {cmd} does not run the {model} model; it runs ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cmd, cfg, fragment", [
+    pytest.param("resonant", {"params": {"R0": 1e300}}, "resonant integration failed", id="resonant-give-up"),
+    pytest.param("validate", {"params": {"R0": 1e300}}, "resonant integration failed", id="validate-give-up"),
+    pytest.param("deviation", {"deviation": {"delta_r": 1e300}}, "deviation integration failed", id="deviation-give-up"),
+    pytest.param("resonant", {"params": {"p": 1e300}}, "resonant.csv: column residual_eq21 holds the non-finite number nan",
+                 id="nonfinite-cell"),
+])
+def test_numerical_failures_exit_3(tmp_path, capsys, cmd, cfg, fragment):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli(cmd, "--config", str(path), "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert f"numerical/domain error: {fragment}" in err and "Traceback" not in err
+    assert not list(tmp_path.glob("o/*.csv"))
 
 
 def test_console_entry_point(cfg_path):

@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy.special import expi
 
+from jetlag import dynamics
 from jetlag.dynamics import (
     _COLLAPSE_SPACINGS,
     _EL_MAX_POINTS,
@@ -441,10 +442,10 @@ class TestDeviation:
     def test_c1_zero_c2_one_at_t_two(self):
         # delta_phi(2) = 2 needs a horizon past t = 2: R0 = 2500 gives 2.5
         params = MonolayerParams(m=1.0, p=10.0, V_abs=1000.0, R0=2500.0)
+        # 221 samples over (0, 2.2) put a grid node at t = 2
         ref = resonant_trajectory(params, t_span=(0.0, 2.2), source="ode",
-                                  n_samples=800, rtol=1e-10, atol=1e-12)
-        dev = deviation_integrate(ref, DeviationState(0.0, 0.0, 0.0, 1.0), params,
-                                  t_eval=np.linspace(0.0, 2.2, 221))
+                                  n_samples=221, rtol=1e-10, atol=1e-12)
+        dev = deviation_integrate(ref, DeviationState(0.0, 0.0, 0.0, 1.0), params)
         i = np.searchsorted(dev.t, 2.0)
         assert dev.t[i] == pytest.approx(2.0, abs=1e-12)
         assert dev.delta_phi[i] == pytest.approx(2.0, abs=1e-8)
@@ -460,18 +461,6 @@ class TestDeviation:
         dev = deviation_integrate(ref, DeviationState(1e-4, 0.0, 0.0, 0.0), params5)
         assert np.all(np.isfinite(dev.delta_r))
         assert np.max(np.abs(dev.delta_r)) > 0.0
-
-    def test_u_second_derivative_switch(self, params5):
-        # the d2U/dt2 reading makes the radial equation much stiffer, so the
-        # sensitivity comparison runs on a short initial window
-        ref = resonant_trajectory(params5, t_span=(0.0, 5e-5), source="ode", n_samples=100)
-        a = deviation_integrate(ref, DeviationState(1e-4, 0.0, 0.0, 0.0), params5,
-                                u_second_derivative="r", rtol=1e-8, atol=1e-10)
-        b = deviation_integrate(ref, DeviationState(1e-4, 0.0, 0.0, 0.0), params5,
-                                u_second_derivative="t", rtol=1e-8, atol=1e-10)
-        assert not np.allclose(a.delta_r, b.delta_r)
-        with pytest.raises(ValueError):
-            deviation_integrate(ref, DeviationState(), params5, u_second_derivative="x")
 
     def test_coarse_reference_rejected(self, params5):
         from jetlag.dynamics import ResonantTrajectory
@@ -491,6 +480,36 @@ class TestDeviation:
         )
         assert np.all(np.isfinite(dev.delta_phi))
 
+    @staticmethod
+    def _scaled_delta_r(lam, tau):
+        """delta_r at the 400 linspace nodes of the default span, with lengths
+        scaled by lam and times by tau: r and R0 by lam, |V| by lam/tau, p by
+        lam^-3 tau^-2 (p r^5 is an energy), m fixed."""
+        params = MonolayerParams(m=1.0, p=10.0 / (lam**3 * tau**2), V_abs=1000.0 * lam / tau, R0=lam)
+        ref = resonant_trajectory(params)
+        dev = deviation_integrate(ref, DeviationState(1e-4 * lam, 1e-3 * lam / tau, 0.3, 0.2 / tau), params)
+        nodes = np.isin(ref.t, np.linspace(0.0, 0.8 * (params.R0 / params.V_abs), 400))
+        assert np.count_nonzero(nodes) == 400
+        return dev.delta_r[nodes]
+
+    def _covariance_error(self, lam, tau):
+        """Largest |delta_r' - lam delta_r| over max |lam delta_r| at matching nodes."""
+        want = lam * self._scaled_delta_r(1.0, 1.0)
+        return np.max(np.abs(self._scaled_delta_r(lam, tau) - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("lam, tau", [(2.0, 1.0), (1.0, 3.0), (0.5, 7.0)])
+    def test_unit_covariance(self, lam, tau):
+        # A ddot(dr), B dot(dr) and rdot0^3 d2U/dr2 dr all carry M L^4 T^-5,
+        # so lam delta_r(t / tau) solves the scaled problem
+        assert self._covariance_error(lam, tau) < 1e-8
+
+    @pytest.mark.parametrize("lam, tau", [(2.0, 1.0), (1.0, 3.0), (0.5, 7.0)])
+    def test_unit_covariance_rejects_a_dimensional_error(self, monkeypatch, lam, tau):
+        # |V|^2 d2U/dr2 carries the extra (L/T)^2 that d2U/dt2 would bring
+        drr = dynamics.potential_U_drr
+        monkeypatch.setattr(dynamics, "potential_U_drr", lambda t, r, params: params.V_abs**2 * drr(t, r, params))
+        assert self._covariance_error(lam, tau) > 1e-8
+
 
 class TestComposeAndReverse:
     def test_zero_deviation_recovers_reference(self, params5):
@@ -508,21 +527,14 @@ class TestComposeAndReverse:
         assert np.all(np.diff(comp.r) < 0.0)
         assert np.max(np.abs(comp.phi - comp.t)) < 1e-10
 
-    def test_compose_resamples_foreign_grid(self, params5):
+    def test_compose_rejects_foreign_grid(self, params5):
         ref = resonant_trajectory(params5, source="ode")
-        coarse_eval = ref.t[:: max(1, len(ref.t) // 60)]
-        dev = deviation_integrate(ref, DeviationState(0.0, 0.0, 0.0, 1.0), params5,
-                                  t_eval=coarse_eval)
-        comp = compose_perturbed(ref, dev)
-        assert len(comp.t) == len(coarse_eval)
-        assert np.max(np.abs(comp.phi - comp.t)) < 1e-10
-        bad = DeviationSeries(
-            t=np.array([ref.t[0], ref.t[-1] + 1.0]),
-            delta_r=np.zeros(2), delta_rdot=np.zeros(2),
-            delta_phi=np.zeros(2), delta_phidot=np.zeros(2), c1=0.0, c2=0.0,
-        )
-        with pytest.raises(ValueError):
-            compose_perturbed(ref, bad)
+        for t in (ref.t[::10], np.array([ref.t[0], ref.t[-1] + 1.0])):
+            zeros = np.zeros(len(t))
+            foreign = DeviationSeries(t=t, delta_r=zeros, delta_rdot=zeros, delta_phi=zeros,
+                                      delta_phidot=zeros, c1=0.0, c2=0.0)
+            with pytest.raises(ValueError, match="not sampled on the reference grid"):
+                compose_perturbed(ref, foreign)
 
 
 def test_closed_form_r0_horizon_guard(params5):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -27,7 +28,6 @@ from jetlag.monolayer import (
     potential_U,
     potential_U_dr,
     potential_U_drr,
-    potential_U_dtt,
     pressure_param,
     semispray_series_bracket,
     script_U,
@@ -76,7 +76,6 @@ REF_BANDS = (0.0, 1.0, 10.0, 40.0, 200.0)
 #   U           5.4e-13 2.0e-16 9.1e-15 5.9e-12 1.4e-9
 #   U_r         2.4e-14 2.9e-16 1.8e-15 1.5e-13 6.4e-12
 #   U_rr        1.1e-14 3.4e-16 1.6e-15 2.1e-14 2.7e-12
-#   U_tt        1.7e-14 3.5e-16 3.3e-15 9.3e-14 1.2e-12
 #   bracket     1.2e-14 2.3e-16 2.1e-15 1.9e-13 6.5e-12
 #   script_U_dt 7.4e-13 1.7e-16 5.6e-15 2.9e-12 1.1e-9
 # The large-E error is the e^E / Ei cancellation inside u.
@@ -84,7 +83,6 @@ REF_BOUNDS = {
     "U": (potential_U, (2.2e-12, 8e-16, 3.7e-14, 2.4e-11, 5.6e-9)),
     "U_r": (potential_U_dr, (9.6e-14, 1.2e-15, 7.2e-15, 6e-13, 2.6e-11)),
     "U_rr": (potential_U_drr, (4.4e-14, 1.4e-15, 6.4e-15, 8.4e-14, 1.1e-11)),
-    "U_tt": (potential_U_dtt, (6.8e-14, 1.4e-15, 1.3e-14, 3.7e-13, 4.8e-12)),
     "bracket": (semispray_series_bracket, (4.8e-14, 9.2e-16, 8.4e-15, 7.6e-13, 2.6e-11)),
     "script_U_dt": (script_U_dt, (3e-12, 6.8e-16, 2.2e-14, 1.2e-11, 4.4e-9)),
 }
@@ -111,7 +109,6 @@ def potential_references():
                     "U": U(tm, rm),
                     "U_r": U_r,
                     "U_rr": mpmath.diff(U, (tm, rm), (0, 2)),
-                    "U_tt": mpmath.diff(U, (tm, rm), (2, 0)),
                     # -e^-E dU/dr / (4 p r^5), and d/dt of 3/|V| times it
                     "bracket": -mpmath.exp(-Em) * U_r / (4 * p * rm**5),
                     "script_U_dt": -3 / (4 * p * V * rm**5) * mpmath.exp(-Em) * (U_tr - 2 * V / rm * U_r),
@@ -159,13 +156,6 @@ class TestPotential:
             err = float(abs(fn(t, r, params5) / ref[name] - 1))
             worst[band] = max(worst[band], err)
         assert all(w <= b for w, b in zip(worst, bounds)), (name, worst)
-
-    def test_dtt_at_t_zero_and_domain(self, params5):
-        # at w = 0 only the polynomial term survives: p |V|^2 (-r^3)
-        want = -params5.p * params5.V_abs**2 * 0.7**3
-        assert potential_U_dtt(0.0, 0.7, params5) == pytest.approx(want, rel=1e-14)
-        with pytest.raises(DomainError):
-            potential_U_dtt(1e-3, 0.0, params5)
 
 
 class TestLagrangian:
@@ -224,6 +214,15 @@ class TestStiffOverflow:
     def test_stiff_term_names_the_caller(self, params5, fn):
         with pytest.raises(DomainError, match=f"^{fn.__name__}: a = 2 p r\\^5 .* is not finite at \\|rdot\\| = 1e-100"):
             fn(self.PT, params5, form="exact")
+
+    # a is finite (|a| ~ 1e305) at these points, but 3 a G^1 / rdot in N11 is not
+    @pytest.mark.parametrize("t, r", [(7.44e-4, 0.125), (1e-3, 1.0), (1e-3, 0.3)])
+    def test_nonfinite_N11_names_the_connection(self, params5, t, r):
+        pt = jet_point(t, r, 0.0, -1e-100, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^closed_nonlinear_connection: N11 = (nan|-inf) is not finite"):
+                closed_nonlinear_connection(pt, params5, form="exact")
 
     def test_arrays(self, params5):
         from jetlag.monolayer import _stiff_term
