@@ -258,7 +258,7 @@ def _closed_eval_columns(cfg, model, pt) -> dict:
         return _eval_quantities(met.g, spray.G, nlc.N, mono.em_component_f21(pt, params, form="exact"), eym)
     if cfg["model"] == "free_polar":
         m = cfg["params"]["m"]
-        return _eval_quantities(np.diag([0.5 * m, 0.5 * m * pt.r**2]), model.spray(pt))
+        return _eval_quantities(np.diag([0.5 * m, 0.5 * m * pt.r**2]), model.spray(pt.t, *pt.x, *pt.y))
     # electrodynamics fixture: the classical closed-form F
     return _eval_quantities(F21=closed_em_form(model.params, np.array(pt.x)).F[1, 0])
 

@@ -39,7 +39,7 @@ from .monolayer import (
     potential_U_drr,
     zero_energy_bracket,
 )
-from .points import JetPoint, jet_point
+from .points import JetPoint, check_coordinates, jet_point
 
 #: at most this many samples of a run get the FD Euler-Lagrange residual
 _EL_MAX_POINTS = 400
@@ -264,19 +264,24 @@ def _diagnostics(params: MonolayerParams, t, r, phi, rdot, phidot):
 
 
 def _spray_of(model: LagrangianModel):
+    """(t, r, phi, rdot, phidot) -> (G1, G2) on floats, the coordinates
+    checked as a JetPoint checks them: the model's closed spray, or the FD
+    semispray of a model without one."""
+
     def spray(t, r, phi, rdot, phidot):
-        pt = jet_point(t, r, phi, rdot, phidot)
-        closed = model.spray(pt)
+        check_coordinates(t, r, phi, rdot, phidot)
+        closed = model.spray(t, r, phi, rdot, phidot)
         if closed is not None:
             return closed
-        G = GeometryEvaluator(model, pt).semispray().G
+        G = GeometryEvaluator(model, JetPoint(t, (r, phi), (rdot, phidot))).semispray().G
         return float(G[0]), float(G[1])
 
     return spray
 
 
-def _safe_state(u, r_floor, needs_rdot):
-    """Clamp trial-stage states so the RHS stays finite past the event loci."""
+def _safe_state(u: list, r_floor, needs_rdot):
+    """Clamp trial-stage states so the RHS stays finite past the event loci;
+    u = [r, phi, rdot, phidot] as Python floats."""
     r, phi, rdot, phidot = u
     if r < r_floor:
         r = r_floor
@@ -292,6 +297,7 @@ def _finite_time_collapse(spray, t, u) -> SingularEvent | None:
     accelerating inward (-2 G^1 < 0), and r/|rdot| -- which then bounds the
     time left until r = 0 -- is within _COLLAPSE_SPACINGS float spacings of
     t, a scale of t's own resolution and not of the solver tolerances."""
+    t = float(t)
     r, phi, rdot, phidot = (float(v) for v in u)
     if not rdot < 0.0:
         return None
@@ -301,7 +307,7 @@ def _finite_time_collapse(spray, t, u) -> SingularEvent | None:
         return None
     left = r / -rdot
     if -2.0 * G1 < 0.0 and left <= _COLLAPSE_SPACINGS * math.ulp(t):
-        return SingularEvent("finite_time_collapse", float(t), float(t) + left, float(t))
+        return SingularEvent("finite_time_collapse", t, t + left, t)
     return None
 
 
@@ -313,13 +319,15 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
     if violation is not None:
         raise DomainError(f"initial state invalid: {violation}")
 
+    # the right-hand side and the events run on Python floats: u.tolist()
+    # and float(t), the values a JetPoint per call used to hold
     spray = _spray_of(model)
     needs_rdot = model.requires_nonzero_rdot
     r_floor = config.r_min / 10.0
 
     def rhs(t, u):
-        r, phi, rdot, phidot = _safe_state(u, r_floor, needs_rdot)
-        G1, G2 = spray(t, r, phi, rdot, phidot)
+        r, phi, rdot, phidot = _safe_state(u.tolist(), r_floor, needs_rdot)
+        G1, G2 = spray(float(t), r, phi, rdot, phidot)
         return [rdot, phidot, -2.0 * G1, -2.0 * G2]
 
     events = []
@@ -341,11 +349,12 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
         events.append(ev_rdot)
         kinds.append("rdot_zero")
 
-    if model.metric_g11(pt0) is not None:
+    if model.metric_g11(pt0.t, *pt0.x, *pt0.y) is not None:
 
         def ev_g11(t, u):
-            r, phi, rdot, phidot = _safe_state(u, r_floor, needs_rdot)
-            return model.metric_g11(jet_point(t, r, phi, rdot, phidot))
+            state = (float(t), *_safe_state(u.tolist(), r_floor, needs_rdot))
+            check_coordinates(*state)
+            return model.metric_g11(*state)
 
         ev_g11.terminal = True
         events.append(ev_g11)
@@ -353,7 +362,8 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
 
     from scipy.integrate import solve_ivp  # here, so `import jetlag` skips scipy.integrate
 
-    u0 = [config.state0.r, config.state0.phi, config.state0.rdot, config.state0.phidot]
+    # an array, as the events see it at t0 too
+    u0 = np.array([config.state0.r, config.state0.phi, config.state0.rdot, config.state0.phidot], dtype=float)
     sol = solve_ivp(
         rhs,
         (config.state0.t, config.t_end),
@@ -392,8 +402,9 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
     if config.compute_el_residual and len(t) >= 3:
         stride = max(1, int(math.ceil(len(t) / _EL_MAX_POINTS)))
         el = np.full(len(t), np.nan)
+        nodes = np.vstack([t, sol.y]).T.tolist()
         for i in range(0, len(t), stride):
-            node = (t[i], r[i], phi[i], rdot[i], phidot[i])
+            node = nodes[i]
             try:
                 G1, G2 = spray(*node)
                 ev = GeometryEvaluator(model, jet_point(*node))
@@ -424,11 +435,30 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
 
 
 def resonant_rhs(t, r0, params: MonolayerParams, R0: float):
-    """rdot0 = -(6 p |V| / m)^(1/3) r0^(5/3) e^(2|V|t / (3(R0 - |V|t)))."""
+    """rdot0 = -(6 p |V| / m)^(1/3) r0^(5/3) e^(2|V|t / (3(R0 - |V|t))).
+
+    A float r0, the solver's call, stays on :mod:`math`, with numpy's
+    answers where math would raise: NaN for r0 < 0 and inf for an
+    overflowing power or exponential.  numpy's SIMD exp and pow round
+    differently on different CPUs, and the solver's accepted steps join
+    the sample grid.  An array r0 (the r0dot pass on that grid) goes
+    through numpy.
+    """
     c = (6.0 * params.p * params.V_abs / params.m) ** (1.0 / 3.0)
-    return -c * np.asarray(r0) ** (5.0 / 3.0) * np.exp(
-        2.0 * params.V_abs * t / (3.0 * (R0 - params.V_abs * t))
-    )
+    exponent = 2.0 * params.V_abs * t / (3.0 * (R0 - params.V_abs * t))
+    if type(r0) is not float:
+        return -c * np.asarray(r0) ** (5.0 / 3.0) * np.exp(exponent)
+    if not r0 >= 0.0:
+        return math.nan
+    try:
+        power = r0 ** (5.0 / 3.0)
+    except OverflowError:
+        power = math.inf
+    try:
+        growth = math.exp(exponent)
+    except OverflowError:
+        growth = math.inf
+    return -c * power * growth
 
 
 def closed_form_r0(t, params: MonolayerParams, R0: float) -> np.ndarray:
@@ -515,7 +545,7 @@ def resonant_trajectory(
 
         seed = R0 * (1.0 - t0 * V / R0)
         sol = solve_ivp(
-            lambda t, r: resonant_rhs(t, r, params, R0),
+            lambda t, r: [resonant_rhs(t, float(r[0]), params, R0)],
             (t0, t1),
             [seed],
             method="RK45",

@@ -21,12 +21,15 @@ stiff axes.  ``scales_for`` is that one policy; the nested steps of
 A probe where L is not finite raises ``StencilDomainError``.  Everything
 is deterministic for fixed inputs.
 
-One pass per ladder: the stencil, weights and step powers of a spec are
+One pass per ladder: the stencil, weights and step factors of a spec are
 a plan built once (``_plan``), and a call forms the steps and probes of
 all ``_NTAB`` levels in one array expression.  Each level's step product
-(the denominator) stays a 1-D expression of its own, evaluated when the
-tableau reaches the level: numpy's broadcast ``power`` rounds some
-squares differently, so a batched product would move partials' last bits.
+(the denominator) is formed when the tableau reaches the level, by
+repeated Python-float multiplication in axis order: h_t^a h_r^b ... as
+h_t * ... * h_t * h_r * ...  Every factor is one correctly rounded IEEE
+product, so the partials do not depend on which SIMD kernels numpy
+dispatches (its array ``power`` rounds some squares and cubes differently
+on different CPUs).
 
 Probe memo: each probe is looked up in a ``values`` dict keyed by its five
 exact coordinates before the ``JetPoint`` is built, the domain checked or
@@ -86,8 +89,9 @@ def scales_for(model, pt: JetPoint, spec=None) -> np.ndarray:
 @functools.cache
 def _plan(spec: tuple):
     """What a partial takes from its spec alone, built once per spec: the
-    composite stencil (offsets matrix, weights tuple) and the active axes
-    with the power of each step in the denominator."""
+    composite stencil (offsets matrix, weights tuple), the active axes, and
+    the factors of the step product as indices into the active steps, each
+    axis repeated as often as it is differentiated, in axis order."""
     unknown = set(spec) - set(AXES)
     if unknown:
         raise ValueError(f"unknown axes in derivative spec: {sorted(unknown)}")
@@ -96,10 +100,10 @@ def _plan(spec: tuple):
     combos = list(itertools.product(*per_axis))
     offsets = np.array([[c[0] for c in combo] for combo in combos], dtype=float)
     active = np.array(orders) > 0
-    powers = np.array(orders, dtype=float)[active]
-    for arr in (offsets, active, powers):
+    factors = tuple(i for i, order in enumerate(o for o in orders if o) for _ in range(order))
+    for arr in (offsets, active):
         arr.flags.writeable = False
-    return offsets, tuple(math.prod(c[1] for c in combo) for combo in combos), active, powers
+    return offsets, tuple(math.prod(c[1] for c in combo) for combo in combos), active, factors
 
 
 def _probe_value(model, q: list) -> float:
@@ -139,7 +143,7 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> flo
     total = len(spec)
     if not 1 <= total <= MAX_ORDER:
         raise ValueError(f"derivative order must be 1..{MAX_ORDER}, got {total}")
-    offsets, weights, active, powers = _plan(spec)
+    offsets, weights, active, factors = _plan(spec)
     if values is None:
         values = {}
 
@@ -148,7 +152,10 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> flo
     steps = hs[:, active]
 
     def step_product(i: int) -> float:
-        denom = float((steps[i] ** powers).prod())
+        level = steps[i].tolist()
+        denom = 1.0
+        for a in factors:
+            denom *= level[a]
         if denom == 0.0 or not math.isfinite(denom):
             raise StencilDomainError(
                 f"finite-difference step product is {denom} for spec {spec} "

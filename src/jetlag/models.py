@@ -2,10 +2,12 @@
 
 A model supplies its scalar value, a domain predicate and, optionally,
 per-axis finite-difference scale hints and fast closed-form shortcuts
-(spray, g11) that the dynamics integrator uses when present.  The generic
-geometry pipeline itself only ever consumes ``value``,
-``domain_violation`` and ``fd_scales``, so closed forms can never leak
-into the oracle.
+(spray, g11) that the dynamics integrator uses when present.  The
+shortcuts take the five coordinates as plain floats, already checked as a
+``JetPoint`` checks them (``points.check_coordinates``), and return
+floats.  The generic geometry pipeline itself only ever consumes
+``value``, ``domain_violation`` and ``fd_scales``, so closed forms can
+never leak into the oracle.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ class LagrangianModel:
         return None
 
     # optional closed-form fast paths -------------------------------------
-    def spray(self, pt: JetPoint):
+    def spray(self, t, r, phi, rdot, phidot):
         """(G1, G2) closed form, or None when only the FD route exists."""
         return None
 
-    def metric_g11(self, pt: JetPoint):
+    def metric_g11(self, t, r, phi, rdot, phidot):
         """Closed-form g11, or None; used for cheap singularity events."""
         return None
 
@@ -65,10 +67,10 @@ class FreePolarModel(LagrangianModel):
     def value(self, pt: JetPoint) -> float:
         return 0.5 * self.m * (pt.rdot**2 + pt.r**2 * pt.phidot**2)
 
-    def spray(self, pt: JetPoint):
-        return (-0.5 * pt.r * pt.phidot**2, pt.rdot * pt.phidot / pt.r)
+    def spray(self, t, r, phi, rdot, phidot):
+        return (-0.5 * r * phidot**2, rdot * phidot / r)
 
-    def metric_g11(self, pt: JetPoint):
+    def metric_g11(self, t, r, phi, rdot, phidot):
         return 0.5 * self.m
 
 

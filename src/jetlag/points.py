@@ -30,12 +30,7 @@ class JetPoint:
     y: tuple[float, float]
 
     def __post_init__(self):
-        t, (r, phi), (rdot, phidot) = self.t, self.x, self.y
-        if not (math.isfinite(t) and math.isfinite(r) and math.isfinite(phi)
-                and math.isfinite(rdot) and math.isfinite(phidot)):
-            raise ValueError(f"non-finite jet point component in {(t, r, phi, rdot, phidot)}")
-        if r <= 0.0:
-            raise ValueError(f"jet point requires r > 0, got r = {r}")
+        check_coordinates(self.t, *self.x, *self.y)
 
     @property
     def r(self) -> float:
@@ -60,6 +55,17 @@ class JetPoint:
     def from_array(arr) -> "JetPoint":
         t, x1, x2, y1, y2 = (float(v) for v in arr)
         return JetPoint(t, (x1, x2), (y1, y2))
+
+
+def check_coordinates(t, r, phi, rdot, phidot) -> None:
+    """The invariants of a ``JetPoint``, for callers that keep the five
+    coordinates as plain floats: a ValueError unless every component is
+    finite and r > 0."""
+    if not (math.isfinite(t) and math.isfinite(r) and math.isfinite(phi)
+            and math.isfinite(rdot) and math.isfinite(phidot)):
+        raise ValueError(f"non-finite jet point component in {(t, r, phi, rdot, phidot)}")
+    if r <= 0.0:
+        raise ValueError(f"jet point requires r > 0, got r = {r}")
 
 
 def jet_point(t, r, phi, rdot, phidot) -> JetPoint:

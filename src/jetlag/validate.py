@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,14 +105,8 @@ class DiscrepancyReport:
         verdict, explanation = ("ok", "") if rel_err is not None and rel_err < tol else ("flagged", note)
         self.records.append(DiscrepancyRecord(quantity, point, closed_form, oracle, rel_err, verdict, explanation))
 
-    def to_dict(self) -> dict:
-        def clean(rec: dict) -> dict:
-            for key in ("closed_form", "oracle", "rel_err"):
-                v = rec[key]
-                if v is not None and not math.isfinite(v):
-                    rec[key] = None
-            return rec
-
+    def _header(self, records: list) -> dict:
+        """The report's fields, with ``records`` for its record list."""
         return {
             "seed": self.seed,
             "params": self.params,
@@ -124,11 +119,78 @@ class DiscrepancyReport:
                 "n_flagged": self.n_flagged,
                 "n_flagged_unexplained": self.n_flagged_unexplained,
             },
-            "records": [clean(dict(vars(r))) for r in self.records],
+            "records": records,
         }
 
+    def to_dict(self) -> dict:
+        def clean(rec: dict) -> dict:
+            for key in _NUMBERS:
+                rec[key] = _clean(rec[key])
+            return rec
+
+        return self._header([clean(dict(vars(r))) for r in self.records])
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True,
+        allow_nan=False)``, byte for byte, and raising where it raises.
+
+        With ``indent`` set, the json module runs its pure-Python encoder,
+        so the records, the bulk of a report, are written here in their
+        fixed layout: strings through ``encode_basestring_ascii``, finite
+        floats through ``float.__repr__``, each point dict encoded once
+        (a point's records share one dict).  The header and every other
+        value still go through ``json.dumps``.
+        """
+        head = json.dumps(self._header([]), indent=2, sort_keys=True, allow_nan=False)
+        if not self.records:
+            return head
+        points: dict[int, str] = {}
+        body = []
+        for rec in self.records:
+            point = points.get(id(rec.point))
+            if point is None:
+                point = points[id(rec.point)] = _nested(rec.point)
+            body.append(
+                _RECORD.format(
+                    _value(_clean(rec.closed_form)), _value(rec.explanation), _value(_clean(rec.oracle)),
+                    point, _value(rec.quantity), _value(_clean(rec.rel_err)), _value(rec.verdict),
+                )
+            )
+        records = '\n  "records": [\n    ' + ",\n    ".join(body) + "\n  ],\n"
+        return head.replace('\n  "records": [],\n', records, 1)
+
+
+#: the record fields that read null where they are not finite
+_NUMBERS = ("closed_form", "oracle", "rel_err")
+#: one record in the report's layout, its keys sorted, at depth 2 of indent=2
+_RECORD = (
+    '{{\n      "closed_form": {},\n      "explanation": {},\n      "oracle": {},\n      "point": {},'
+    '\n      "quantity": {},\n      "rel_err": {},\n      "verdict": {}\n    }}'
+)
+
+
+def _clean(v):
+    """A record number as the report holds it: None where it is not finite."""
+    return None if v is not None and not math.isfinite(v) else v
+
+
+def _nested(v) -> str:
+    """v as json.dumps(indent=2, sort_keys=True, allow_nan=False) writes it as
+    a record's value: each line after the first indented by the record's
+    depth."""
+    return json.dumps(v, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n      ")
+
+
+def _value(v) -> str:
+    """A record's value: None, strings and finite floats directly, the rest
+    as json writes them (booleans, ints, and the errors of anything else)."""
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    return _nested(v)
 
 
 def dynamic_range_ratio(model: MonolayerModel, pt: JetPoint) -> float:

@@ -487,6 +487,15 @@ class TestSweep:
         assert run[header.index("status")] == "invalid:run_000.csv: column H_YM holds the non-finite number nan"
         assert not (out / "run_000.csv").exists()
 
+    def test_m_squared_overflow_is_an_invalid_run(self, tmp_path):
+        sweep = {"r": [0.2, 1.0, 2], "rdot": [-5.0, -0.5, 2], "phidot_values": [0.0, 0.1], "t_end": 2e-4}
+        out, rows = self._sweep(tmp_path, {"params": {"m": 1e300}, "sweep": sweep})
+        header, *runs = rows
+        assert len(runs) == 8
+        for run in runs:
+            assert run[header.index("status")] == "invalid:zero_energy_bracket: m^2 overflows at m = 1e+300"
+        assert not list(out.glob("run_*.csv"))
+
     def test_honours_integrator_max_step(self, tmp_path):
         sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 1e-4}
         out, rows = self._sweep(tmp_path, {"integrator": {"max_step": 1e-6}, "sweep": sweep})
@@ -530,6 +539,8 @@ def test_commands_reject_a_model_they_do_not_run(tmp_path, capsys, cmd, model):
     pytest.param("deviation", {"deviation": {"delta_r": 1e300}}, "deviation integration failed", id="deviation-give-up"),
     pytest.param("resonant", {"params": {"p": 1e300}}, "resonant.csv: column residual_eq21 holds the non-finite number nan",
                  id="nonfinite-cell"),
+    pytest.param("simulate", {"params": {"m": 1e300}, "t_end": 1e-4},
+                 "zero_energy_bracket: m^2 overflows at m = 1e+300", id="m-squared-overflow"),
 ])
 def test_numerical_failures_exit_3(tmp_path, capsys, cmd, cfg, fragment):
     path = tmp_path / "cfg.json"

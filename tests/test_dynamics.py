@@ -50,8 +50,8 @@ _COLLAPSING_START = TrajectoryState(0.0, 0.2, 0.0, -5.0, 0.0)
 class _ScaledSprayModel(MonolayerModel):
     """The monolayer with G^1 scaled by 1 + 1e-6: the EL check must reject it."""
 
-    def spray(self, pt):
-        G1, G2 = super().spray(pt)
+    def spray(self, t, r, phi, rdot, phidot):
+        G1, G2 = super().spray(t, r, phi, rdot, phidot)
         return G1 * (1.0 + 1e-6), G2
 
 

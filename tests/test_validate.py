@@ -1,6 +1,7 @@
 """The discrepancy report machinery."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from jetlag.monolayer import MonolayerModel, MonolayerParams
 from jetlag.validate import (
     FD_RESOLVABLE_CUT,
+    DiscrepancyReport,
     dynamic_range_ratio,
     run_validation,
     sample_points,
@@ -97,3 +99,46 @@ def test_nan_residual_is_flagged(monkeypatch):
     assert len(recs) == 2
     assert all(r.verdict == "flagged" for r in recs)
     assert not rep.passed()
+
+
+def _json_module(rep: DiscrepancyReport) -> str:
+    return json.dumps(rep.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("seed", [*range(10), "negative control"])
+def test_to_json_is_the_json_module_byte_for_byte(seed):
+    # the CLI validate defaults: 100 points, R0 = 1 so the resonant records ride along
+    control = seed == "negative control"
+    rep = run_validation(MonolayerParams(R0=1.0), seed=0 if control else seed, n_points=100, negative_control=control)
+    assert rep.to_json() == _json_module(rep)
+
+
+def _edge_report(params=None, point=None, explanation="") -> DiscrepancyReport:
+    rep = DiscrepancyReport(seed=3, params=params or {"m": 1.0, "p": 10.0, "V_abs": 1000.0}, tolerance=1e-5, n_points=2)
+    pd = point or {"t": 1e-3, "r": 0.5, "phi": 0.0, "rdot": -1.0, "phidot": 0.2}
+    rep.add("g11", pd, math.nan, math.inf, math.nan, 1e-5, 'a "quoted"\nnote, na\u00efve \u2013 \u03a9 \U0001d53c')
+    rep.add("G1_exact", pd, -math.inf, np.float64(2.5), 1e-17, 1e-5)
+    rep.add("N21", {"t_start": 0.0, "t_end": 8e-4, "n_samples": 100}, 1.5e-300, None, None, 1e-5, "tab\there \\ back")
+    rep.add("L2_12", pd, 0, 1, True, 1e-5, explanation)
+    return rep
+
+
+def test_to_json_edge_values_are_the_json_module():
+    rep = _edge_report()
+    assert rep.to_json() == _json_module(rep)
+    assert '"closed_form": null' in rep.to_json()
+    empty = DiscrepancyReport(seed=0, params={}, tolerance=1e-5, n_points=0)
+    assert empty.to_json() == _json_module(empty)
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"params": {"m": math.inf}}, ValueError),
+    ({"point": {"t": math.nan, "r": 0.5}}, ValueError),
+    ({"explanation": object()}, TypeError),
+])
+def test_to_json_raises_where_the_json_module_raises(bad, error):
+    rep = _edge_report(**bad)
+    with pytest.raises(error):
+        _json_module(rep)
+    with pytest.raises(error):
+        rep.to_json()
