@@ -35,9 +35,8 @@ there.  The printed torsions take P_(1)i(j)^(k)(1) = dN^k_i/dy^j - L^k_ij
 from the printed N and Cartan L, the definition the FD pipeline uses.
 
 e^E has two overflow policies.  It saturates to inf (``_exp``) in the
-potential, its derivatives and ``_denominator`` (and in its float forms,
-``_g11`` and the D of ``_exact_spray``), which stray FD probes and
-bisection iterates may push past the float range.  Everywhere else,
+potential, its derivatives and ``_denominator``, which stray FD probes
+and bisection iterates may push past the float range.  Everywhere else,
 ``_stiff_term`` included, an overflow raises a ``DomainError`` naming the
 function and E.  a itself stays finite far past the point where D^2 would
 overflow, so N and the Cartan entries are finite wherever e^E is.
@@ -311,7 +310,7 @@ def closed_metric(pt: JetPoint, params: MonolayerParams) -> Metric:
     """g = diag((m - 2 p r^5 |V| e^E rdot^-3)/2, m r^2/2) and its inverse."""
     if params.p != 0.0 and pt.rdot == 0.0:
         raise DomainError("metric requires rdot != 0 (rdot^-3 in g11)")
-    g11 = _g11(pt.t, pt.r, pt.rdot, params)
+    g11 = 0.5 * _denominator(pt.t, pt.r, pt.rdot, params)
     g22 = 0.5 * params.m * pt.r**2
     if abs(g11) <= _G11_REL_FLOOR * params.m:
         raise DomainError(
@@ -340,51 +339,28 @@ def semispray_series_bracket(t: float, r: float, params: MonolayerParams) -> flo
     return _series_bracket(t, r, params, "semispray_series_bracket")
 
 
-def _g11(t: float, r: float, rdot: float, params: MonolayerParams) -> float:
-    """0.5 * ``_denominator`` on :mod:`math` floats, bit for bit: e^E
-    saturates to inf from E = 709 on."""
-    if params.p == 0.0:
-        return 0.5 * params.m
-    E = 2.0 * params.V_abs * t / r
-    expE = math.exp(E) if E < 709.0 else math.inf
-    return 0.5 * (params.m - 2.0 * params.p * r**5 * params.V_abs * expE / rdot**3)
-
-
 def _exact_spray(t: float, r: float, rdot: float, phidot: float, params: MonolayerParams):
-    """(G^1, G^2) of the exact spray on :mod:`math` floats: G^1 = num / D with
+    """(G^1, G^2) of the exact spray on floats: G^1 = num / D with
     D = m - 2 p r^5 |V| e^E / rdot^3 and G^2 = (rdot/r) phidot.
 
     The one transcription that ``closed_semispray(form="exact")``, the
-    geodesic right-hand side and its events read.  It runs the operations
-    and checks of ``_denominator``, ``_nonsingular``, ``_exp_checked`` and
-    ``potential_U_dr`` in their order, with their messages: D takes e^E
-    saturated to inf from E = 709 on, while num takes the raising e^E.
-    Below E = 709 the two are one ``math.exp``.  Ei goes through
-    ``_ei_form``.
+    exact N and the geodesic right-hand side read.
     """
-    m, p, V = params.m, params.p, params.V_abs
-    if p != 0.0 and rdot == 0.0:
+    if params.p != 0.0 and rdot == 0.0:
         raise DomainError("semispray requires rdot != 0")
+    V = params.V_abs
     E = 2.0 * V * t / r
-    if p == 0.0:
+    D = _nonsingular(_denominator(t, r, rdot, params), "semispray")
+    if params.p == 0.0:
         return -0.5 * r * phidot**2, rdot * phidot / r
-    expE = math.exp(E) if E < 709.0 else math.inf
-    D = m - 2.0 * p * r**5 * V * expE / rdot**3
-    if D == 0.0:
-        raise DomainError("singular semispray denominator m - 2 p r^5 |V| e^E rdot^-3 = 0")
-    if not E < 709.0:
-        try:
-            expE = math.exp(E)
-        except OverflowError:
-            raise _overflow("closed_semispray", E) from None
-    drive = p * r**3 * V * expE * (5.0 * r / rdot - 2.0 * V * t / rdot + V * r / rdot**2)
-    # potential_U_dr(t, r, params), its checks first
-    if r <= 0:
-        raise DomainError(f"potential_U_dr requires r > 0, got r = {r}")
-    if not math.isfinite(E):
-        raise DomainError(f"potential_U_dr requires a finite E = 2|V|t/r, got E = {E} at t = {t}, r = {r}")
-    U_r = p * r**4 * _ei_form(_U_R, E)
-    return (drive - 0.5 * U_r - 0.5 * m * r * phidot**2) / D, rdot * phidot / r
+    expE = _exp_checked(E, "closed_semispray")
+    num = (
+        params.p * r**3 * V * expE
+        * (5.0 * r / rdot - 2.0 * V * t / rdot + V * r / rdot**2)
+        - 0.5 * potential_U_dr(t, r, params)
+        - 0.5 * params.m * r * phidot**2
+    )
+    return num / D, rdot * phidot / r
 
 
 def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact") -> Semispray:
@@ -636,15 +612,13 @@ class MonolayerModel(LagrangianModel):
                 return f"r^5 overflows at r = {r} (L contains p r^5 |V| e^E / rdot)"
             if rdot3 == 0.0:
                 return f"rdot^3 underflows to 0 at rdot = {rdot} (g11 divides by rdot^3)"
-            # 0.5 * _denominator, in its operation order, from the powers above
-            E = 2.0 * params.V_abs * t / r
-            expE = _exp(E)
-            g11 = 0.5 * (params.m - 2.0 * params.p * r5 * params.V_abs * expE / rdot3)
+            g11 = 0.5 * _denominator(t, r, rdot, params)
             if not math.isfinite(r5 / rdot3):
                 return f"g11 = {g11} is not finite at rdot = {rdot} (r^5 / rdot^3 overflows)"
             if not math.isfinite(g11):
                 # where e^E itself overflows, L and the closed forms name it
-                if math.isfinite(expE):
+                E = 2.0 * params.V_abs * t / r
+                if math.isfinite(_exp(E)):
                     return f"g11 = {g11} is not finite at E = {E:.6g}, rdot = {rdot} (2 p r^5 |V| e^E / rdot^3 overflows)"
             if abs(g11) <= _G11_REL_FLOOR * params.m:
                 return f"g11 = {g11} within {_G11_REL_FLOOR}*m of the singular locus"
@@ -681,4 +655,4 @@ class MonolayerModel(LagrangianModel):
         return _exact_spray(t, r, rdot, phidot, self.params)
 
     def metric_g11(self, t, r, phi, rdot, phidot):
-        return _g11(t, r, rdot, self.params)
+        return 0.5 * _denominator(t, r, rdot, self.params)

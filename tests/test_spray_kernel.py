@@ -2,12 +2,13 @@
 the geodesic solve, pinned bit for bit.
 
 The (G1, G2) and g11 pins, the error messages and the solver counts were
-read off the array-dispatch implementation this float kernel replaced, so
-each pin holds the kernel to the same operations in the same order.  The
-states span E = 2|V|t/r from 0 to past the e^E overflow at 709.78
-(``_denominator`` saturates e^E to inf from E = 709 on), |rdot| from 1e-12
-to 1e13 on both sides of the singular locus g11 = 0, and r from 1e-6 to
-1e2.  At E >= 708.9, dU/dr itself overflows, so G1 reads NaN there.
+read off the implementation that built a ``JetPoint`` and a ``Semispray``
+per call, so each pin holds the float path to the same operations in the
+same order.  The states span E = 2|V|t/r from 0 to past the e^E overflow
+at 709.78 (``_denominator`` saturates e^E to inf from E = 709 on), |rdot|
+from 1e-12 to 1e13 on both sides of the singular locus g11 = 0, and r
+from 1e-6 to 1e2.  At E >= 708.9, dU/dr itself overflows, so G1 reads
+NaN there.
 """
 
 import math
