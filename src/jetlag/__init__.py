@@ -20,7 +20,6 @@ from .dynamics import (
     compose_perturbed,
     deviation_integrate,
     hamiltonian_split,
-    instanton_energy,
     integrate_geodesic,
     resonant_trajectory,
 )
@@ -38,11 +37,10 @@ from .geometry import (
     numeric_partials,
     ym_energy,
 )
-from .models import FreePolarModel, LagrangianModel, PolynomialModel
+from .models import FreePolarModel, LagrangianModel
 from .monolayer import (
     MonolayerModel,
     MonolayerParams,
-    PhysicalSubParams,
     closed_cartan,
     closed_em_and_ym,
     closed_metric,
@@ -51,9 +49,8 @@ from .monolayer import (
     closed_torsions,
     lagrangian_value,
     potential_U,
-    pressure_param,
 )
-from .points import JetPoint, TimeMetric, jet_point
+from .points import JetPoint, jet_point
 from .validate import DiscrepancyReport, run_validation
 
 __version__ = "0.1.0"

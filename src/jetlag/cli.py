@@ -38,7 +38,6 @@ from .dynamics import (
     integrate_geodesic,
     resonant_trajectory,
 )
-from .electrodynamics import ElectrodynamicsFixtureParams, closed_em_form, electrodynamics_fixture
 from .errors import ConfigError, DomainError, JetLagError
 from .geometry import GeometryEvaluator
 from .models import FreePolarModel
@@ -97,7 +96,6 @@ DEFAULTS = {
     },
     "validate": {"n_points": 100},
     "sweep": {"r": [0.2, 1.0, 5], "rdot": [-5.0, -0.5, 5], "phidot_values": [0.0], "t_end": 2e-3},
-    "fixture": {"m": 1.0, "c": 1.0, "e": 1.0, "a": 2.0, "b": -1.0},
 }
 
 
@@ -107,7 +105,7 @@ def _is_number(value) -> bool:
 
 #: the models each command runs; ``eval`` runs every model there is
 _COMMAND_MODELS = {
-    "eval": ("monolayer", "free_polar", "electrodynamics_fixture"),
+    "eval": ("monolayer", "free_polar"),
     "simulate": ("monolayer", "free_polar"),
     "sweep": ("monolayer", "free_polar"),
     "resonant": ("monolayer",),
@@ -192,17 +190,6 @@ def _params_from(cfg: dict) -> MonolayerParams:
 def _model_from(cfg: dict):
     if cfg["model"] == "free_polar":
         return FreePolarModel(m=cfg["params"]["m"])
-    if cfg["model"] == "electrodynamics_fixture":
-        fx = cfg["fixture"]
-        a, b = fx["a"], fx["b"]
-        params = ElectrodynamicsFixtureParams(
-            m=fx["m"],
-            c=fx["c"],
-            e=fx["e"],
-            A=lambda x, a=a, b=b: np.array([a * x[1], b * x[0]]),
-            A_jac=lambda x, a=a, b=b: np.array([[0.0, a], [b, 0.0]]),
-        )
-        return electrodynamics_fixture(params)
     return MonolayerModel(_params_from(cfg))
 
 
@@ -256,11 +243,9 @@ def _closed_eval_columns(cfg, model, pt) -> dict:
         nlc = mono.closed_nonlinear_connection(pt, params, form="exact")
         _, eym = mono.closed_em_and_ym(pt, params, form="exact")
         return _eval_quantities(met.g, spray.G, nlc.N, mono.em_component_f21(pt, params, form="exact"), eym)
-    if cfg["model"] == "free_polar":
-        m = cfg["params"]["m"]
-        return _eval_quantities(np.diag([0.5 * m, 0.5 * m * pt.r**2]), model.spray(pt.t, *pt.x, *pt.y))
-    # electrodynamics fixture: the classical closed-form F
-    return _eval_quantities(F21=closed_em_form(model.params, np.array(pt.x)).F[1, 0])
+    # free_polar: the flat metric and the classical spray
+    m = cfg["params"]["m"]
+    return _eval_quantities(np.diag([0.5 * m, 0.5 * m * pt.r**2]), model.spray(pt.t, *pt.x, *pt.y))
 
 
 def cmd_eval(cfg: dict, args) -> int:
@@ -336,6 +321,7 @@ def cmd_resonant(cfg: dict, args) -> int:
     traj = _resonant_reference(cfg, params)
     res21 = traj.residual_eq21()
     res22 = traj.residual_eq22()
+    ym = np.max(traj.ym_bracket_residual())
     closed_r0 = closed_res = [None] * len(traj.t)
     if args.closed_form:
         closed = resonant_trajectory(
@@ -348,7 +334,7 @@ def cmd_resonant(cfg: dict, args) -> int:
     header = ["t", "r0", "r0dot", "residual_eq21", "residual_eq22", "closed_form_r0", "closed_form_residual"]
     _write_csv(out, header, zip(traj.t, traj.r0, traj.r0dot, res21, res22, closed_r0, closed_res))
     print(f"wrote {out} ({len(traj.t)} samples)")
-    print(f"max residual_eq22: {np.max(res22):.3e}  max YM bracket residual: {np.max(traj.ym_bracket_residual()):.3e}")
+    print(f"max residual_eq22: {np.max(res22):.3e}  max YM bracket residual: {ym:.3e}")
     for flag in traj.flags:
         print(f"flag: {flag}", file=sys.stderr)
     return 0

@@ -187,11 +187,16 @@ class ResonantTrajectory:
     def ym_bracket_residual(self) -> np.ndarray:
         """Relative residual of the time-reversed zero-Yang-Mills bracket,
         3 m r0 / 2 + m^2 e^(-X) rdot0^3 / (4 p |V| r0^4) with the large-time
-        exponent X; identically zero on resonance."""
+        exponent X; identically zero on resonance.  A DomainError names an
+        m^2 that overflows."""
         p = self.params
+        try:
+            m2 = p.m**2
+        except OverflowError:
+            raise DomainError(f"ym_bracket_residual: m^2 overflows at m = {p.m:.6g}") from None
         X = 2.0 * p.V_abs * self.t / (self.R0 - p.V_abs * self.t)
         lead = 1.5 * p.m * self.r0
-        bracket = lead + p.m**2 * np.exp(-X) * self.r0dot**3 / (4.0 * p.p * p.V_abs * self.r0**4)
+        bracket = lead + m2 * np.exp(-X) * self.r0dot**3 / (4.0 * p.p * p.V_abs * self.r0**4)
         return np.abs(bracket) / lead
 
 
@@ -202,13 +207,6 @@ def _require_sample(state: TrajectoryState):
     """The invariants a JetPoint enforces, with the exception class it raises."""
     if not all(np.isfinite(v).all() for v in vars(state).values()) or _any(state.r <= 0.0):
         raise ValueError("a trajectory sample needs finite components and r > 0")
-
-
-def instanton_energy(state: TrajectoryState, params: MonolayerParams):
-    """E_inst = (m/2) rdot^2 + (m r^2/2) phidot^2 + p r^5 |V| e^E / rdot - U,
-    the kinetic term minus U_s."""
-    kinetic = 0.5 * params.m * (state.rdot**2 + state.r**2 * state.phidot**2)
-    return kinetic - electrocapillarity_U_s(state.t, state.r, state.rdot, params)
 
 
 def _energies(state: TrajectoryState, params: MonolayerParams, L):
@@ -461,14 +459,9 @@ def resonant_rhs(t, r0, params: MonolayerParams, R0: float):
     return -c * power * growth
 
 
-def closed_form_r0(t, params: MonolayerParams, R0: float) -> np.ndarray:
-    """The printed large-time solution, with the unhoused symbol v read as
-    |V| (confirmed algebraically and by the ODE oracle)."""
-    return _closed_form(t, params, R0)[0]
-
-
 def _closed_form(t, params: MonolayerParams, R0: float):
-    """(r0, dr0/dt) of the printed large-time solution.
+    """(r0, dr0/dt) of the printed large-time solution, with the unhoused
+    symbol v read as |V| (confirmed algebraically and by the ODE oracle).
 
     r0 = 27 sqrt(m) R0 |V| e^g B^(-3/2) with g = -|V|t/w, w = R0 - |V|t and
     B = -4 c R0^(5/3) e^(-a) (f(2/3) - f(a)) + e^(2/3 - a) K - 6 c R0^(2/3) w,

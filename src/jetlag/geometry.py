@@ -2,10 +2,13 @@
 
 Everything here is obtained from the model's scalar value alone, by
 numerical differentiation: the fundamental metric g_ij = (1/2) d2L/dy_i dy_j,
-the semispray (H = 0, G), the nonlinear connection N = dG/dy, the Cartan
+the spatial semispray G, the nonlinear connection N = dG/dy, the Cartan
 canonical connection (G_time, L, C), the six torsion families, the
-electromagnetic d-form F and its Yang-Mills energy.  This pipeline is the
-independent oracle against which the monolayer closed forms are validated.
+electromagnetic d-form F and its Yang-Mills energy.  The time metric is
+h11 = 1 with kappa = 0, so the temporal semispray H, the temporal
+connection M = 2H and kappa^1_11 vanish and are not carried.  This
+pipeline is the independent oracle against which the monolayer closed
+forms are validated.
 
 Each object is one array expression over arrays of L-partials, in the
 conventions of Miron & Anastasiei, *The Geometry of Lagrange Spaces*
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +48,7 @@ import numpy as np
 from .errors import SingularMetricError
 from .fd import noisy_field_partial, numeric_partials, scales_for
 from .models import LagrangianModel
-from .points import AXES, TIME_METRIC, JetPoint
+from .points import AXES, JetPoint
 
 __all__ = [
     "Metric",
@@ -74,13 +78,11 @@ class Metric:
 
 @dataclass
 class Semispray:
-    H: np.ndarray  # temporal components, identically zero (kappa111 = 0)
     G: np.ndarray
 
 
 @dataclass
 class NonlinearConnection:
-    M: np.ndarray  # = 2H = 0
     N: np.ndarray
 
 
@@ -89,7 +91,6 @@ class CartanConnection:
     G_time: np.ndarray
     L: np.ndarray
     C: np.ndarray
-    kappa111: float = 0.0
 
 
 @dataclass
@@ -122,19 +123,26 @@ class GeometryBundle:
 
 
 def _invert_2x2(g: np.ndarray) -> tuple[np.ndarray, float]:
-    """Adjugate inverse with a relative singularity guard; a non-finite g
-    has no inverse either."""
+    """Adjugate inverse with a relative singularity guard; a non-finite g,
+    or one whose determinant or row-norm product overflows, has no inverse
+    either.  The guard runs on Python floats, which overflow to inf (and
+    inf - inf to NaN) without a warning."""
     if not np.isfinite(g).all():
         raise SingularMetricError(f"metric is not finite: g = {g.tolist()}")
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    scale = (abs(g[0, 0]) + abs(g[0, 1])) * (abs(g[1, 0]) + abs(g[1, 1])) + _TINY
+    (a, b), (c, d) = g.tolist()
+    det = a * d - b * c
+    scale = (abs(a) + abs(b)) * (abs(c) + abs(d)) + _TINY
+    if not (math.isfinite(det) and math.isfinite(scale)):
+        raise SingularMetricError(
+            f"metric determinant or row-norm product overflows: g = {g.tolist()}, det = {det}, "
+            f"row-norm product {scale}"
+        )
     if abs(det) < 1e-12 * scale:
         raise SingularMetricError(
             f"metric is singular within tolerance: g = {g.tolist()}, det = {det}, "
             f"row-norm product {scale}"
         )
-    inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det
-    return inv, float(det)
+    return np.array([[d, -b], [-c, a]]) / det, det
 
 
 def ym_energy(em: EMForm, m: float) -> float:
@@ -227,7 +235,7 @@ class GeometryEvaluator:
 
     @_stage
     def semispray(self) -> Semispray:
-        return Semispray(H=np.zeros(2), G=self.metric().g_inv @ self._bracket() / 4.0)
+        return Semispray(G=self.metric().g_inv @ self._bracket() / 4.0)
 
     @_stage
     def nonlinear_connection(self) -> NonlinearConnection:
@@ -241,7 +249,7 @@ class GeometryEvaluator:
             np.einsum("q,qsj->js", y, self._d(_X, _Y, _Y)) + d_xy - d_xy.T + self._d(_T, _Y, _Y)[0]
         )
         N = (dginv @ self._bracket() + (ginv @ dB[..., None])[..., 0]) / 4.0
-        return NonlinearConnection(M=np.zeros(2), N=N.T)
+        return NonlinearConnection(N=N.T)
 
     def _delta_g(self) -> np.ndarray:
         """delta g_ij / delta x^k = dg/dx^k - N_(1)k^(q) dg/dy^q, as [k, i, j]."""
@@ -260,7 +268,6 @@ class GeometryEvaluator:
             G_time=0.5 * ginv @ self._dg(_T)[0],
             L=christoffel(self._delta_g()),
             C=christoffel(self._dg(_Y)),
-            kappa111=TIME_METRIC.kappa111,
         )
 
     @_stage
@@ -283,14 +290,14 @@ class GeometryEvaluator:
 
     @_stage
     def em_form(self) -> EMForm:
-        """F_ij = h11/2 [g_js N^s_i - g_is N^s_j + (g_iq L^q_js - g_jq L^q_is) y^s],
+        """F_ij = 1/2 [g_js N^s_i - g_is N^s_j + (g_iq L^q_js - g_jq L^q_is) y^s],
         summed term by term over s, then over (q, s), so F is exactly antisymmetric."""
         g = self.metric().g
         y = np.array(self.pt.y)
         gN = g.T[:, :, None] * self.nonlinear_connection().N[:, None]  # [s, i, j] = g_is N^s_j
         gL = g.T[:, None, :, None] * self.cartan().L.transpose(0, 2, 1)[:, :, None]  # [q, s, i, j] = g_iq L^q_js
         gLy = ((gL - gL.swapaxes(2, 3)) * y[:, None, None]).reshape(4, 2, 2)
-        return EMForm(F=0.5 * TIME_METRIC.h11 * ((gN.swapaxes(1, 2) - gN).sum(0) + gLy.sum(0)))
+        return EMForm(F=0.5 * ((gN.swapaxes(1, 2) - gN).sum(0) + gLy.sum(0)))
 
     def yang_mills_energy(self) -> float:
         """EYM of the oracle's F with the model's mass (1 for a model without one)."""

@@ -73,28 +73,3 @@ class FreePolarModel(LagrangianModel):
     def metric_g11(self, t, r, phi, rdot, phidot):
         return 0.5 * self.m
 
-
-class PolynomialModel(LagrangianModel):
-    """L given by a plain callable of (t, r, phi, rdot, phidot).
-
-    Handy for unit tests of the differentiation engine (quadratic and
-    bilinear fixtures from the operation contracts).
-    """
-
-    name = "polynomial"
-
-    def __init__(self, fn, domain=None):
-        self._fn = fn
-        self._domain = domain
-
-    def value(self, pt: JetPoint) -> float:
-        return float(self._fn(pt.t, pt.r, pt.phi, pt.rdot, pt.phidot))
-
-    def domain_violation(self, pt: JetPoint) -> str | None:
-        base = super().domain_violation(pt)
-        if base is not None:
-            return base
-        if self._domain is not None and not self._domain(pt):
-            return "point outside user-supplied domain"
-        return None
-

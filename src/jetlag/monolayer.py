@@ -131,27 +131,6 @@ class MonolayerParams:
             raise ValueError("R0 must be positive when given")
 
 
-@dataclass(frozen=True)
-class PhysicalSubParams:
-    """Sub-parameters defining p = pi^2 q^2 rho0^2 / (eps eps0 R0^2)."""
-
-    q: float
-    epsilon: float
-    epsilon0: float
-    rho0: float
-    R0: float
-
-    def __post_init__(self):
-        for name in ("q", "epsilon", "epsilon0", "rho0", "R0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def pressure_param(sub: PhysicalSubParams) -> float:
-    """Monolayer parameter p from the physical sub-parameters."""
-    return math.pi**2 * sub.q**2 * sub.rho0**2 / (sub.epsilon * sub.epsilon0 * sub.R0**2)
-
-
 def _require_printed(params: MonolayerParams, what: str):
     if params.p == 0.0:
         raise ValueError(f"{what} divides by p; the printed approximate form needs p > 0")
@@ -371,7 +350,7 @@ def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact")
     """
     t, (r, _), (rdot, phidot) = pt.t, pt.x, pt.y
     if form == "exact":
-        return Semispray(H=np.zeros(2), G=np.array(_exact_spray(t, r, rdot, phidot, params)))
+        return Semispray(G=np.array(_exact_spray(t, r, rdot, phidot, params)))
     if params.p != 0.0 and rdot == 0.0:
         raise DomainError("semispray requires rdot != 0")
     V = params.V_abs
@@ -386,7 +365,7 @@ def closed_semispray(pt: JetPoint, params: MonolayerParams, form: str = "exact")
         )
     else:
         raise ValueError(f"unknown semispray form {form!r}")
-    return Semispray(H=np.zeros(2), G=np.array([G1, rdot * phidot / r]))
+    return Semispray(G=np.array([G1, rdot * phidot / r]))
 
 
 def script_U(t: float, r: float, params: MonolayerParams) -> float:
@@ -443,7 +422,7 @@ def closed_nonlinear_connection(
         N[0, 1] = -params.m * r * phidot / D
     else:
         raise ValueError(f"unknown nonlinear-connection form {form!r}")
-    return NonlinearConnection(M=np.zeros(2), N=N)
+    return NonlinearConnection(N=N)
 
 
 def closed_cartan(pt: JetPoint, params: MonolayerParams, form: str = "printed") -> CartanConnection:
@@ -471,7 +450,7 @@ def closed_cartan(pt: JetPoint, params: MonolayerParams, form: str = "printed") 
     L[0, 1, 1] = -params.m * r / D
     L[1, 0, 0] = 1.5 * phidot / (r * rdot) if form == "printed" else -c111 * phidot / r
     L[1, 0, 1] = L[1, 1, 0] = 1.0 / r
-    return CartanConnection(G_time=G_time, L=L, C=C, kappa111=0.0)
+    return CartanConnection(G_time=G_time, L=L, C=C)
 
 
 def closed_torsions(pt: JetPoint, params: MonolayerParams) -> TorsionSet:
@@ -559,11 +538,6 @@ def closed_em_and_ym(
     f21 = em_component_f21(pt, params, form=form)
     F = np.array([[0.0, -f21], [f21, 0.0]])
     return EMForm(F=F), f21**2 / params.m
-
-
-def is_zero_energy(pt: JetPoint, params: MonolayerParams, tol: float = 1e-12) -> bool:
-    """Zero-Yang-Mills predicate: |F_(1)2| < tol (printed form)."""
-    return abs(em_component_f21(pt, params, form="printed")) < tol
 
 
 class MonolayerModel(LagrangianModel):

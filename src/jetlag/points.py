@@ -72,14 +72,3 @@ def jet_point(t, r, phi, rdot, phidot) -> JetPoint:
     """Convenience constructor from flat coordinates."""
     return JetPoint(float(t), (float(r), float(phi)), (float(rdot), float(phidot)))
 
-
-@dataclass(frozen=True)
-class TimeMetric:
-    """The temporal metric of the paper's setup: fixed h11 = 1, kappa = 0."""
-
-    h11: float = 1.0
-    kappa111: float = 0.0
-
-
-#: the only time metric this geometry uses
-TIME_METRIC = TimeMetric()

@@ -368,9 +368,7 @@ def run_validation(
         if negative_control:
             perturbed = np.array(cart.L, copy=True)
             perturbed[1, 0, 1] += 0.1
-            cart_for_metricity = CartanConnection(
-                G_time=cart.G_time, L=perturbed, C=cart.C, kappa111=0.0
-            )
+            cart_for_metricity = CartanConnection(G_time=cart.G_time, L=perturbed, C=cart.C)
         res_t, res_h, res_v = ev.metricity_residuals(cartan=cart_for_metricity)
         maxw = ev.maxwell_vertical_residual()
         em_f = ev.em_form().F

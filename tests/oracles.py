@@ -2,8 +2,9 @@
 
 These never touch the implementations they check: the special-function
 oracle is adaptive quadrature of the defining principal-value integral,
-the mechanics oracles are hand-derived classical results, and the
-monolayer reference differentiates L symbolically and evaluates at 40
+the mechanics oracles are hand-derived classical results, the
+charged-particle fixture has the classical field strength as its F, and
+the monolayer reference differentiates L symbolically and evaluates at 40
 digits.
 """
 
@@ -11,16 +12,18 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 
 from jetlag.fd import noisy_field_partial, numeric_partials, scales_for
-from jetlag.geometry import GeometryEvaluator
-from jetlag.models import PolynomialModel
+from jetlag.geometry import EMForm, GeometryEvaluator
+from jetlag.models import LagrangianModel
 from jetlag.monolayer import MonolayerModel
-from jetlag.points import AXES, jet_point
+from jetlag.points import AXES, JetPoint, jet_point
 
 
 def pv_exp_integral(z: float) -> float:
@@ -50,6 +53,116 @@ def ei_increment(z1: float, z2: float) -> float:
         raise ValueError("need 0 < z1 < z2")
     val, _ = quad(lambda t: math.exp(t) / t, z1, z2, epsabs=1e-14, epsrel=1e-13)
     return val
+
+
+# -- Lagrangians given as plain callables ---------------------------------------
+
+class PolynomialModel(LagrangianModel):
+    """L given by a plain callable of (t, r, phi, rdot, phidot).
+
+    Handy for unit tests of the differentiation engine (quadratic and
+    bilinear fixtures from the operation contracts).
+    """
+
+    name = "polynomial"
+
+    def __init__(self, fn, domain=None):
+        self._fn = fn
+        self._domain = domain
+
+    def value(self, pt: JetPoint) -> float:
+        return float(self._fn(pt.t, pt.r, pt.phi, pt.rdot, pt.phidot))
+
+    def domain_violation(self, pt: JetPoint) -> str | None:
+        base = super().domain_violation(pt)
+        if base is not None:
+            return base
+        if self._domain is not None and not self._domain(pt):
+            return "point outside user-supplied domain"
+        return None
+
+
+# -- charged particle: the classical field strength -------------------------------
+#
+# L = m c phi_ij(x) y^i y^j + (2e/m) A_i(x) y^i + F_pot(t, x)  (usual time,
+# h11 = 1).  For this family the electromagnetic d-form collapses to the
+# classical field strength
+#
+#     F_(i)j = -(e/2m) (dA_i/dx^j - dA_j/dx^i),
+#
+# independent of phi_ij and F_pot, which is what makes it a good end-to-end
+# check of the generic pipeline.
+
+Vec2Field = Callable[[np.ndarray], np.ndarray]
+
+
+def _flat_phi(x: np.ndarray) -> np.ndarray:
+    return np.eye(2)
+
+
+def _zero_vec(x: np.ndarray) -> np.ndarray:
+    return np.zeros(2)
+
+
+def _zero_jac(x: np.ndarray) -> np.ndarray:
+    return np.zeros((2, 2))
+
+
+def _zero_pot(t: float, x: np.ndarray) -> float:
+    return 0.0
+
+
+@dataclass(frozen=True)
+class ElectrodynamicsFixtureParams:
+    """Fixture inputs: fields are callables of the base point x.
+
+    A_jac must be the analytic Jacobian dA_i/dx^j of A; it feeds the
+    closed-form F the generic pipeline is checked against.
+    """
+
+    m: float = 1.0
+    c: float = 1.0
+    e: float = 1.0
+    phi: Callable[[np.ndarray], np.ndarray] = _flat_phi
+    A: Vec2Field = _zero_vec
+    A_jac: Callable[[np.ndarray], np.ndarray] = _zero_jac
+    F_pot: Callable[[float, np.ndarray], float] = _zero_pot
+
+    def __post_init__(self):
+        if self.m == 0:
+            raise ValueError("fixture needs m != 0")
+
+
+class ElectrodynamicsModel(LagrangianModel):
+    name = "electrodynamics_fixture"
+
+    def __init__(self, params: ElectrodynamicsFixtureParams):
+        self.params = params
+        self.m = abs(params.m)
+
+    def value(self, pt: JetPoint) -> float:
+        x = np.array(pt.x)
+        y = np.array(pt.y)
+        par = self.params
+        phi = np.asarray(par.phi(x), dtype=float)
+        if abs(np.linalg.det(phi)) < 1e-14:
+            raise ValueError("phi_ij is singular at this point")
+        return float(
+            par.m * par.c * y @ phi @ y
+            + 2.0 * par.e / par.m * np.dot(par.A(x), y)
+            + par.F_pot(pt.t, x)
+        )
+
+
+def electrodynamics_fixture(params: ElectrodynamicsFixtureParams) -> ElectrodynamicsModel:
+    return ElectrodynamicsModel(params)
+
+
+def closed_em_form(params: ElectrodynamicsFixtureParams, x) -> EMForm:
+    """F_(i)j = -(e/2m)(dA_i/dx^j - dA_j/dx^i) from the analytic Jacobian."""
+    jac = np.asarray(params.A_jac(np.asarray(x, dtype=float)), dtype=float)
+    F = -params.e / (2.0 * params.m) * (jac - jac.T)
+    return EMForm(F=F)
 
 
 # -- free polar particle: classical results ------------------------------------

@@ -20,7 +20,6 @@ from jetlag.dynamics import (
     integrate_geodesic,
     resonant_trajectory,
 )
-from jetlag.electrodynamics import ElectrodynamicsFixtureParams, closed_em_form, electrodynamics_fixture
 from jetlag.expint import exp_integral_f
 from jetlag.geometry import GeometryEvaluator
 from jetlag.models import FreePolarModel
@@ -37,7 +36,13 @@ from jetlag.validate import (
     run_validation,
     sample_points,
 )
-from oracles import field_partial, pv_exp_integral
+from oracles import (
+    ElectrodynamicsFixtureParams,
+    closed_em_form,
+    electrodynamics_fixture,
+    field_partial,
+    pv_exp_integral,
+)
 
 PARAMS = MonolayerParams(m=1.0, p=10.0, V_abs=1000.0, R0=1.0)
 MODEL = MonolayerModel(PARAMS)

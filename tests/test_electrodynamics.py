@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from jetlag.electrodynamics import (
-    ElectrodynamicsFixtureParams,
-    closed_em_form,
-    electrodynamics_fixture,
-)
 from jetlag.geometry import GeometryEvaluator
 from jetlag.points import jet_point
+from oracles import ElectrodynamicsFixtureParams, closed_em_form, electrodynamics_fixture
 
 
 def linear_fixture(a, b, m=1.0, c=1.0, e=1.0):

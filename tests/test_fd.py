@@ -9,9 +9,9 @@ import pytest
 from jetlag.errors import StencilDomainError
 from jetlag.fd import MAX_ORDER, numeric_partials
 from jetlag.geometry import GeometryEvaluator
-from jetlag.models import FreePolarModel, PolynomialModel
+from jetlag.models import FreePolarModel
 from jetlag.points import AXES, jet_point
-from oracles import CountingMonolayer, asymmetric_lagrangian, monolayer_dL_drdot
+from oracles import CountingMonolayer, PolynomialModel, asymmetric_lagrangian, monolayer_dL_drdot
 
 
 def test_second_derivative_quadratic():

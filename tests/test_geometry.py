@@ -7,13 +7,16 @@ import pytest
 
 from jetlag.errors import SingularMetricError
 from jetlag.geometry import CartanConnection, EMForm, GeometryEvaluator, ym_energy
-from jetlag.models import FreePolarModel, PolynomialModel
+from jetlag.models import FreePolarModel
 from jetlag.monolayer import closed_semispray
 from jetlag.points import jet_point
 from oracles import (
     CountingMonolayer,
+    ElectrodynamicsFixtureParams,
     FreshChildEvaluator,
+    PolynomialModel,
     asymmetric_lagrangian,
+    electrodynamics_fixture,
     field_partial,
     polar_christoffel,
     polar_metric,
@@ -50,6 +53,16 @@ class TestMetric:
                 with pytest.raises(SingularMetricError, match="metric is not finite"):
                     _invert_2x2(np.array([[bad, 0.0], [0.0, 0.5]]))
 
+    def test_overflowing_metric_raises(self):
+        # finite g whose determinant reads inf, or inf - inf = NaN
+        from jetlag.geometry import _invert_2x2
+
+        for g in ([[1e300, 0.0], [0.0, 1e300]], [[1e300, 1e300], [1e300, 2e300]]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(SingularMetricError, match="determinant or row-norm product overflows"):
+                    _invert_2x2(np.array(g))
+
     def test_singular_metric_raises(self):
         degenerate = PolynomialModel(lambda t, r, phi, rd, pd: (rd + pd) ** 2)
         with pytest.raises(SingularMetricError):
@@ -63,7 +76,6 @@ class TestSemispray:
         G1, G2 = polar_spray(pt.r, pt.rdot, pt.phidot)
         assert spray.G[0] == pytest.approx(G1, rel=1e-8)  # -0.25
         assert spray.G[1] == pytest.approx(G2, rel=1e-8)  # 0.75
-        assert np.all(spray.H == 0.0)
 
     def test_monolayer_g2_is_exact_form(self, model5, sample_pt):
         spray = GeometryEvaluator(model5, sample_pt).semispray()
@@ -124,7 +136,6 @@ class TestCartan:
         assert cart.L[1, 0, 1] == pytest.approx(want["L2_12"], rel=1e-7)
         assert np.allclose(cart.C, 0.0, atol=1e-8)
         assert np.allclose(cart.G_time, 0.0, atol=1e-8)
-        assert cart.kappa111 == 0.0
 
     def test_L_symmetry(self, model5, sample_pt):
         cart = GeometryEvaluator(model5, sample_pt).cartan()
@@ -375,8 +386,6 @@ class TestBuiltinModelInvariants:
     100+ seeded valid points each."""
 
     def _ed_model(self):
-        from jetlag.electrodynamics import ElectrodynamicsFixtureParams, electrodynamics_fixture
-
         return electrodynamics_fixture(
             ElectrodynamicsFixtureParams(
                 m=1.3,

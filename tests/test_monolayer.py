@@ -14,7 +14,6 @@ from jetlag.fd import numeric_partials
 from jetlag.geometry import GeometryEvaluator
 from jetlag.monolayer import (
     MonolayerParams,
-    PhysicalSubParams,
     closed_cartan,
     closed_em_and_ym,
     closed_metric,
@@ -23,12 +22,10 @@ from jetlag.monolayer import (
     closed_torsions,
     em_component_f21,
     electrocapillarity_U_s,
-    is_zero_energy,
     lagrangian_value,
     potential_U,
     potential_U_dr,
     potential_U_drr,
-    pressure_param,
     semispray_series_bracket,
     script_U,
     script_U_dt,
@@ -419,30 +416,9 @@ class TestClosedEM:
         t, r = 1e-3, 0.5
         E = 2 * params5.V_abs * t / r
         rdot_res = -((6 * params5.p * params5.V_abs * r**5 * math.exp(E)) / params5.m) ** (1 / 3)
-        assert is_zero_energy(jet_point(t, r, 0.0, rdot_res, 0.7), params5, tol=1e-10)
-        assert not is_zero_energy(jet_point(t, r, 0.0, -1.0, 0.7), params5, tol=1e-10)
-        # and |F12| < tol exactly characterizes it
-        f12 = -em_component_f21(jet_point(t, r, 0.0, -1.0, 0.7), params5, form="printed")
-        assert abs(f12) >= 1e-10
-
-
-class TestPressureParam:
-    def test_unit_combination(self):
-        sub = PhysicalSubParams(q=1.0, epsilon=1.0, epsilon0=1.0, rho0=1.0, R0=math.pi)
-        assert pressure_param(sub) == pytest.approx(1.0, rel=1e-14)
-
-    def test_all_ones(self):
-        sub = PhysicalSubParams(q=1.0, epsilon=1.0, epsilon0=1.0, rho0=1.0, R0=1.0)
-        assert pressure_param(sub) == pytest.approx(math.pi**2, rel=1e-14)
-
-    def test_quadratic_in_rho(self):
-        a = PhysicalSubParams(q=2.0, epsilon=3.0, epsilon0=0.5, rho0=1.0, R0=2.0)
-        b = PhysicalSubParams(q=2.0, epsilon=3.0, epsilon0=0.5, rho0=2.0, R0=2.0)
-        assert pressure_param(b) == pytest.approx(4.0 * pressure_param(a), rel=1e-14)
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalSubParams(q=0.0, epsilon=1.0, epsilon0=1.0, rho0=1.0, R0=1.0)
+        # the printed F_(1)2 vanishes at resonance and only there
+        assert abs(em_component_f21(jet_point(t, r, 0.0, rdot_res, 0.7), params5, form="printed")) < 1e-10
+        assert abs(em_component_f21(jet_point(t, r, 0.0, -1.0, 0.7), params5, form="printed")) >= 1e-10
 
 
 class TestFreePolarLimit:

@@ -59,12 +59,11 @@ BOUNDS = {
 
 def _run_set(out: Path) -> None:
     """Write the compared set into ``out``: the FD pins and the CLI files."""
-    from oracles import asymmetric_lagrangian
+    from oracles import PolynomialModel, asymmetric_lagrangian
     from test_fd import SPECS
 
     from jetlag.cli import main
     from jetlag.fd import numeric_partials
-    from jetlag.models import PolynomialModel
     from jetlag.monolayer import MonolayerModel, MonolayerParams
     from jetlag.points import jet_point
 

@@ -11,7 +11,7 @@ from jetlag.dynamics import TrajectoryState, hamiltonian_split
 from jetlag.expint import exp_integral_f
 from jetlag.fd import numeric_partials
 from jetlag.geometry import EMForm, GeometryEvaluator, ym_energy
-from jetlag.models import FreePolarModel, PolynomialModel
+from jetlag.models import FreePolarModel
 from jetlag.monolayer import (
     MonolayerModel,
     MonolayerParams,
@@ -21,6 +21,7 @@ from jetlag.monolayer import (
 )
 from jetlag.points import jet_point
 from jetlag.validate import FD_RESOLVABLE_CUT, dynamic_range_ratio
+from oracles import PolynomialModel
 
 PARAMS = MonolayerParams()
 MODEL = MonolayerModel(PARAMS)
