@@ -176,6 +176,10 @@ def load_config(path: str | None, seed_override=None) -> dict:
     if merged["model"] not in _COMMAND_MODELS["eval"]:
         raise ConfigError(f"unknown model: {merged['model']}")
     _check_sweep(merged["sweep"])
+    for section in ("integrator", "resonant", "deviation"):
+        for key in ("rtol", "atol"):
+            if not merged[section][key] > 0:
+                raise ConfigError(f"{section}.{key} must be positive")
     if seed_override is not None:
         merged["seed"] = int(seed_override)
     return merged
@@ -427,7 +431,7 @@ def cmd_sweep(cfg: dict, args) -> int:
                     rows.append(
                         [run_id, r0, rd0, pd0, series.status, len(series.t), series.t[-1], series.r[-1], name]
                     )
-                except (DomainError, ValueError) as exc:
+                except (JetLagError, ValueError) as exc:
                     rows.append([run_id, r0, rd0, pd0, f"invalid:{exc}", 0, None, None, None])
                 run_id += 1
     header = ["run", "r0", "rdot0", "phidot0", "status", "n_samples", "t_last", "r_last", "file"]

@@ -43,6 +43,8 @@ from .points import JetPoint, check_coordinates, jet_point
 
 #: at most this many samples of a run get the FD Euler-Lagrange residual
 _EL_MAX_POINTS = 400
+#: every ODE solve stops with a JetLagError past this many right-hand-side calls
+_MAX_RHS_CALLS = 100_000
 #: a give-up with r/|rdot| within this many float spacings of t is a collapse
 _COLLAPSE_SPACINGS = 2**20
 
@@ -258,7 +260,26 @@ def _diagnostics(params: MonolayerParams, t, r, phi, rdot, phidot):
     return kinetic - U_s, H, H_ym, eym, g11
 
 
-# -- geodesic integration ------------------------------------------------------
+# -- the ODE driver and geodesic integration ----------------------------------
+
+
+def _solve(what: str, rhs, span, y0, rtol, atol, **options):
+    """scipy's RK45 on dy/dt = rhs(t, y) over span, returning its OdeResult; the
+    right-hand-side call past _MAX_RHS_CALLS raises a JetLagError naming the
+    solve, the budget, the t reached and the span, and solve_ivp passes it on."""
+    from scipy.integrate import solve_ivp  # here, so `import jetlag` skips scipy.integrate
+
+    calls, budget = 0, _MAX_RHS_CALLS
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            over = f"{what} over the span [{span[0]:.6g}, {span[1]:.6g}]"
+            raise JetLagError(f"{over} used up its budget of {budget} right-hand-side calls at t = {t:.6g}")
+        return rhs(t, y)
+
+    return solve_ivp(counted, span, y0, method="RK45", rtol=rtol, atol=atol, **options)
 
 
 def _spray_of(model: LagrangianModel):
@@ -358,20 +379,12 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
         events.append(ev_g11)
         kinds.append("metric_singular")
 
-    from scipy.integrate import solve_ivp  # here, so `import jetlag` skips scipy.integrate
-
     # an array, as the events see it at t0 too
     u0 = np.array([config.state0.r, config.state0.phi, config.state0.rdot, config.state0.phidot], dtype=float)
-    sol = solve_ivp(
-        rhs,
-        (config.state0.t, config.t_end),
-        u0,
-        method="RK45",
-        rtol=config.rtol,
-        atol=config.atol,
-        max_step=config.max_step,
-        events=events,
-        dense_output=True,  # only with it does solve_ivp drop a repeated t
+    # only with dense output does solve_ivp drop a repeated t
+    sol = _solve(
+        "geodesic integration", rhs, (config.state0.t, config.t_end), u0, config.rtol, config.atol,
+        max_step=config.max_step, events=events, dense_output=True,
     )
 
     t = sol.t
@@ -534,17 +547,10 @@ def resonant_trajectory(
     grid = np.linspace(t0, t1, n_samples)
     flags: list[str] = []
     if source == "ode":
-        from scipy.integrate import solve_ivp
-
         seed = R0 * (1.0 - t0 * V / R0)
-        sol = solve_ivp(
-            lambda t, r: [resonant_rhs(t, float(r[0]), params, R0)],
-            (t0, t1),
-            [seed],
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
+        sol = _solve(
+            "resonant integration", lambda t, r: [resonant_rhs(t, float(r[0]), params, R0)],
+            (t0, t1), [seed], rtol, atol, dense_output=True,
         )
         if sol.status != 0:
             raise JetLagError(f"resonant integration failed: {sol.message}")
@@ -598,12 +604,12 @@ def deviation_integrate(
     spl = reference.spline()
     rdot_spl = reference.rdot_spline()
     # coarse-grid guard: the Hermite derivative must agree with the stored
-    # velocities between the nodes
+    # velocities between the nodes, up to the rounding floor of its slope,
+    # 1.5 (ulp(r0_i) + ulp(r0_i+1)) / h_i on each interval
     mids = 0.5 * (reference.t[:-1] + reference.t[1:])
-    d_spl = spl.derivative()(mids)
-    d_dat = rdot_spl(mids)
-    scale = np.max(np.abs(reference.r0dot))
-    if np.max(np.abs(d_spl - d_dat)) > 1e-5 * scale:
+    ulp = np.spacing(np.abs(reference.r0))
+    tol = 1e-5 * np.max(np.abs(reference.r0dot)) + 1.5 * (ulp[:-1] + ulp[1:]) / np.diff(reference.t)
+    if np.any(np.abs(spl.derivative()(mids) - rdot_spl(mids)) > tol):
         raise ValueError("reference grid too coarse for deviation interpolation")
 
     m, p, V = params.m, params.p, params.V_abs
@@ -642,19 +648,8 @@ def deviation_integrate(
         ddphi = 0.0 if resonant_substitution else -phi_coeff(t, r0, rd0) * dphid
         return [drd, ddr, dphid, ddphi]
 
-    from scipy.integrate import solve_ivp
-
     w0 = [init.delta_r, init.delta_rdot, init.delta_phi, init.delta_phidot]
-    sol = solve_ivp(
-        rhs,
-        (reference.t[0], reference.t[-1]),
-        w0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        t_eval=reference.t,
-        dense_output=False,
-    )
+    sol = _solve("deviation integration", rhs, reference.t[[0, -1]], w0, rtol, atol, t_eval=reference.t)
     if sol.status != 0:
         raise JetLagError(f"deviation integration failed: {sol.message}")
     return DeviationSeries(

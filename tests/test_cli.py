@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -69,6 +70,13 @@ class TestConfig:
             ('{"sweep": {"r": [0.2, 1.0, 0]}}', f"{whole} [0.2, 1.0, 0]"),
             ('{"sweep": {"r": [0.2, 1.0, 1e12]}}',
              "sweep.r, sweep.rdot and sweep.phidot_values make 5000000000000 runs, more than 10^6"),
+            # solver tolerances must be > 0, NaN included, in every section that sets them
+            ('{"resonant": {"rtol": -1}}', "resonant.rtol must be positive"),
+            ('{"deviation": {"atol": -1}}', "deviation.atol must be positive"),
+            ('{"integrator": {"rtol": -1}}', "integrator.rtol must be positive"),
+            ('{"integrator": {"atol": NaN}}', "integrator.atol must be positive"),
+            ('{"resonant": {"atol": 0}}', "resonant.atol must be positive"),
+            ('{"deviation": {"rtol": 0.0}}', "deviation.rtol must be positive"),
         ]
         path = tmp_path / "bad.json"
         for cfg, message in cases:
@@ -496,6 +504,20 @@ class TestSweep:
             assert run[header.index("status")] == "invalid:zero_energy_bracket: m^2 overflows at m = 1e+300"
         assert not list(out.glob("run_*.csv"))
 
+    def test_budget_stop_is_recorded_and_the_sweep_goes_on(self, tmp_path, monkeypatch):
+        # the solve of the r0 = 0.2, rdot0 = -5 run takes 3338 right-hand-side calls, that of r0 = 1 fewer than 200
+        monkeypatch.setattr("jetlag.dynamics._MAX_RHS_CALLS", 1000)
+        sweep = {"r": [0.2, 1.0, 2], "rdot": [-5.0, -5.0, 1], "phidot_values": [0.0]}
+        out, rows = self._sweep(tmp_path, {"sweep": sweep})
+        header, stopped, completed = rows
+        assert stopped[header.index("status")].startswith(
+            "invalid:geodesic integration over the span [0, 0.002] used up its budget of 1000 "
+            "right-hand-side calls at t = "
+        )
+        assert not (out / "run_000.csv").exists()
+        assert completed[header.index("status")] == "completed"
+        assert (out / "run_001.csv").exists()
+
     def test_honours_integrator_max_step(self, tmp_path):
         sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 1e-4}
         out, rows = self._sweep(tmp_path, {"integrator": {"max_step": 1e-6}, "sweep": sweep})
@@ -547,13 +569,24 @@ def test_commands_reject_a_model_they_do_not_run(tmp_path, capsys, cmd, model, m
                  "zero_energy_bracket: m^2 overflows at m = 1e+300", id="m-squared-overflow"),
     pytest.param("resonant", {"params": {"m": 1e300}},
                  "ym_bracket_residual: m^2 overflows at m = 1e+300", id="resonant-m-squared-overflow"),
+    # without the budget these two run for as long as they are let: |V| = 1e-20 makes
+    # the deviation span 8e19 long, and max_step = 1e-10 asks for 2e7 steps
+    pytest.param("deviation",
+                 {"params": {"p": 1.0, "V_abs": 1e-20}, "deviation": {"delta_r": 1e-5}, "resonant": {"n_samples": 10}},
+                 "deviation integration over the span [0, 8e+19] used up its budget of 100000 right-hand-side "
+                 "calls at t = ", id="deviation-budget"),
+    pytest.param("simulate", {"integrator": {"max_step": 1e-10}},
+                 "geodesic integration over the span [0, 0.002] used up its budget of 100000 right-hand-side "
+                 "calls at t = ", id="simulate-budget"),
 ])
 def test_numerical_failures_exit_3(tmp_path, capsys, cmd, cfg, fragment):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    started = time.monotonic()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert run_cli(cmd, "--config", str(path), "--out", str(tmp_path / "o")) == 3
+    assert time.monotonic() - started < 10.0
     err = capsys.readouterr().err
     assert f"numerical/domain error: {fragment}" in err and "Traceback" not in err
     assert not list(tmp_path.glob("o/*.csv"))

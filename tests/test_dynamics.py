@@ -482,6 +482,17 @@ class TestDeviation:
         with pytest.raises(ValueError):
             deviation_integrate(coarse, DeviationState(0.0, 0.0, 0.0, 1.0), params5)
 
+    def test_flat_reference_passes_the_coarse_grid_guard(self):
+        # at m = 1e300, r0dot ~ 4e-99 leaves r0 = 1.0 at every node, so the Hermite
+        # slope between nodes is -r0dot/2 however fine the grid: the guard must allow
+        # for the rounding floor of r0's differences
+        params = MonolayerParams(m=1e300, p=10.0, V_abs=1000.0, R0=1.0)
+        ref = resonant_trajectory(params, source="ode")
+        assert np.ptp(ref.r0) == 0.0
+        dev = deviation_integrate(ref, DeviationState(0.0, 0.0, 0.0, 1.0), params)
+        assert np.all(np.isfinite(dev.delta_phi))
+        assert np.max(np.abs(dev.delta_phi - dev.t)) < 1e-15
+
     def test_literal_phi_coefficient_mode(self, params5):
         ref = resonant_trajectory(params5, source="ode")
         dev = deviation_integrate(
