@@ -11,8 +11,10 @@ config path, so ``sweep`` honours every ``integrator`` setting, ``max_step`` inc
 command runs the models ``_COMMAND_MODELS`` lists for it; any other exits 2.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical/domain failure.  JETLAG_LOG=debug|info|warning|error controls
-verbosity.
+3 numerical/domain failure.  JETLAG_LOG=debug|info|warning|error (default warning) sets the
+level of the ``jetlag`` logger, which writes to stderr; at info it logs one line at each stage
+boundary of a command: config loaded, each solve or evaluation pass done, each file written.  Any
+other value exits 2.  Logging never changes stdout or a data file.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .points import jet_point
 from .validate import run_validation
 
 log = logging.getLogger("jetlag")
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 TRAJECTORY_HEADER = ["t", "r", "phi", "rdot", "phidot", "E_inst", "H", "H_YM", "EYM", "g11", "event"]
 
@@ -71,6 +74,7 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow("" if v is None else v if isinstance(v, str) else _fmt(v) for v in row)
+    log.info("wrote %s (%d rows)", path, len(rows))
 
 
 # -- configuration --------------------------------------------------------------
@@ -265,15 +269,20 @@ def cmd_eval(cfg: dict, args) -> int:
         pt = jet_point(*vals)
     except ValueError as exc:
         raise DomainError(f"invalid point: {exc}") from exc
-    violation = model.domain_violation(pt)
+    violation = model.domain_violation(*vals)
     if violation is not None:
         raise DomainError(f"invalid point: {violation}")
 
     # the closed forms first: where both routes fail, theirs names the cause
-    closed = _eval_quantities() if args.oracle_only else _closed_eval_columns(cfg, model, pt)
+    if args.oracle_only:
+        closed = _eval_quantities()
+    else:
+        closed = _closed_eval_columns(cfg, model, pt)
+        log.info("eval: closed forms done")
     ev = GeometryEvaluator(model, pt)
     met, spray, nlc = ev.metric(), ev.semispray(), ev.nonlinear_connection()
     oracle = _eval_quantities(met.g, spray.G, nlc.N, ev.em_form().F[1, 0], ev.yang_mills_energy())
+    log.info("eval: oracle done")
 
     print(f"model={cfg['model']} point: t={pt.t} r={pt.r} phi={pt.phi} rdot={pt.rdot} phidot={pt.phidot}")
     print(f"{'quantity':<10} {'closed_form':>24} {'oracle':>24}")
@@ -296,6 +305,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     model = _model_from(cfg)
     sim = _sim_config(cfg, TrajectoryState(**cfg["initial_state"]), cfg["t_end"])
     series = integrate_geodesic(sim, model)
+    log.info("simulate: geodesic solve done (%d samples, status=%s)", len(series.t), series.status)
     out = _out_dir(args) / "trajectory.csv"
     _write_trajectory_csv(out, series)
     print(f"wrote {out} ({len(series.t)} samples, status={series.status})")
@@ -315,9 +325,11 @@ def _resonant_reference(cfg: dict, params: MonolayerParams):
     """The ODE resonant trajectory that ``resonant`` writes and ``deviation`` follows."""
     r = cfg["resonant"]
     span = (r["t_start"], r["t_end"]) if r["t_end"] > 0 else None
-    return resonant_trajectory(
+    traj = resonant_trajectory(
         params, t_span=span, source="ode", n_samples=r["n_samples"], rtol=r["rtol"], atol=r["atol"]
     )
+    log.info("resonant reference: solve done (%d samples)", len(traj.t))
+    return traj
 
 
 def cmd_resonant(cfg: dict, args) -> int:
@@ -333,6 +345,7 @@ def cmd_resonant(cfg: dict, args) -> int:
         )
         closed_r0 = closed.r0
         closed_res = closed.residual_eq22()
+        log.info("resonant: closed-form trajectory done")
 
     out = _out_dir(args) / "resonant.csv"
     header = ["t", "r0", "r0dot", "residual_eq21", "residual_eq22", "closed_form_r0", "closed_form_residual"]
@@ -359,12 +372,14 @@ def cmd_deviation(cfg: dict, args) -> int:
         rtol=d["rtol"],
         atol=d["atol"],
     )
+    log.info("deviation: Jacobi solve done (%d samples)", len(dev.t))
     affine = np.abs(dev.delta_phi - (dev.c1 + dev.c2 * dev.t))
     header = ["t", "delta_r", "delta_rdot", "delta_phi", "delta_phidot", "affine_residual"]
     cols = [dev.t, dev.delta_r, dev.delta_rdot, dev.delta_phi, dev.delta_phidot, affine]
     if args.compose:
         header.append("r")
         cols.append(compose_perturbed(reference, dev).r)
+        log.info("deviation: composition done")
 
     out = _out_dir(args) / "deviation.csv"
     _write_csv(out, header, zip(*cols))
@@ -382,9 +397,11 @@ def cmd_validate(cfg: dict, args) -> int:
         tolerance=cfg["tolerances"]["oracle"],
         negative_control=args.negative_control,
     )
+    log.info("validate: validation done (%d points, %d records)", report.n_points, len(report.records))
     out = _out_dir(args) / "discrepancy_report.json"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json() + "\n")
+    log.info("wrote %s", out)
 
     worst: dict[str, float] = {}
     flagged: dict[str, int] = {}
@@ -427,11 +444,13 @@ def cmd_sweep(cfg: dict, args) -> int:
                 name = f"run_{run_id:03d}.csv"
                 try:
                     series = integrate_geodesic(sim, model)
+                    log.info("sweep: run %d solve done (status=%s)", run_id, series.status)
                     _write_trajectory_csv(out_dir / name, series)
                     rows.append(
                         [run_id, r0, rd0, pd0, series.status, len(series.t), series.t[-1], series.r[-1], name]
                     )
                 except (JetLagError, ValueError) as exc:
+                    log.info("sweep: run %d invalid: %s", run_id, exc)
                     rows.append([run_id, r0, rd0, pd0, f"invalid:{exc}", 0, None, None, None])
                 run_id += 1
     header = ["run", "r0", "rdot0", "phidot0", "status", "n_samples", "t_last", "r_last", "file"]
@@ -498,13 +517,22 @@ _COMMANDS = {
 }
 
 
+def _set_log_level() -> None:
+    """The ``jetlag`` logger at the JETLAG_LOG level, to stderr."""
+    level = os.environ.get("JETLAG_LOG", "warning")
+    if level.lower() not in _LOG_LEVELS:
+        raise ConfigError(f"JETLAG_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level!r}")
+    logging.basicConfig(format="%(name)s %(levelname)s: %(message)s")
+    log.setLevel(level.upper())
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("JETLAG_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _set_log_level()
         cfg = load_config(args.config, seed_override=args.seed)
+        log.info("%s: config loaded from %s", args.command, args.config or "the defaults")
         models = _COMMAND_MODELS[args.command]
         if cfg["model"] not in models:
             raise ConfigError(f"{args.command} does not run the {cfg['model']} model; it runs {', '.join(models)}")

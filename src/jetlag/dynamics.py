@@ -171,10 +171,13 @@ class ResonantTrajectory:
         return CubicSpline(self.t, self.r0dot)
 
     def _resonance_residual(self, exponent) -> np.ndarray:
-        """Relative residual of m r0dot^3 + 6 p |V| r0^5 e^exponent = 0."""
+        """Relative residual of m r0dot^3 + 6 p |V| r0^5 e^exponent = 0, taken
+        as |m r0dot^3 e^-exponent + 6 p |V| r0^5| over the larger term, as
+        ``hamiltonian_split`` groups it: the exponent is >= 0 on every span
+        ``resonant_trajectory`` accepts, so e^-exponent cannot overflow."""
         p = self.params
-        drive = 6.0 * p.p * p.V_abs * self.r0**5 * np.exp(exponent)
-        kinetic = p.m * self.r0dot**3
+        drive = 6.0 * p.p * p.V_abs * self.r0**5
+        kinetic = p.m * self.r0dot**3 * np.exp(-exponent)
         return np.abs(kinetic + drive) / np.maximum(np.abs(kinetic), drive)
 
     def residual_eq21(self) -> np.ndarray:
@@ -334,7 +337,7 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
     """Integrate dy/dt = -2G, dx/dt = y adaptively until t_end or a
     singularity event; diagnostics and the EL residual come along."""
     pt0 = config.state0.point()
-    violation = model.domain_violation(pt0)
+    violation = model.domain_violation(pt0.t, *pt0.x, *pt0.y)
     if violation is not None:
         raise DomainError(f"initial state invalid: {violation}")
 

@@ -21,25 +21,26 @@ stiff axes.  ``scales_for`` is that one policy; the nested steps of
 A probe where L is not finite raises ``StencilDomainError``.  Everything
 is deterministic for fixed inputs.
 
-One pass per ladder: the stencil, weights and step factors of a spec are
-a plan built once (``_plan``), and a call forms the steps and probes of
-all ``_NTAB`` levels in one array expression.  Each level's step product
-(the denominator) is formed when the tableau reaches the level, by
-repeated Python-float multiplication in axis order: h_t^a h_r^b ... as
-h_t * ... * h_t * h_r * ...  Every factor is one correctly rounded IEEE
-product, so the partials do not depend on which SIMD kernels numpy
-dispatches (its array ``power`` rounds some squares and cubes differently
-on different CPUs).
+Plain floats per ladder: the stencil, weights and step factors of a spec
+are a plan built once (``_plan``).  A level's steps and probes are formed
+on Python floats only when the Neville tableau reaches that level, as
+h_i = (scale * 0.05) * 2^-i and q = base + offset * h_i: one product and
+one sum per coordinate, each correctly rounded.  The level's step product
+(the denominator) is formed first, by repeated multiplication in axis
+order: h_t^a h_r^b ... as h_t * ... * h_t * h_r * ...  So the partials do
+not depend on which SIMD kernels numpy dispatches (its array ``power``
+rounds some squares and cubes differently on different CPUs).
 
 Probe memo: each probe is looked up in a ``values`` dict keyed by its five
-exact coordinates before the ``JetPoint`` is built, the domain checked or
-``model.value`` called, and L is stored only for probes that pass both
-checks.  The dict defaults to one per call; ``geometry.GeometryEvaluator``
-shares one across the partials at its point.  Its nested evaluators, one
-per probe point of ``noisy_field_partial``, are kept and shared by the N
-field of the torsions and the F field of the Maxwell check; each keeps its
-own memo, as no probe of one evaluator recurs in another.  Nothing is
-cached on the model.  This relies on ``value`` and ``domain_violation``
+exact coordinates before they are checked (``points.check_coordinates``),
+the domain checked or ``model.value`` called, and L is stored only for
+probes that pass every check.  The dict defaults to one per call;
+``geometry.GeometryEvaluator`` shares one across the partials at its
+point.  Its nested evaluators, one per probe point of
+``noisy_field_partial``, are kept and shared by the N field of the
+torsions and the F field of the Maxwell check; each keeps its own memo, as
+no probe of one evaluator recurs in another.  Nothing is cached on the
+model.  This relies on ``value`` and ``domain_violation``
 being pure functions of the point.
 """
 
@@ -52,7 +53,7 @@ import math
 import numpy as np
 
 from .errors import StencilDomainError
-from .points import AXES, JetPoint
+from .points import AXES, JetPoint, check_coordinates
 
 _H0_FACTOR = 0.05
 _CON = 2.0
@@ -60,7 +61,7 @@ _CON2 = _CON * _CON
 _NTAB = 8
 _SAFE = 4.0
 #: the step ladder h0 / CON^i, i < NTAB, as factors of h0
-_SHRINK = np.array([_CON**-i for i in range(_NTAB)])
+_SHRINK = tuple(_CON**-i for i in range(_NTAB))
 
 # symmetric central stencils per axis order: (offset, weight) pairs
 _STENCILS = {
@@ -89,40 +90,39 @@ def scales_for(model, pt: JetPoint, spec=None) -> np.ndarray:
 @functools.cache
 def _plan(spec: tuple):
     """What a partial takes from its spec alone, built once per spec: the
-    composite stencil (offsets matrix, weights tuple), the active axes, and
-    the factors of the step product as indices into the active steps, each
-    axis repeated as often as it is differentiated, in axis order."""
+    composite stencil (offsets and weights, one tuple per stencil point),
+    the indices of the active axes, and the factors of the step product as
+    indices into the active steps, each axis repeated as often as it is
+    differentiated, in axis order."""
     unknown = set(spec) - set(AXES)
     if unknown:
         raise ValueError(f"unknown axes in derivative spec: {sorted(unknown)}")
     orders = [spec.count(a) for a in AXES]
     per_axis = [_STENCILS[order] if order else ((0, 1.0),) for order in orders]
     combos = list(itertools.product(*per_axis))
-    offsets = np.array([[c[0] for c in combo] for combo in combos], dtype=float)
-    active = np.array(orders) > 0
+    offsets = tuple(tuple(float(c[0]) for c in combo) for combo in combos)
+    active = tuple(a for a, order in enumerate(orders) if order)
     factors = tuple(i for i, order in enumerate(o for o in orders if o) for _ in range(order))
-    for arr in (offsets, active):
-        arr.flags.writeable = False
     return offsets, tuple(math.prod(c[1] for c in combo) for combo in combos), active, factors
 
 
-def _probe_value(model, q: list) -> float:
+def _probe_value(model, q: tuple) -> float:
     """L at the probe q, or StencilDomainError naming it (also when L is not finite)."""
     try:
-        probe = JetPoint(q[0], (q[1], q[2]), (q[3], q[4]))
+        check_coordinates(*q)
     except ValueError as exc:
         q = np.array(q)
         raise StencilDomainError(
             f"finite-difference probe left the coordinate domain at {q}: {exc}",
             probe=q,
         ) from exc
-    if model.domain_violation(probe) is not None:
+    if model.domain_violation(*q) is not None:
         q = np.array(q)
         raise StencilDomainError(
             f"finite-difference probe {q} is outside the model's valid domain",
             probe=q,
         )
-    value = model.value(probe)
+    value = model.value(*q)
     if not math.isfinite(value):
         q = np.array(q)
         raise StencilDomainError(f"L = {value} is not finite at finite-difference probe {q}", probe=q)
@@ -148,42 +148,37 @@ def numeric_partials(model, pt: JetPoint, spec, scales=None, values=None) -> flo
         values = {}
 
     scales = scales_for(model, pt, spec) if scales is None else np.asarray(scales, dtype=float)
-    hs = scales * _H0_FACTOR * _SHRINK[:, None]  # [level, axis]: the whole ladder
-    steps = hs[:, active]
+    h0 = [s * _H0_FACTOR for s in scales.tolist()]
+    t, r, phi, rdot, phidot = pt.t, *pt.x, *pt.y
 
-    def step_product(i: int) -> float:
-        level = steps[i].tolist()
+    def apply(i: int) -> float:
+        """The stencil sum over level i's step product; the product is
+        checked before any probe of the level is formed."""
+        ht, hr, hphi, hrdot, hphidot = hs = [h * _SHRINK[i] for h in h0]
+        steps = [hs[a] for a in active]
         denom = 1.0
         for a in factors:
-            denom *= level[a]
+            denom *= steps[a]
         if denom == 0.0 or not math.isfinite(denom):
             raise StencilDomainError(
                 f"finite-difference step product is {denom} for spec {spec} "
-                f"at steps {steps[i]}: the steps are too small or too large"
+                f"at steps {np.array(steps)}: the steps are too small or too large"
             )
-        return denom
-
-    # level 0's steps are checked before any probe is formed, so an infinite
-    # step raises without numpy's invalid-value warning from inf * 0
-    denom = step_product(0)
-    probes = (pt.as_array() + offsets * hs[:, None]).tolist()  # [level][stencil point]
-
-    def apply(i: int, denom: float) -> float:
         acc = 0.0
-        for q, weight in zip(probes[i], weights):
-            key = tuple(q)
-            v = values.get(key)
+        for (ot, o_r, ophi, ordot, ophidot), weight in zip(offsets, weights):
+            q = (t + ot * ht, r + o_r * hr, phi + ophi * hphi, rdot + ordot * hrdot, phidot + ophidot * hphidot)
+            v = values.get(q)
             if v is None:
-                v = values[key] = _probe_value(model, q)
+                v = values[q] = _probe_value(model, q)
             acc += weight * v
         return acc / denom
 
     # Ridders: Neville tableau in h^2 over steps h0 / CON^i
-    tableau = [[apply(0, denom)]]
+    tableau = [[apply(0)]]
     best = tableau[0][0]
     err = math.inf
     for i in range(1, _NTAB):
-        row = [apply(i, step_product(i))]
+        row = [apply(i)]
         fac = _CON2
         for j in range(1, i + 1):
             prev = tableau[i - 1]

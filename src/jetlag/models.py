@@ -2,12 +2,13 @@
 
 A model supplies its scalar value, a domain predicate and, optionally,
 per-axis finite-difference scale hints and fast closed-form shortcuts
-(spray, g11) that the dynamics integrator uses when present.  The
-shortcuts take the five coordinates as plain floats, already checked as a
-``JetPoint`` checks them (``points.check_coordinates``), and return
-floats.  The generic geometry pipeline itself only ever consumes
-``value``, ``domain_violation`` and ``fd_scales``, so closed forms can
-never leak into the oracle.
+(spray, g11) that the dynamics integrator uses when present.  The value,
+the domain predicate and the shortcuts take the five coordinates
+(t, r, phi, rdot, phidot) as plain floats, already checked as a
+``JetPoint`` checks them (``points.check_coordinates``), and return floats
+(``domain_violation`` a message or None).  The generic geometry pipeline
+itself only ever consumes ``value``, ``domain_violation`` and
+``fd_scales``, so closed forms can never leak into the oracle.
 """
 
 from __future__ import annotations
@@ -18,22 +19,22 @@ from .points import JetPoint
 class LagrangianModel:
     """Base interface; subclasses implement ``value``.
 
-    ``value`` and ``domain_violation`` must be pure functions of the point:
-    the finite-difference engine memoises L per probe point for the life of
-    a ``GeometryEvaluator`` (see ``fd.py``).
+    ``value`` and ``domain_violation`` must be pure functions of the five
+    coordinates: the finite-difference engine memoises L per probe point
+    for the life of a ``GeometryEvaluator`` (see ``fd.py``).
     """
 
     name = "model"
     #: True when the Lagrangian contains rdot^-1 (domain excludes rdot = 0)
     requires_nonzero_rdot = False
 
-    def value(self, pt: JetPoint) -> float:
+    def value(self, t, r, phi, rdot, phidot) -> float:
         raise NotImplementedError
 
-    def domain_violation(self, pt: JetPoint) -> str | None:
+    def domain_violation(self, t, r, phi, rdot, phidot) -> str | None:
         """None if valid, else a message naming the violated precondition."""
-        if pt.r <= 0.0:
-            return f"r = {pt.r} <= 0"
+        if r <= 0.0:
+            return f"r = {r} <= 0"
         return None
 
     def fd_scales(self, pt: JetPoint, spec=None):
@@ -64,8 +65,8 @@ class FreePolarModel(LagrangianModel):
             raise ValueError("mass must be positive")
         self.m = float(m)
 
-    def value(self, pt: JetPoint) -> float:
-        return 0.5 * self.m * (pt.rdot**2 + pt.r**2 * pt.phidot**2)
+    def value(self, t, r, phi, rdot, phidot) -> float:
+        return 0.5 * self.m * (rdot**2 + r**2 * phidot**2)
 
     def spray(self, t, r, phi, rdot, phidot):
         return (-0.5 * r * phidot**2, rdot * phidot / r)

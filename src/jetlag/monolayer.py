@@ -559,18 +559,16 @@ class MonolayerModel(LagrangianModel):
         params = self.params
         return _exp(2.0 * params.V_abs * t / r), potential_U(t, r, params)
 
-    def value(self, pt: JetPoint) -> float:
+    def value(self, t, r, phi, rdot, phidot) -> float:
         p = self.params
-        t, (r, _), (rdot, phidot) = pt.t, pt.x, pt.y
         expE, U = self._tr(t, r)
         out = 0.5 * p.m * (rdot**2 + r**2 * phidot**2) + U
         if p.p != 0.0:
             out -= p.p * r**5 * p.V_abs * expE / rdot
         return out
 
-    def domain_violation(self, pt: JetPoint) -> str | None:
+    def domain_violation(self, t, r, phi, rdot, phidot) -> str | None:
         params = self.params
-        t, (r, _), (rdot, _) = pt.t, pt.x, pt.y
         if r <= 0.0:
             return f"r = {r} <= 0"
         if params.p != 0.0:

@@ -207,7 +207,7 @@ def dynamic_range_ratio(model: MonolayerModel, pt: JetPoint) -> float:
         * min(abs(pt.rdot), 1.0) ** 2
         * max(min(abs(pt.phidot), 1.0), 0.02)
     )
-    return _EPS * abs(model.value(pt)) / signal
+    return _EPS * abs(model.value(pt.t, *pt.x, *pt.y)) / signal
 
 
 def sample_points(seed: int, n: int, box=None, resolvable_for: MonolayerModel | None = None):

@@ -23,7 +23,7 @@ from jetlag.fd import noisy_field_partial, numeric_partials, scales_for
 from jetlag.geometry import EMForm, GeometryEvaluator
 from jetlag.models import LagrangianModel
 from jetlag.monolayer import MonolayerModel
-from jetlag.points import AXES, JetPoint, jet_point
+from jetlag.points import AXES, jet_point
 
 
 def pv_exp_integral(z: float) -> float:
@@ -58,7 +58,8 @@ def ei_increment(z1: float, z2: float) -> float:
 # -- Lagrangians given as plain callables ---------------------------------------
 
 class PolynomialModel(LagrangianModel):
-    """L given by a plain callable of (t, r, phi, rdot, phidot).
+    """L given by a plain callable of (t, r, phi, rdot, phidot); the
+    optional ``domain`` predicate takes the same five floats.
 
     Handy for unit tests of the differentiation engine (quadratic and
     bilinear fixtures from the operation contracts).
@@ -70,14 +71,14 @@ class PolynomialModel(LagrangianModel):
         self._fn = fn
         self._domain = domain
 
-    def value(self, pt: JetPoint) -> float:
-        return float(self._fn(pt.t, pt.r, pt.phi, pt.rdot, pt.phidot))
+    def value(self, t, r, phi, rdot, phidot) -> float:
+        return float(self._fn(t, r, phi, rdot, phidot))
 
-    def domain_violation(self, pt: JetPoint) -> str | None:
-        base = super().domain_violation(pt)
+    def domain_violation(self, t, r, phi, rdot, phidot) -> str | None:
+        base = super().domain_violation(t, r, phi, rdot, phidot)
         if base is not None:
             return base
-        if self._domain is not None and not self._domain(pt):
+        if self._domain is not None and not self._domain(t, r, phi, rdot, phidot):
             return "point outside user-supplied domain"
         return None
 
@@ -140,17 +141,17 @@ class ElectrodynamicsModel(LagrangianModel):
         self.params = params
         self.m = abs(params.m)
 
-    def value(self, pt: JetPoint) -> float:
-        x = np.array(pt.x)
-        y = np.array(pt.y)
+    def value(self, t, r, phi, rdot, phidot) -> float:
+        x = np.array([r, phi])
+        y = np.array([rdot, phidot])
         par = self.params
-        phi = np.asarray(par.phi(x), dtype=float)
-        if abs(np.linalg.det(phi)) < 1e-14:
+        phi_ij = np.asarray(par.phi(x), dtype=float)
+        if abs(np.linalg.det(phi_ij)) < 1e-14:
             raise ValueError("phi_ij is singular at this point")
         return float(
-            par.m * par.c * y @ phi @ y
+            par.m * par.c * y @ phi_ij @ y
             + 2.0 * par.e / par.m * np.dot(par.A(x), y)
-            + par.F_pot(pt.t, x)
+            + par.F_pot(t, x)
         )
 
 
@@ -194,9 +195,9 @@ class CountingMonolayer(MonolayerModel):
 
     calls = 0
 
-    def value(self, pt):
+    def value(self, t, r, phi, rdot, phidot):
         self.calls += 1
-        return super().value(pt)
+        return super().value(t, r, phi, rdot, phidot)
 
 
 def monolayer_dL_drdot(t, r, rdot, m, p, V) -> float:

@@ -31,7 +31,7 @@ def test_traced_run_reports_every_declared_metric(monkeypatch):
     assert set(tracing.layer_metrics(tracer, 1.0, 1.0)) == DECLARED
 
 
-@pytest.mark.parametrize("workload", ["sweep", "resonant"])
+@pytest.mark.parametrize("workload", ["sweep", "resonant", "oracle", "validate"])
 def test_traced_benchmark_ends_on_a_result(tmp_path, workload):
     for name in ("perfbench", "src"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("out", "__pycache__"))

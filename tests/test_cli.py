@@ -394,6 +394,20 @@ class TestResonant:
         cells = line.split(",")
         assert cells[5] != "" and cells[6] != ""
 
+    @pytest.mark.parametrize("params", [{"p": 1.0, "V_abs": 1e-20}, {"R0": 1e10}], ids=["tiny-V", "huge-R0"])
+    def test_residuals_stay_finite_where_the_exponential_overflows(self, tmp_path, params):
+        # e^X passes the float range on these spans, so the residuals divide
+        # through by it instead of forming it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": params}))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("resonant", "--config", str(path), "--out", str(out)) == 0
+        with open(out / "resonant.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(0.0 <= float(row[c]) <= 1.0 for row in rows for c in ("residual_eq21", "residual_eq22"))
+
 
 class TestDeviation:
     def test_affine_column(self, cfg_path, tmp_path):
@@ -612,6 +626,58 @@ def test_log_env_var(cfg_path, tmp_path):
         env={**__import__("os").environ, "JETLAG_LOG": "debug"},
     )
     assert proc.returncode == 0
+    assert proc.stderr.splitlines()[0] == f"jetlag INFO: simulate: config loaded from {cfg_path}"
+    assert proc.stderr.splitlines()[-1].startswith("jetlag INFO: wrote ")
+
+
+# each command's flags and, in order, its stage lines at info between
+# "config loaded" and the last "wrote"
+_STAGES = {
+    "eval": (["--point", "0.001,0.5,0,-1,0.2"], ("eval: closed forms done", "eval: oracle done")),
+    "simulate": ([], ("simulate: geodesic solve done",)),
+    "resonant": (["--closed-form"], ("resonant reference: solve done", "resonant: closed-form trajectory done")),
+    "deviation": (["--compose"], ("resonant reference: solve done", "deviation: Jacobi solve done",
+                                  "deviation: composition done")),
+    "validate": ([], ("validate: validation done",)),
+    "sweep": ([], ("sweep: run 0 solve done", "sweep: run 1 solve done")),
+}
+
+
+@pytest.mark.parametrize("cmd", list(_STAGES))
+def test_log_info_emits_stage_lines_and_leaves_the_data_alone(cfg_path, tmp_path, monkeypatch, caplog, cmd):
+    extra, stages = _STAGES[cmd]
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["sweep"] = {"r": [0.3, 0.5, 2], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 2e-4}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    files = {}
+    for level in ("info", "warning", None):
+        if level is None:
+            monkeypatch.delenv("JETLAG_LOG", raising=False)
+        else:
+            monkeypatch.setenv("JETLAG_LOG", level)
+        out = tmp_path / str(level)
+        csv_arg = ["--csv", str(out / "point.csv")] if cmd == "eval" else []
+        caplog.clear()
+        assert run_cli(cmd, "--config", str(path), "--out", str(out), *extra, *csv_arg) == 0
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "jetlag"]
+        if level == "info":
+            assert lines[0] == f"{cmd}: config loaded from {path}"
+            assert lines[-1].startswith(f"wrote {out}")
+            rest = iter(lines)
+            assert all(any(line.startswith(stage) for line in rest) for stage in stages), lines
+        else:
+            assert lines == []
+        files[level] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert files["info"] and files["info"] == files["warning"] == files[None]
+
+
+def test_unknown_log_level_is_a_configuration_error(cfg_path, monkeypatch, capsys):
+    monkeypatch.setenv("JETLAG_LOG", "verbose")
+    assert run_cli("simulate", "--config", cfg_path, "--out", "unused") == 2
+    assert capsys.readouterr().err == (
+        "configuration error: JETLAG_LOG must be one of debug, info, warning, error, got 'verbose'\n"
+    )
 
 
 def test_import_leaves_the_ode_solver_unloaded():

@@ -59,22 +59,42 @@ def test_order_limits():
         numeric_partials(model, pt, ("bogus",))
 
 
-def test_stencil_domain_error_reports_probe(model5):
-    # rdot = tiny: the stiff-scaled stencil itself stays clear, but the
-    # domain predicate rejects the g11-singular band for rdot > 0
-    bad = PolynomialModel(lambda t, r, phi, rd, pd: rd, domain=lambda pt: pt.rdot > 0.5)
+# The StencilDomainError messages and probes below are pinned in full: the
+# probes are Python floats, and each message prints them as a numpy array.
+
+
+def test_stencil_domain_error_reports_probe():
+    # the model's domain predicate rejects the probe rdot = 0.51 - 0.05
+    bad = PolynomialModel(lambda t, r, phi, rd, pd: rd, domain=lambda t, r, phi, rd, pd: rd > 0.5)
     pt = jet_point(0.0, 1.0, 0.0, 0.51, 0.0)
     with pytest.raises(StencilDomainError) as err:
         numeric_partials(bad, pt, ("y1",))
-    assert err.value.probe is not None
+    assert str(err.value) == "finite-difference probe [0.   1.   0.   0.46 0.  ] is outside the model's valid domain"
+    assert err.value.probe.tolist() == [0.0, 1.0, 0.0, 0.46, 0.0]
 
 
 def test_probe_below_zero_radius_reports():
     model = PolynomialModel(lambda t, r, phi, rd, pd: r**2)
     pt = jet_point(0.0, 1e-12, 0.0, 0.0, 0.0)
-    with pytest.raises(StencilDomainError):
+    with pytest.raises(StencilDomainError) as err:
         # scales floor at max(|v|,1) capped by 2r; force a huge step
         numeric_partials(model, pt, ("x1",), scales=np.ones(5))
+    assert str(err.value) == (
+        "finite-difference probe left the coordinate domain at [ 0.   -0.05  0.    0.    0.  ]: "
+        "jet point requires r > 0, got r = -0.049999999999000004"
+    )
+    assert err.value.probe.tolist() == [0.0, -0.049999999999000004, 0.0, 0.0, 0.0]
+
+
+def test_nonfinite_value_reports_probe(model5):
+    # E = 2|V|t/r = 4000: the domain predicate leaves the overflowing e^E to
+    # L, which is inf - inf there
+    with pytest.raises(StencilDomainError) as err:
+        numeric_partials(model5, jet_point(1.0, 0.5, 0.0, -1.0, 0.2), ("y1",))
+    assert str(err.value) == (
+        "L = nan is not finite at finite-difference probe [ 1.          0.5         0.         -0.98333333  0.2       ]"
+    )
+    assert err.value.probe.tolist() == [1.0, 0.5, 0.0, -0.9833333333333333, 0.2]
 
 
 def test_field_partial():
@@ -83,13 +103,29 @@ def test_field_partial():
     assert got == pytest.approx(6 * pt.r, rel=1e-9)
 
 
-def test_step_product_underflow_is_named():
+def _step_product_error(scale: float) -> StencilDomainError:
     model = PolynomialModel(lambda t, r, phi, rd, pd: 0.5 * rd**3)
     pt = jet_point(0.4, 1.2, -0.3, 0.9, 1.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StencilDomainError, match=r"step product is 0\.0 for spec \('y1', 'y1', 'y1'\)"):
-            numeric_partials(model, pt, ("y1", "y1", "y1"), scales=np.full(5, 1e-110))
+        with pytest.raises(StencilDomainError) as err:
+            numeric_partials(model, pt, ("y1", "y1", "y1"), scales=np.full(5, scale))
+    assert err.value.probe is None
+    return err.value
+
+
+def test_step_product_underflow_is_named():
+    assert str(_step_product_error(1e-110)) == (
+        "finite-difference step product is 0.0 for spec ('y1', 'y1', 'y1') "
+        "at steps [5.e-112]: the steps are too small or too large"
+    )
+
+
+def test_step_product_overflow_is_named():
+    assert str(_step_product_error(1e200)) == (
+        "finite-difference step product is inf for spec ('y1', 'y1', 'y1') "
+        "at steps [5.e+198]: the steps are too small or too large"
+    )
 
 
 SPECS = [s for n in range(1, MAX_ORDER + 1) for s in itertools.combinations_with_replacement(AXES, n)]
@@ -175,7 +211,7 @@ def test_partials_and_evaluation_count_are_pinned(model5, params5, sample_pt):
 
 
 def test_failed_probe_is_not_memoised():
-    bad = PolynomialModel(lambda t, r, phi, rd, pd: rd, domain=lambda pt: pt.rdot > 0.5)
+    bad = PolynomialModel(lambda t, r, phi, rd, pd: rd, domain=lambda t, r, phi, rd, pd: rd > 0.5)
     pt = jet_point(0.0, 1.0, 0.0, 0.51, 0.0)
     values = {}
     with pytest.raises(StencilDomainError) as first:

@@ -203,7 +203,7 @@ class TestStiffOverflow:
     PT = jet_point(0.1, 1.0, 0.0, -1e-100, 0.2)
 
     def test_domain_predicate_rejects_infinite_g11(self, model5):
-        assert model5.domain_violation(self.PT) == (
+        assert model5.domain_violation(self.PT.t, *self.PT.x, *self.PT.y) == (
             "g11 = inf is not finite at E = 200, rdot = -1e-100 (2 p r^5 |V| e^E / rdot^3 overflows)"
         )
 
@@ -462,6 +462,6 @@ class TestParams:
             MonolayerParams(R0=-1.0)
 
     def test_model_domain_messages(self, model5):
-        assert model5.domain_violation(jet_point(0.0, 1.0, 0.0, 0.0, 0.2)) is not None
-        assert "rdot" in model5.domain_violation(jet_point(0.0, 1.0, 0.0, 0.0, 0.2))
-        assert model5.domain_violation(jet_point(1e-3, 0.5, 0.0, -1.0, 0.2)) is None
+        assert model5.domain_violation(0.0, 1.0, 0.0, 0.0, 0.2) is not None
+        assert "rdot" in model5.domain_violation(0.0, 1.0, 0.0, 0.0, 0.2)
+        assert model5.domain_violation(1e-3, 0.5, 0.0, -1.0, 0.2) is None

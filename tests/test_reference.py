@@ -44,7 +44,7 @@ def test_reference_lagrangian_matches_model():
     worst = 0.0
     for pt in POINTS:
         ref = monolayer_reference(pt, PARAMS)
-        worst = max(worst, float(abs(mpmath.mpf(model.value(pt)) - ref["L"]) / ref["L_terms"]))
+        worst = max(worst, float(abs(mpmath.mpf(model.value(pt.t, *pt.x, *pt.y)) - ref["L"]) / ref["L_terms"]))
     assert worst < 1e-14
 
 
