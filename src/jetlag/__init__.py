@@ -37,7 +37,7 @@ from .geometry import (
     numeric_partials,
     ym_energy,
 )
-from .models import FreePolarModel, LagrangianModel
+from .models import LagrangianModel
 from .monolayer import (
     MonolayerModel,
     MonolayerParams,

@@ -8,7 +8,8 @@ writer: a missing value is an empty cell, a text cell holding a comma, a quote o
 (a sweep's ``invalid:`` status) is quoted as RFC 4180 says, and an inf or a NaN is a
 numerical failure.  ``simulate`` and each ``sweep`` run build their integrator from the same
 config path, so ``sweep`` honours every ``integrator`` setting, ``max_step`` included.  Each
-command runs the models ``_COMMAND_MODELS`` lists for it; any other exits 2.
+command runs the models ``_COMMAND_MODELS`` lists for it; any other exits 2, and so does p = 0
+in a command that does not run ``free_polar``, the monolayer at p = 0.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical/domain failure.  JETLAG_LOG=debug|info|warning|error (default warning) sets the
@@ -42,7 +43,6 @@ from .dynamics import (
 )
 from .errors import ConfigError, DomainError, JetLagError
 from .geometry import GeometryEvaluator
-from .models import FreePolarModel
 from .monolayer import MonolayerModel, MonolayerParams
 from .points import jet_point
 from .validate import run_validation
@@ -164,6 +164,8 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None, seed_override=None) -> dict:
+    """The checked config merged over DEFAULTS, with ``params`` built into
+    ``MonolayerParams``; anything it rejects is a ConfigError."""
     cfg = {}
     if path is not None:
         try:
@@ -184,27 +186,30 @@ def load_config(path: str | None, seed_override=None) -> dict:
         for key in ("rtol", "atol"):
             if not merged[section][key] > 0:
                 raise ConfigError(f"{section}.{key} must be positive")
+    for key, value in merged["initial_state"].items():
+        if not math.isfinite(value):
+            raise ConfigError(f"initial_state.{key} must be finite, got {value}")
+    # written so that NaN fails both checks; a sweep run starts at t = 0
+    for key, t_end, t0 in (("t_end", merged["t_end"], merged["initial_state"]["t"]),
+                           ("sweep.t_end", merged["sweep"]["t_end"], 0.0)):
+        if not t0 < t_end < math.inf:
+            raise ConfigError(f"{key} must be finite and exceed the initial time {t0}, got {t_end}")
+    p = merged["params"]
+    try:
+        merged["params"] = MonolayerParams(
+            m=p["m"], p=0.0 if merged["model"] == "free_polar" else p["p"], V_abs=p["V_abs"], R0=p["R0"]
+        )
+    except ValueError as exc:
+        raise ConfigError(f"params.{exc}") from exc
     if seed_override is not None:
         merged["seed"] = int(seed_override)
     return merged
 
 
-def _params_from(cfg: dict) -> MonolayerParams:
-    p = cfg["params"]
-    pval = 0.0 if cfg["model"] == "free_polar" else p["p"]
-    return MonolayerParams(m=p["m"], p=pval, V_abs=p["V_abs"], R0=p["R0"])
-
-
-def _model_from(cfg: dict):
-    if cfg["model"] == "free_polar":
-        return FreePolarModel(m=cfg["params"]["m"])
-    return MonolayerModel(_params_from(cfg))
-
-
 def _sim_config(cfg: dict, state0: TrajectoryState, t_end: float, compute_el_residual=True) -> SimConfig:
     max_step = cfg["integrator"]["max_step"]
     return SimConfig(
-        params=_params_from(cfg),
+        params=cfg["params"],
         state0=state0,
         t_end=t_end,
         rtol=cfg["integrator"]["rtol"],
@@ -243,17 +248,13 @@ def _eval_quantities(g=None, G=None, N=None, F21=None, EYM=None) -> dict:
     return dict(zip(_EVAL_QUANTITIES, [*g, *G, *N, F21, EYM]))
 
 
-def _closed_eval_columns(cfg, model, pt) -> dict:
-    if cfg["model"] == "monolayer":
-        params = _params_from(cfg)
-        met = mono.closed_metric(pt, params)
-        spray = mono.closed_semispray(pt, params, form="exact")
-        nlc = mono.closed_nonlinear_connection(pt, params, form="exact")
-        _, eym = mono.closed_em_and_ym(pt, params, form="exact")
-        return _eval_quantities(met.g, spray.G, nlc.N, mono.em_component_f21(pt, params, form="exact"), eym)
-    # free_polar: the flat metric and the classical spray
-    m = cfg["params"]["m"]
-    return _eval_quantities(np.diag([0.5 * m, 0.5 * m * pt.r**2]), model.spray(pt.t, *pt.x, *pt.y))
+def _closed_eval_columns(params: MonolayerParams, pt) -> dict:
+    met = mono.closed_metric(pt, params)
+    spray = mono.closed_semispray(pt, params, form="exact")
+    nlc = mono.closed_nonlinear_connection(pt, params, form="exact")
+    em, eym = mono.closed_em_and_ym(pt, params, form="exact")
+    # + 0.0 turns the -0.0 of p = 0, where F21 = -(3/4) m r phidot * 0, into 0
+    return _eval_quantities(met.g, spray.G, nlc.N, em.F[1, 0] + 0.0, eym)
 
 
 def cmd_eval(cfg: dict, args) -> int:
@@ -264,7 +265,7 @@ def cmd_eval(cfg: dict, args) -> int:
         vals = [float(v) for v in pieces]
     except ValueError as exc:
         raise ConfigError(f"--point values must be numbers: {exc}") from exc
-    model = _model_from(cfg)
+    model = MonolayerModel(cfg["params"])
     try:
         pt = jet_point(*vals)
     except ValueError as exc:
@@ -277,7 +278,7 @@ def cmd_eval(cfg: dict, args) -> int:
     if args.oracle_only:
         closed = _eval_quantities()
     else:
-        closed = _closed_eval_columns(cfg, model, pt)
+        closed = _closed_eval_columns(cfg["params"], pt)
         log.info("eval: closed forms done")
     ev = GeometryEvaluator(model, pt)
     met, spray, nlc = ev.metric(), ev.semispray(), ev.nonlinear_connection()
@@ -302,9 +303,8 @@ def cmd_eval(cfg: dict, args) -> int:
 
 
 def cmd_simulate(cfg: dict, args) -> int:
-    model = _model_from(cfg)
     sim = _sim_config(cfg, TrajectoryState(**cfg["initial_state"]), cfg["t_end"])
-    series = integrate_geodesic(sim, model)
+    series = integrate_geodesic(sim, MonolayerModel(sim.params))
     log.info("simulate: geodesic solve done (%d samples, status=%s)", len(series.t), series.status)
     out = _out_dir(args) / "trajectory.csv"
     _write_trajectory_csv(out, series)
@@ -333,7 +333,7 @@ def _resonant_reference(cfg: dict, params: MonolayerParams):
 
 
 def cmd_resonant(cfg: dict, args) -> int:
-    params = _params_from(cfg)
+    params = cfg["params"]
     traj = _resonant_reference(cfg, params)
     res21 = traj.residual_eq21()
     res22 = traj.residual_eq22()
@@ -358,7 +358,7 @@ def cmd_resonant(cfg: dict, args) -> int:
 
 
 def cmd_deviation(cfg: dict, args) -> int:
-    params = _params_from(cfg)
+    params = cfg["params"]
     reference = _resonant_reference(cfg, params)
     d = cfg["deviation"]
     init = DeviationState(
@@ -389,9 +389,8 @@ def cmd_deviation(cfg: dict, args) -> int:
 
 
 def cmd_validate(cfg: dict, args) -> int:
-    params = _params_from(cfg)
     report = run_validation(
-        params,
+        cfg["params"],
         seed=cfg["seed"],
         n_points=cfg["validate"]["n_points"],
         tolerance=cfg["tolerances"]["oracle"],
@@ -431,7 +430,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     sw = cfg["sweep"]
     r_lo, r_hi, r_n = sw["r"]
     rd_lo, rd_hi, rd_n = sw["rdot"]
-    model = _model_from(cfg)
+    model = MonolayerModel(cfg["params"])
     out_dir = _out_dir(args)
     index_path = out_dir / "index.csv"
     rows = []
@@ -536,6 +535,8 @@ def main(argv=None) -> int:
         models = _COMMAND_MODELS[args.command]
         if cfg["model"] not in models:
             raise ConfigError(f"{args.command} does not run the {cfg['model']} model; it runs {', '.join(models)}")
+        if cfg["params"].p == 0.0 and "free_polar" not in models:
+            raise ConfigError(f"{args.command} needs p > 0; p = 0 is the free particle, which it does not run")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

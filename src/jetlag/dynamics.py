@@ -4,7 +4,9 @@ trajectories and the Jacobi-type deviation equations along them.
 
 The geodesic system is dy/dt + 2G(t, x, y) = 0, dx/dt = y, integrated with
 an adaptive embedded Runge-Kutta pair (4/5) with terminal events at the
-singular loci (g11 -> 0, rdot -> 0, r -> 0).  When the solver gives up
+singular loci (g11 -> 0, rdot -> 0, r -> 0).  G is the closed exact spray
+of a ``MonolayerModel``, on floats; at p = 0 that model is the free polar
+particle, and the rdot -> 0 event is off.  When the solver gives up
 because rdot blows up in finite time before r reaches r_min, the run ends
 in the ``finite_time_collapse`` event instead of a failure.  An independent
 Euler-Lagrange residual is recorded along every run: a
@@ -25,8 +27,8 @@ import numpy as np
 from .errors import DomainError, JetLagError
 from .expint import exp_integral_f
 from .geometry import GeometryEvaluator
-from .models import LagrangianModel
 from .monolayer import (
+    MonolayerModel,
     MonolayerParams,
     _any,
     _denominator,
@@ -113,7 +115,6 @@ class TrajectorySeries:
     """Sampled trajectory plus per-sample diagnostics; t strictly increasing."""
 
     params: MonolayerParams
-    model_name: str
     t: np.ndarray
     r: np.ndarray
     phi: np.ndarray
@@ -285,18 +286,13 @@ def _solve(what: str, rhs, span, y0, rtol, atol, **options):
     return solve_ivp(counted, span, y0, method="RK45", rtol=rtol, atol=atol, **options)
 
 
-def _spray_of(model: LagrangianModel):
-    """(t, r, phi, rdot, phidot) -> (G1, G2) on floats, the coordinates
-    checked as a JetPoint checks them: the model's closed spray, or the FD
-    semispray of a model without one."""
+def _spray_of(model: MonolayerModel):
+    """(t, r, phi, rdot, phidot) -> (G1, G2) on floats: the model's exact
+    spray, the coordinates checked as a JetPoint checks them."""
 
     def spray(t, r, phi, rdot, phidot):
         check_coordinates(t, r, phi, rdot, phidot)
-        closed = model.spray(t, r, phi, rdot, phidot)
-        if closed is not None:
-            return closed
-        G = GeometryEvaluator(model, JetPoint(t, (r, phi), (rdot, phidot))).semispray().G
-        return float(G[0]), float(G[1])
+        return model.spray(t, r, phi, rdot, phidot)
 
     return spray
 
@@ -333,7 +329,7 @@ def _finite_time_collapse(spray, t, u) -> SingularEvent | None:
     return None
 
 
-def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectorySeries:
+def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySeries:
     """Integrate dy/dt = -2G, dx/dt = y adaptively until t_end or a
     singularity event; diagnostics and the EL residual come along."""
     pt0 = config.state0.point()
@@ -344,7 +340,7 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
     # the right-hand side and the events run on Python floats: u.tolist()
     # and float(t), the values a JetPoint per call used to hold
     spray = _spray_of(model)
-    needs_rdot = model.requires_nonzero_rdot
+    needs_rdot = model.params.p != 0.0  # L contains rdot^-1
     r_floor = config.r_min / 10.0
 
     def rhs(t, u):
@@ -371,16 +367,14 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
         events.append(ev_rdot)
         kinds.append("rdot_zero")
 
-    if model.metric_g11(pt0.t, *pt0.x, *pt0.y) is not None:
+    def ev_g11(t, u):
+        state = (float(t), *_safe_state(u.tolist(), r_floor, needs_rdot))
+        check_coordinates(*state)
+        return model.metric_g11(*state)
 
-        def ev_g11(t, u):
-            state = (float(t), *_safe_state(u.tolist(), r_floor, needs_rdot))
-            check_coordinates(*state)
-            return model.metric_g11(*state)
-
-        ev_g11.terminal = True
-        events.append(ev_g11)
-        kinds.append("metric_singular")
+    ev_g11.terminal = True
+    events.append(ev_g11)
+    kinds.append("metric_singular")
 
     # an array, as the events see it at t0 too
     u0 = np.array([config.state0.r, config.state0.phi, config.state0.rdot, config.state0.phidot], dtype=float)
@@ -428,7 +422,6 @@ def integrate_geodesic(config: SimConfig, model: LagrangianModel) -> TrajectoryS
 
     return TrajectorySeries(
         params=config.params,
-        model_name=model.name,
         t=t,
         r=r,
         phi=phi,
@@ -686,7 +679,6 @@ def compose_perturbed(
     e_inst, H, H_ym, eym, g11 = _diagnostics(reference.params, t, r, phi, rdot, phidot)
     return TrajectorySeries(
         params=reference.params,
-        model_name="monolayer(composed)",
         t=t,
         r=r,
         phi=phi,

@@ -1,14 +1,13 @@
-"""Lagrangian models the generic geometry pipeline can differentiate.
+"""The interface of a Lagrangian the generic geometry pipeline can differentiate.
 
 A model supplies its scalar value, a domain predicate and, optionally,
-per-axis finite-difference scale hints and fast closed-form shortcuts
-(spray, g11) that the dynamics integrator uses when present.  The value,
-the domain predicate and the shortcuts take the five coordinates
-(t, r, phi, rdot, phidot) as plain floats, already checked as a
+per-axis finite-difference scale hints.  All three take the five
+coordinates (t, r, phi, rdot, phidot) as plain floats, already checked as a
 ``JetPoint`` checks them (``points.check_coordinates``), and return floats
 (``domain_violation`` a message or None).  The generic geometry pipeline
-itself only ever consumes ``value``, ``domain_violation`` and
-``fd_scales``, so closed forms can never leak into the oracle.
+consumes nothing else, so closed forms can never leak into the oracle.
+``monolayer.MonolayerModel`` is the one model of ``src``; at p = 0 it is
+the free polar particle.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ class LagrangianModel:
     for the life of a ``GeometryEvaluator`` (see ``fd.py``).
     """
 
-    name = "model"
-    #: True when the Lagrangian contains rdot^-1 (domain excludes rdot = 0)
-    requires_nonzero_rdot = False
-
     def value(self, t, r, phi, rdot, phidot) -> float:
         raise NotImplementedError
 
@@ -40,37 +35,3 @@ class LagrangianModel:
     def fd_scales(self, pt: JetPoint, spec=None):
         """Optional per-axis step scales for the partial ``spec`` (None = default)."""
         return None
-
-    # optional closed-form fast paths -------------------------------------
-    def spray(self, t, r, phi, rdot, phidot):
-        """(G1, G2) closed form, or None when only the FD route exists."""
-        return None
-
-    def metric_g11(self, t, r, phi, rdot, phidot):
-        """Closed-form g11, or None; used for cheap singularity events."""
-        return None
-
-
-class FreePolarModel(LagrangianModel):
-    """Free particle in the polar plane: L = (m/2)(rdot^2 + r^2 phidot^2).
-
-    The flat benchmark: geodesics are straight lines, r^2 phidot is
-    conserved, all torsions and the electromagnetic form vanish.
-    """
-
-    name = "free_polar"
-
-    def __init__(self, m: float = 1.0):
-        if m <= 0:
-            raise ValueError("mass must be positive")
-        self.m = float(m)
-
-    def value(self, t, r, phi, rdot, phidot) -> float:
-        return 0.5 * self.m * (rdot**2 + r**2 * phidot**2)
-
-    def spray(self, t, r, phi, rdot, phidot):
-        return (-0.5 * r * phidot**2, rdot * phidot / r)
-
-    def metric_g11(self, t, r, phi, rdot, phidot):
-        return 0.5 * self.m
-

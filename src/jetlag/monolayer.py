@@ -108,11 +108,12 @@ def _full_like(x, value: float):
 
 @dataclass(frozen=True)
 class MonolayerParams:
-    """Physical constants of the monolayer model.
+    """Physical constants of the monolayer model, each finite.
 
     p >= 0 is allowed: p = 0 switches the potential off and reduces the
     model to the free polar particle (the printed approximate forms, which
-    divide by p, then refuse to evaluate).
+    divide by p, then refuse to evaluate).  Each ValueError message starts
+    with the name of the field it rejects.
     """
 
     m: float = 1.0
@@ -121,14 +122,13 @@ class MonolayerParams:
     R0: float | None = None
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("m must be positive")
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
-        if self.V_abs <= 0:
-            raise ValueError("V_abs must be positive")
-        if self.R0 is not None and self.R0 <= 0:
-            raise ValueError("R0 must be positive when given")
+        # written so that NaN fails every check
+        for name in ("m", "V_abs", "R0"):
+            value = getattr(self, name)
+            if not (value is None or 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.p < math.inf:
+            raise ValueError(f"p must be nonnegative and finite, got {self.p}")
 
 
 def _require_printed(params: MonolayerParams, what: str):
@@ -541,18 +541,15 @@ def closed_em_and_ym(
 
 
 class MonolayerModel(LagrangianModel):
-    """The monolayer Lagrangian as a differentiable model.
+    """The monolayer Lagrangian as a differentiable model; at p = 0 it is the
+    free polar particle L = (m/2)(rdot^2 + r^2 phidot^2), the flat benchmark.
 
     The (t, r)-dependent pieces (e^E, U) are memoized because FD stencils
     in the fibre directions revisit the same base point hundreds of times.
     """
 
-    name = "monolayer"
-
     def __init__(self, params: MonolayerParams):
         self.params = params
-        self.m = params.m
-        self.requires_nonzero_rdot = params.p != 0.0
         self._tr = functools.lru_cache(maxsize=4096)(self._tr_uncached)
 
     def _tr_uncached(self, t: float, r: float) -> tuple[float, float]:

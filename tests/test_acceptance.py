@@ -22,7 +22,6 @@ from jetlag.dynamics import (
 )
 from jetlag.expint import exp_integral_f
 from jetlag.geometry import GeometryEvaluator
-from jetlag.models import FreePolarModel
 from jetlag.monolayer import (
     MonolayerModel,
     MonolayerParams,
@@ -165,7 +164,7 @@ def test_criterion_6_approximation_identity(resolvable_points):
 
 def test_criterion_7_geodesic_integrator():
     free = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
-    fp = FreePolarModel()
+    fp = MonolayerModel(MonolayerParams(p=0.0))
     start = time.perf_counter()
     cfg = SimConfig(params=free, state0=TrajectoryState(0.0, 1.0, 0.0, 1.0, 0.0), t_end=1.0)
     radial = integrate_geodesic(cfg, fp)

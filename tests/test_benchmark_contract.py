@@ -1,11 +1,14 @@
-"""The traced benchmark reads every per-layer metric BENCHMARK.json declares.
+"""The benchmark reads every metric BENCHMARK.json declares.
 
 perfbench's tracer skips an entry point that no longer exists and drops the
 metrics derived from it, so a renamed or deleted library function would
 shrink the traced result without an error.  The first test imports the
 tracer from ``perfbench/`` unchanged and asks it for the metric names; the
-second runs the traced benchmark itself, in a copy of the checkout so that
-``perfbench/`` stays untouched, and reads the result line it ends on.
+second runs the benchmark itself, traced and untraced, in one copy of the
+checkout so that ``perfbench/`` stays untouched, and reads the result line
+it ends on.  The untraced run adds the setup-only probes and the speed
+scaling, and must end on every declared end-to-end metric with no failed
+item.
 """
 
 import importlib
@@ -20,7 +23,9 @@ import pytest
 from jetlag.monolayer import MonolayerModel, MonolayerParams
 
 ROOT = Path(__file__).resolve().parents[1]
-DECLARED = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+DECLARED = {m["name"] for m in BENCHMARK["per_layer"]}
+END_TO_END = {m["name"] for m in BENCHMARK["end_to_end"]}
 
 
 def test_traced_run_reports_every_declared_metric(monkeypatch):
@@ -31,14 +36,29 @@ def test_traced_run_reports_every_declared_metric(monkeypatch):
     assert set(tracing.layer_metrics(tracer, 1.0, 1.0)) == DECLARED
 
 
-@pytest.mark.parametrize("workload", ["sweep", "resonant", "oracle", "validate"])
-def test_traced_benchmark_ends_on_a_result(tmp_path, workload):
+@pytest.fixture(scope="module")
+def checkout(tmp_path_factory):
+    """One copy of the checkout for every benchmark run of this module."""
+    root = tmp_path_factory.mktemp("checkout")
     for name in ("perfbench", "src"):
-        shutil.copytree(ROOT / name, tmp_path / name, ignore=shutil.ignore_patterns("out", "__pycache__"))
-    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "1"]
-    proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        shutil.copytree(ROOT / name, root / name, ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    return root
+
+
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(workload, trace, id=workload + ("" if trace == "1" else "-untraced"))
+    for workload in ("sweep", "resonant", "oracle", "validate")
+    for trace in ("1", "0")
+])
+def test_traced_benchmark_ends_on_a_result(checkout, workload, trace):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", trace]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
-    assert set(result["metrics"]) == DECLARED
+    if trace == "1":
+        assert set(result["metrics"]) == DECLARED
+    else:
+        assert result["failed"] == 0
+        assert set(result["metrics"]) == END_TO_END

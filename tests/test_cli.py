@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -83,6 +84,31 @@ class TestConfig:
             path.write_text(cfg)
             assert run_cli("simulate", "--config", str(path)) == 2, cfg
             assert capsys.readouterr().err == f"configuration error: {message}\n", cfg
+
+    @pytest.mark.parametrize("cmd, cfg, message", [
+        ("simulate", '{"params": {"m": -1}}', "params.m must be positive and finite, got -1"),
+        ("simulate", '{"params": {"p": -1}}', "params.p must be nonnegative and finite, got -1"),
+        ("simulate", '{"params": {"V_abs": 0}}', "params.V_abs must be positive and finite, got 0"),
+        ("simulate", '{"params": {"R0": -1}}', "params.R0 must be positive and finite, got -1"),
+        # NaN fails every check
+        ("resonant", '{"params": {"m": NaN}}', "params.m must be positive and finite, got nan"),
+        ("simulate", '{"params": {"R0": NaN}}', "params.R0 must be positive and finite, got nan"),
+        ("simulate", '{"params": {"V_abs": NaN}}', "params.V_abs must be positive and finite, got nan"),
+        ("simulate", '{"params": {"p": Infinity}}', "params.p must be nonnegative and finite, got inf"),
+        ("simulate", '{"t_end": -1}', "t_end must be finite and exceed the initial time 0.0, got -1"),
+        ("simulate", '{"t_end": NaN}', "t_end must be finite and exceed the initial time 0.0, got nan"),
+        ("simulate", '{"initial_state": {"t": 1}}', "t_end must be finite and exceed the initial time 1, got 0.002"),
+        ("simulate", '{"initial_state": {"t": NaN}}', "initial_state.t must be finite, got nan"),
+        ("simulate", '{"initial_state": {"r": Infinity}}', "initial_state.r must be finite, got inf"),
+        ("sweep", '{"sweep": {"t_end": -1}}', "sweep.t_end must be finite and exceed the initial time 0.0, got -1"),
+    ])
+    def test_bad_physical_values_rejected(self, tmp_path, capsys, cmd, cfg, message):
+        # configuration errors, raised before any output directory exists
+        path = tmp_path / "bad.json"
+        path.write_text(cfg)
+        assert run_cli(cmd, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_dead_identity_tolerance_rejected(self, tmp_path, capsys):
         # nothing reads an identity tolerance, so the schema has no such key
@@ -207,7 +233,9 @@ class TestEval:
 
     @pytest.mark.parametrize("model, point, extra, closed", [
         pytest.param("monolayer", "0.001,0.5,0,-1,0.2", ["--oracle-only"], set(), id="oracle-only"),
-        pytest.param("free_polar", "0,2,0,3,0.5", [], {"g11", "g22", "G1", "G2"}, id="free_polar"),
+        # the monolayer at p = 0 fills every closed cell
+        pytest.param("free_polar", "0,2,0,3,0.5", [], {"g11", "g22", "G1", "G2", "N11", "N12", "N21", "N22", "F21", "EYM"},
+                     id="free_polar"),
     ])
     def test_csv_leaves_missing_closed_cells_empty(self, tmp_path, model, point, extra, closed):
         path = tmp_path / "cfg.json"
@@ -557,20 +585,74 @@ def test_eval_other_models(tmp_path, capsys):
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
-@pytest.mark.parametrize("cmd, model, message", [
-    *[pytest.param(cmd, "free_polar", f"{cmd} does not run the free_polar model; it runs ", id=f"{cmd}-free_polar")
+@pytest.mark.parametrize("cmd, cfg, message", [
+    *[pytest.param(cmd, {"model": "free_polar"}, f"{cmd} does not run the free_polar model; it runs ",
+                   id=f"{cmd}-free_polar")
+      for cmd in ("resonant", "deviation", "validate")],
+    # p = 0 is the free particle under either model name
+    *[pytest.param(cmd, {"params": {"p": 0}}, f"{cmd} needs p > 0; p = 0 is the free particle, which it does not run",
+                   id=f"{cmd}-p0")
       for cmd in ("resonant", "deviation", "validate")],
     # no command runs the fixture model: it is unknown
-    *[pytest.param(cmd, "electrodynamics_fixture", "unknown model: electrodynamics_fixture",
+    *[pytest.param(cmd, {"model": "electrodynamics_fixture"}, "unknown model: electrodynamics_fixture",
                    id=f"{cmd}-electrodynamics_fixture")
       for cmd in ("resonant", "deviation", "validate", "simulate", "sweep")],
 ])
-def test_commands_reject_a_model_they_do_not_run(tmp_path, capsys, cmd, model, message):
+def test_commands_reject_a_model_they_do_not_run(tmp_path, capsys, cmd, cfg, message):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"model": model}))
+    path.write_text(json.dumps(cfg))
     assert run_cli(cmd, "--config", str(path), "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {message}")
     assert not (tmp_path / "o").exists()
+
+
+#: SHA-256 of the default free-polar simulate and sweep files as the former
+#: separate free-particle model wrote them, so the monolayer at p = 0 must
+#: write them bit for bit; at p = 0 the diagnostics take no exp, and numpy's
+#: AVX-512 and AVX2 dispatch give the same bytes
+FREE_PARTICLE_SHA256 = {
+    "simulate/trajectory.csv": "010dfc8d3b538f95c762d99a435f53b0e8603edb772d7b132c4caee43daab1f5",
+    "sweep/index.csv": "de1c7802e8772407a8b7a5ce62e0a8a54efb2f3a5472399a2cd8c4e95787b71f",
+    "sweep/run_000.csv": "8216468d56cfd3714d760ca6f34b3db35f8818b39674c48cd363c83fdd699ce3",
+    "sweep/run_001.csv": "8b09c211eb331d35cde15482e0fca79e2e868224bd1e245c078a2629c935d552",
+    "sweep/run_002.csv": "f614a5669e1084d45173e1b38b080d86780b05b1e09a540339460d83bdc76d78",
+    "sweep/run_003.csv": "225d39dae1c3eec3839ae63335a74a7129bd2988a11675951dc9a658802bdd2b",
+    "sweep/run_004.csv": "f685ce031f1df2ecb85956b82b65c234da3b6a4e24cba5aa69dd910ddd8ac61f",
+    "sweep/run_005.csv": "9bb3ee3e5947f47ebd5fc8294528085a090ea07d696f8320b9b439cd7878893a",
+    "sweep/run_006.csv": "c702db2beb1c54061b5188ca8867a242d8a333e7f3f0ed7455bb0fd574ddff4d",
+    "sweep/run_007.csv": "7686921957370e259e5ccf4c4e51ed98c39ce620e077c929f304ce1ec0574f8a",
+    "sweep/run_008.csv": "8e03508d71014334c487063bfb01b64f3ad68551ad54a16eb602bdf504417ede",
+    "sweep/run_009.csv": "a77f598f0f5857a658d3f258334d7711856df2600d26f3825d552f5e25b5bafe",
+    "sweep/run_010.csv": "f4c5c49ed0a69914676a34be21050754f14b8847c1434349538ef07c200601c3",
+    "sweep/run_011.csv": "4f53c861b87f399257ae2cb48e26a66e5a9838fc55412c455943437cf5a0da73",
+    "sweep/run_012.csv": "c59912b1626b47314cbcce5ac3b9db819a4cd154631f1f8e1f9edd661338923a",
+    "sweep/run_013.csv": "fce5c423cb20304b62b23c35ff440e3e8c45925a055e1ca32d45c40d88ee91df",
+    "sweep/run_014.csv": "c0e70a73572b531d6dd2f6be0bcecf46437c3fb3ccd1cf3ce1bb17882bd96d8d",
+    "sweep/run_015.csv": "5602a89d5d5ad2f0d30ff9c10b67129e985b49fa60a565bbb67ddb5c35d45da9",
+    "sweep/run_016.csv": "009612741f97ea21d6b5b0fd24c442d4803f80730940aa47fada18655a3261af",
+    "sweep/run_017.csv": "ee941ec3b73d51519488f7a62fa4e299540456f3731516a00ade57e2dc1a0a64",
+    "sweep/run_018.csv": "8cd8f85f395ccb5c08ff5b06d1fb51d6c71d7c3bc6bf9e03f9bf8a306af2c50e",
+    "sweep/run_019.csv": "be8b731f457918b5b0e7138ec98f5e6dedf4164bc44d00075c38ccb70b5d9258",
+    "sweep/run_020.csv": "d5af1f413a8f06b709203cfaee94b2858da9485ae4f7deeae3b1d9f5db881e2f",
+    "sweep/run_021.csv": "582071e257edab9140e8a14668f87281ca8c0930622829099546cf43e42a03db",
+    "sweep/run_022.csv": "46d2060fa92300a4283b2180376275545aa430f23c82e200bc9bdff97879aa5d",
+    "sweep/run_023.csv": "4143dc0adb09ee003673eb5933431debb8aef8aa646d8b294cf837bf92b5b65e",
+    "sweep/run_024.csv": "462704900f4de2ba7d5d35150c25711c99176cb3333d54570da5cd147f0e8d43",
+}
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param({"model": "free_polar"}, id="free_polar"),
+    pytest.param({"model": "monolayer", "params": {"p": 0}}, id="monolayer-p0"),
+])
+def test_free_particle_files_are_pinned(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for cmd in ("simulate", "sweep"):
+        assert run_cli(cmd, "--config", str(path), "--out", str(tmp_path / cmd)) == 0
+    written = {f"{f.parent.name}/{f.name}": hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in tmp_path.glob("*/*.csv")}
+    assert written == FREE_PARTICLE_SHA256
 
 
 @pytest.mark.parametrize("cmd, cfg, fragment", [

@@ -28,7 +28,6 @@ from jetlag.dynamics import (
 )
 from jetlag.errors import DomainError
 from jetlag.geometry import GeometryEvaluator
-from jetlag.models import FreePolarModel
 from jetlag.monolayer import (
     MonolayerModel,
     MonolayerParams,
@@ -41,7 +40,7 @@ from jetlag.monolayer import (
 from jetlag.points import jet_point
 from oracles import PolynomialModel
 
-FP = FreePolarModel(m=1.0)
+FP = MonolayerModel(MonolayerParams(m=1.0, p=0.0))
 FREE = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
 _DEFAULT_START = TrajectoryState(0.0, 0.5, 0.0, -1.0, 0.1)
 _COLLAPSING_START = TrajectoryState(0.0, 0.2, 0.0, -5.0, 0.0)
@@ -592,7 +591,7 @@ def test_el_residual_matches_component_reference(which):
     model, box = {
         # the default simulate state's neighbourhood
         "monolayer": (MonolayerModel(MonolayerParams()), [(0.0, 2e-3), (0.2, 1.0), (-1, 1), (-5.0, -0.5), (-1, 1)]),
-        "free_polar": (FreePolarModel(m=1.3), [(0.0, 1.0), (0.3, 2.0), (-3, 3), (-2, 2), (-2, 2)]),
+        "free_polar": (MonolayerModel(MonolayerParams(m=1.3, p=0.0)), [(0.0, 1.0), (0.3, 2.0), (-3, 3), (-2, 2), (-2, 2)]),
         "asymmetric": (PolynomialModel(_asymmetric_xy), [(0.0, 1.0), (0.3, 2.0), (-3, 3), (-2, 2), (-2, 2)]),
     }[which]
     rng = np.random.default_rng(11)

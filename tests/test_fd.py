@@ -9,7 +9,7 @@ import pytest
 from jetlag.errors import StencilDomainError
 from jetlag.fd import MAX_ORDER, numeric_partials
 from jetlag.geometry import GeometryEvaluator
-from jetlag.models import FreePolarModel
+from jetlag.monolayer import MonolayerModel, MonolayerParams
 from jetlag.points import AXES, jet_point
 from oracles import CountingMonolayer, PolynomialModel, asymmetric_lagrangian, monolayer_dL_drdot
 
@@ -135,7 +135,7 @@ SPECS = [s for n in range(1, MAX_ORDER + 1) for s in itertools.combinations_with
 def test_shared_memo_is_bit_identical(which, model5, sample_pt):
     model, pt = {
         "monolayer": (model5, sample_pt),
-        "free_polar": (FreePolarModel(m=1.3), jet_point(0.2, 2.0, 0.3, 3.0, 0.5)),
+        "free_polar": (MonolayerModel(MonolayerParams(m=1.3, p=0.0)), jet_point(0.2, 2.0, 0.3, 3.0, 0.5)),
     }[which]
     assert len(SPECS) == 55
     fresh = [numeric_partials(model, pt, spec) for spec in SPECS]

@@ -7,8 +7,7 @@ import pytest
 
 from jetlag.errors import SingularMetricError
 from jetlag.geometry import CartanConnection, EMForm, GeometryEvaluator, ym_energy
-from jetlag.models import FreePolarModel
-from jetlag.monolayer import closed_semispray
+from jetlag.monolayer import MonolayerModel, MonolayerParams, closed_semispray
 from jetlag.points import jet_point
 from oracles import (
     CountingMonolayer,
@@ -23,7 +22,7 @@ from oracles import (
     polar_spray,
 )
 
-FP = FreePolarModel(m=1.0)
+FP = MonolayerModel(MonolayerParams(m=1.0, p=0.0))
 
 
 class TestMetric:

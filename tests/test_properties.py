@@ -11,7 +11,6 @@ from jetlag.dynamics import TrajectoryState, hamiltonian_split
 from jetlag.expint import exp_integral_f
 from jetlag.fd import numeric_partials
 from jetlag.geometry import EMForm, GeometryEvaluator, ym_energy
-from jetlag.models import FreePolarModel
 from jetlag.monolayer import (
     MonolayerModel,
     MonolayerParams,
@@ -128,7 +127,7 @@ def test_zero_energy_iff_f12_small(t, r, rdot, phidot):
 @settings(max_examples=20, deadline=None)
 @given(st.floats(0.2, 3.0), st.floats(0.5, 3.0), st.floats(-2.0, 2.0))
 def test_free_polar_em_vanishes(r, rdot, phidot):
-    model = FreePolarModel()
+    model = MonolayerModel(MonolayerParams(p=0.0))
     em = GeometryEvaluator(model, jet_point(0.1, r, 0.0, rdot, phidot)).em_form()
     assert np.max(np.abs(em.F)) < 1e-7 * max(1.0, rdot**2)
 
