@@ -7,8 +7,9 @@ The package has four layers:
   from any Lagrangian by finite differences (the independent oracle);
 * :mod:`jetlag.monolayer` -- closed forms for the monolayer Lagrangian,
   both exact and as printed (leading-order) displays;
-* :mod:`jetlag.dynamics` -- geodesic integration, instanton energy,
-  Hamiltonian decomposition, resonant trajectories and Jacobi deviations;
+* :mod:`jetlag.dynamics` -- geodesic integration with the per-sample
+  energies of one pass (``hamiltonian_split``), resonant trajectories and
+  Jacobi deviations;
 * :mod:`jetlag.cli` -- the ``jetlag`` command-line front end.
 """
 
@@ -47,7 +48,6 @@ from .monolayer import (
     closed_nonlinear_connection,
     closed_semispray,
     closed_torsions,
-    lagrangian_value,
     potential_U,
 )
 from .points import JetPoint, jet_point

@@ -94,7 +94,6 @@ DEFAULTS = {
         "c2": 1.0,
         "delta_r": 0.0,
         "delta_rdot": 0.0,
-        "resonant_substitution": True,
         "rtol": 1e-10,
         "atol": 1e-12,
     },
@@ -196,11 +195,11 @@ def load_config(path: str | None, seed_override=None) -> dict:
             raise ConfigError(f"{key} must be finite and exceed the initial time {t0}, got {t_end}")
     p = merged["params"]
     try:
-        merged["params"] = MonolayerParams(
-            m=p["m"], p=0.0 if merged["model"] == "free_polar" else p["p"], V_abs=p["V_abs"], R0=p["R0"]
-        )
+        params = MonolayerParams(**p)
     except ValueError as exc:
         raise ConfigError(f"params.{exc}") from exc
+    # free_polar is the monolayer at p = 0, once the configured p has passed its check
+    merged["params"] = MonolayerParams(**{**p, "p": 0.0}) if merged["model"] == "free_polar" else params
     if seed_override is not None:
         merged["seed"] = int(seed_override)
     return merged
@@ -364,14 +363,7 @@ def cmd_deviation(cfg: dict, args) -> int:
     init = DeviationState(
         delta_r=d["delta_r"], delta_rdot=d["delta_rdot"], delta_phi=d["c1"], delta_phidot=d["c2"]
     )
-    dev = deviation_integrate(
-        reference,
-        init,
-        params,
-        resonant_substitution=d["resonant_substitution"],
-        rtol=d["rtol"],
-        atol=d["atol"],
-    )
+    dev = deviation_integrate(reference, init, params, rtol=d["rtol"], atol=d["atol"])
     log.info("deviation: Jacobi solve done (%d samples)", len(dev.t))
     affine = np.abs(dev.delta_phi - (dev.c1 + dev.c2 * dev.t))
     header = ["t", "delta_r", "delta_rdot", "delta_phi", "delta_phidot", "affine_residual"]

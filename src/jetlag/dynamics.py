@@ -1,6 +1,8 @@
-"""Trajectory dynamics on the jet space: geodesics, the instanton energy
-condition, the renormalized-Hamiltonian split, resonant zero-Yang-Mills
-trajectories and the Jacobi-type deviation equations along them.
+"""Trajectory dynamics on the jet space: geodesics, resonant zero-Yang-Mills
+trajectories and the Jacobi-type deviation equations along them.  Every
+trajectory carries its per-sample energies (instanton energy, renormalized
+Hamiltonian, printed and exact Yang-Mills energies, g11), all from one pass,
+``hamiltonian_split``.
 
 The geodesic system is dy/dt + 2G(t, x, y) = 0, dx/dt = y, integrated with
 an adaptive embedded Runge-Kutta pair (4/5) with terminal events at the
@@ -34,9 +36,7 @@ from .monolayer import (
     _denominator,
     _exp_checked,
     _full_like,
-    electrocapillarity_U_s,
     em_component_f21,
-    lagrangian_value,
     potential_U,
     potential_U_drr,
     zero_energy_bracket,
@@ -74,14 +74,6 @@ class DeviationState:
     delta_rdot: float = 0.0
     delta_phi: float = 0.0
     delta_phidot: float = 0.0
-
-    @property
-    def c1(self) -> float:
-        return self.delta_phi
-
-    @property
-    def c2(self) -> float:
-        return self.delta_phidot
 
 
 @dataclass(frozen=True)
@@ -129,9 +121,6 @@ class TrajectorySeries:
     events: list[SingularEvent] = field(default_factory=list)
     status: str = "completed"
 
-    def __len__(self):
-        return len(self.t)
-
 
 @dataclass
 class DeviationSeries:
@@ -173,9 +162,9 @@ class ResonantTrajectory:
 
     def _resonance_residual(self, exponent) -> np.ndarray:
         """Relative residual of m r0dot^3 + 6 p |V| r0^5 e^exponent = 0, taken
-        as |m r0dot^3 e^-exponent + 6 p |V| r0^5| over the larger term, as
-        ``hamiltonian_split`` groups it: the exponent is >= 0 on every span
-        ``resonant_trajectory`` accepts, so e^-exponent cannot overflow."""
+        as |m r0dot^3 e^-exponent + 6 p |V| r0^5| over the larger term: the
+        exponent is >= 0 on every span ``resonant_trajectory`` accepts, so
+        e^-exponent cannot overflow."""
         p = self.params
         drive = 6.0 * p.p * p.V_abs * self.r0**5
         kinetic = p.m * self.r0dot**3 * np.exp(-exponent)
@@ -215,53 +204,32 @@ def _require_sample(state: TrajectoryState):
         raise ValueError("a trajectory sample needs finite components and r > 0")
 
 
-def _energies(state: TrajectoryState, params: MonolayerParams, L):
-    """(H, H_YM, g11): H = g11 rdot^2 + g22 phidot^2 - L, H_YM printed (0 at p = 0)."""
-    t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
-    g11 = 0.5 * _denominator(t, r, rdot, params)
-    H = g11 * rdot**2 + 0.5 * params.m * r**2 * phidot**2 - L
-    if params.p == 0.0:
-        return H, _full_like(r, 0.0), g11
-    return H, phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * params.m), g11
-
-
 def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
-    """(H, H_YM, delta_L, L0) of the renormalized-Hamiltonian decomposition.
+    """(E_inst, H, H_YM, EYM, g11) of one state, or per sample of a series of
+    them, in one pass over the potential.
 
-    H = g11 rdot^2 + g22 phidot^2 - L (algebraically equal to -U); H_YM is
-    the printed Yang-Mills energy; delta_L and L0 are evaluated from their
-    explicit displays, so the identities delta_L = -(H - H_YM) and
-    L0 = g22 phidot^2 + g11 rdot^2 - H_YM are genuine cross-checks.
-    At p = 0 all potential pieces vanish and H = H_YM = delta_L = 0.
+    With the kinetic term K = (m/2)(rdot^2 + r^2 phidot^2) and
+    U_s = U - p r^5 |V| e^E / rdot, L = K + U_s: E_inst = K - U_s is the
+    instanton energy, H = g11 rdot^2 + g22 phidot^2 - L the renormalized
+    Hamiltonian (algebraically -U), H_YM the printed Yang-Mills energy and
+    EYM = F_(2)1^(1)^2 / m the exact one.  At p = 0 H = H_YM = EYM = 0.
+    An rdot = 0 sample raises a DomainError when p != 0.
     """
-    _require_sample(state)
-    # lagrangian_value raises a DomainError at rdot = 0 when p != 0
-    H, H_ym, g11 = _energies(state, params, lagrangian_value(state, params))
     t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
     m, p, V = params.m, params.p, params.V_abs
-    if p == 0.0:
-        return H, H_ym, _full_like(r, 0.0), 0.5 * m * r**2 * phidot**2 + g11 * rdot**2
-
-    E = 2.0 * V * t / r
-    # e^(-2E) (m rdot^3 + 6 p |V| r^5 e^E)^2 grouped as (m rdot^3 e^-E + ...)^2
-    # so the huge exponentials cancel before they can overflow/underflow
-    stable = (m * rdot**3 * _exp_checked(-E, "hamiltonian_split") + 6.0 * p * V * r**5) ** 2
-    delta_L = potential_U(t, r, params) + m * phidot**2 * stable / (64.0 * p**2 * V**2 * r**8)
-    expE = _exp_checked(E, "hamiltonian_split")
-    L0 = -H_ym + 0.5 * m * r**2 * phidot**2 + 0.5 * rdot**2 * (m - 2.0 * p * V * r**5 * expE / rdot**3)
-    return H, H_ym, delta_L, L0
-
-
-def _diagnostics(params: MonolayerParams, t, r, phi, rdot, phidot):
-    """Per-sample (E_inst, H, H_YM, EYM, g11), one array pass per series:
-    E_inst = kinetic - U_s and L = kinetic + U_s share one potential pass."""
-    state = TrajectoryState(*(np.asarray(v, dtype=float) for v in (t, r, phi, rdot, phidot)))
-    U_s = electrocapillarity_U_s(state.t, state.r, state.rdot, params)
+    if p != 0.0 and _any(rdot == 0.0):
+        raise DomainError("U_s contains rdot^-1; rdot = 0 is singular")
+    U_s = potential_U(t, r, params)
+    if p != 0.0:
+        U_s -= p * r**5 * V * _exp_checked(2.0 * V * t / r, "hamiltonian_split") / rdot
     _require_sample(state)
-    kinetic = 0.5 * params.m * (state.rdot**2 + state.r**2 * state.phidot**2)
-    H, H_ym, g11 = _energies(state, params, kinetic + U_s)
-    eym = np.zeros(len(state.t)) if params.p == 0.0 else em_component_f21(state, params) ** 2 / params.m
-    return kinetic - U_s, H, H_ym, eym, g11
+    kinetic = 0.5 * m * (rdot**2 + r**2 * phidot**2)
+    g11 = 0.5 * _denominator(t, r, rdot, params)
+    H = g11 * rdot**2 + 0.5 * m * r**2 * phidot**2 - (kinetic + U_s)
+    if p == 0.0:
+        return kinetic - U_s, H, _full_like(r, 0.0), _full_like(r, 0.0), g11
+    H_ym = phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * m)
+    return kinetic - U_s, H, H_ym, em_component_f21(state, params) ** 2 / m, g11
 
 
 # -- the ODE driver and geodesic integration ----------------------------------
@@ -404,7 +372,7 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
             recorded.append(collapse)
             status = f"event:{collapse.kind}"
 
-    e_inst, H, H_ym, eym, g11 = _diagnostics(config.params, t, r, phi, rdot, phidot)
+    e_inst, H, H_ym, eym, g11 = hamiltonian_split(TrajectoryState(t, r, phi, rdot, phidot), config.params)
 
     el = None
     if config.compute_el_residual and len(t) >= 3:
@@ -577,7 +545,6 @@ def deviation_integrate(
     reference: ResonantTrajectory,
     init: DeviationState,
     params: MonolayerParams,
-    resonant_substitution: bool = True,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> DeviationSeries:
@@ -593,9 +560,7 @@ def deviation_integrate(
     Each term has the units of the first, M L^4 T^-5; d2U/dt2 in place of
     d2U/dr2 would carry an extra (L/T)^2.  On resonant references the
     delta_phi friction coefficient is identically reduced to zero (the
-    resonance-condition substitution), so delta_phi = C1 + C2 t; pass
-    resonant_substitution=False to evaluate the printed coefficient
-    literally instead.
+    resonance-condition substitution), so delta_phi = C1 + C2 t.
     """
     spl = reference.spline()
     rdot_spl = reference.rdot_spline()
@@ -613,19 +578,11 @@ def deviation_integrate(
     def coeffs(t):
         r0 = float(spl(t))
         rd0 = float(rdot_spl(t))
-        E0 = 2.0 * V * t / r0
-        expE0 = math.exp(E0)
+        expE0 = math.exp(2.0 * V * t / r0)
         A = 2.0 * p * V * r0**5 * expE0 - m * rd0**3
         B = p * V * r0**3 * expE0 * (2.0 * t * V - 5.0 * r0) * rd0
         C = rd0**3 * potential_U_drr(t, r0, params)
-        return r0, rd0, A, B, C
-
-    def phi_coeff(t, r0, rd0):
-        # e^(-E0)-weighted grouping keeps the huge exponentials in check
-        exp_mE0 = math.exp(-min(2.0 * V * t / r0, 700.0))
-        f1 = m * rd0**3 * exp_mE0 + 6.0 * p * V * r0**5
-        f2 = m * (t * V - 2.0 * r0) * rd0**3 * exp_mE0 + 3.0 * p * V * r0**6
-        return rd0 * f1 * f2 / (8.0 * p**2 * V**2 * r0**12)
+        return A, B, C
 
     # delta_r = delta_rdot = 0 is an exact solution of its (decoupled,
     # homogeneous) equation, so the radial block is skipped entirely then;
@@ -635,14 +592,11 @@ def deviation_integrate(
 
     def rhs(t, w):
         dr, drd, dphi, dphid = w
+        ddr = 0.0
         if radial_active:
-            r0, rd0, A, B, C = coeffs(t)
+            A, B, C = coeffs(t)
             ddr = -(B * drd + C * dr) / A
-        else:
-            r0, rd0 = float(spl(t)), float(rdot_spl(t))
-            ddr = 0.0
-        ddphi = 0.0 if resonant_substitution else -phi_coeff(t, r0, rd0) * dphid
-        return [drd, ddr, dphid, ddphi]
+        return [drd, ddr, dphid, 0.0]
 
     w0 = [init.delta_r, init.delta_rdot, init.delta_phi, init.delta_phidot]
     sol = _solve("deviation integration", rhs, reference.t[[0, -1]], w0, rtol, atol, t_eval=reference.t)
@@ -676,7 +630,7 @@ def compose_perturbed(
     rdot = reference.r0dot + dev.delta_rdot
     phi = dev.delta_phi.copy()
     phidot = dev.delta_phidot.copy()
-    e_inst, H, H_ym, eym, g11 = _diagnostics(reference.params, t, r, phi, rdot, phidot)
+    e_inst, H, H_ym, eym, g11 = hamiltonian_split(TrajectoryState(t, r, phi, rdot, phidot), reference.params)
     return TrajectorySeries(
         params=reference.params,
         t=t,

@@ -300,8 +300,8 @@ class GeometryEvaluator:
         return EMForm(F=0.5 * ((gN.swapaxes(1, 2) - gN).sum(0) + gLy.sum(0)))
 
     def yang_mills_energy(self) -> float:
-        """EYM of the oracle's F with the model's mass (1 for a model without one)."""
-        return ym_energy(self.em_form(), getattr(self.model, "m", 1.0))
+        """EYM of the oracle's F with the model's mass ``m`` (1 unless the model sets it)."""
+        return ym_energy(self.em_form(), self.model.m)
 
     # -- residual oracles ----------------------------------------------------
     def metricity_residuals(self, cartan: CartanConnection | None = None):

@@ -1,7 +1,8 @@
 """The interface of a Lagrangian the generic geometry pipeline can differentiate.
 
-A model supplies its scalar value, a domain predicate and, optionally,
-per-axis finite-difference scale hints.  All three take the five
+A model supplies its scalar value, a domain predicate, the mass ``m`` the
+Yang-Mills energy divides by (1 by default) and, optionally, per-axis
+finite-difference scale hints.  All three take the five
 coordinates (t, r, phi, rdot, phidot) as plain floats, already checked as a
 ``JetPoint`` checks them (``points.check_coordinates``), and return floats
 (``domain_violation`` a message or None).  The generic geometry pipeline
@@ -22,6 +23,9 @@ class LagrangianModel:
     coordinates: the finite-difference engine memoises L per probe point
     for the life of a ``GeometryEvaluator`` (see ``fd.py``).
     """
+
+    #: the mass EYM divides by
+    m = 1.0
 
     def value(self, t, r, phi, rdot, phidot) -> float:
         raise NotImplementedError

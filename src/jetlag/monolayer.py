@@ -41,9 +41,9 @@ and bisection iterates may push past the float range.  Everywhere else,
 function and E.  a itself stays finite far past the point where D^2 would
 overflow, so N and the Cartan entries are finite wherever e^E is.
 
-All functions are pure; parameter records are frozen.  The pieces of the
-trajectory diagnostics (``potential_U``, ``electrocapillarity_U_s``,
-``lagrangian_value``, ``_denominator``, ``zero_energy_bracket``,
+All functions are pure; parameter records are frozen.  The pieces that
+``dynamics.hamiltonian_split`` reads for the trajectory energies
+(``potential_U``, ``_denominator``, ``zero_energy_bracket``,
 ``em_component_f21``) take floats, or a point-like record (``pt``) or
 coordinates of equal-length arrays; floats stay on :mod:`math`.
 """
@@ -232,22 +232,6 @@ def potential_U_dr(t: float, r: float, params: MonolayerParams) -> float:
 def potential_U_drr(t: float, r: float, params: MonolayerParams) -> float:
     """d2U/dr2 = p r^3 (20u - 8E u' + E^2 u''), the deviation equation's Udd."""
     return _potential(_U_RR, 3, t, r, params, "potential_U_drr")
-
-
-def electrocapillarity_U_s(t, r, rdot, params: MonolayerParams):
-    """U_s(t, r) = -p r^5 |V| e^(2|V|t/r) / rdot + U(t, r)."""
-    if params.p != 0.0 and _any(rdot == 0.0):
-        raise DomainError("U_s contains rdot^-1; rdot = 0 is singular")
-    out = potential_U(t, r, params)
-    if params.p != 0.0:
-        expE = _exp_checked(2.0 * params.V_abs * t / r, "electrocapillarity_U_s")
-        out -= params.p * r**5 * params.V_abs * expE / rdot
-    return out
-
-
-def lagrangian_value(pt: JetPoint, params: MonolayerParams):
-    kinetic = 0.5 * params.m * (pt.rdot**2 + pt.r**2 * pt.phidot**2)
-    return kinetic + electrocapillarity_U_s(pt.t, pt.r, pt.rdot, params)
 
 
 # -- shared subexpressions -----------------------------------------------------
@@ -551,6 +535,10 @@ class MonolayerModel(LagrangianModel):
     def __init__(self, params: MonolayerParams):
         self.params = params
         self._tr = functools.lru_cache(maxsize=4096)(self._tr_uncached)
+
+    @property
+    def m(self) -> float:
+        return self.params.m
 
     def _tr_uncached(self, t: float, r: float) -> tuple[float, float]:
         params = self.params

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from jetlag.fd import noisy_field_partial, numeric_partials, scales_for
 from jetlag.geometry import EMForm, GeometryEvaluator
 from jetlag.models import LagrangianModel
-from jetlag.monolayer import MonolayerModel
+from jetlag.monolayer import MonolayerModel, potential_U
 from jetlag.points import AXES, jet_point
 
 
@@ -203,6 +203,23 @@ class CountingMonolayer(MonolayerModel):
 def monolayer_dL_drdot(t, r, rdot, m, p, V) -> float:
     """Hand-differentiated dL/drdot = m rdot + p r^5 |V| e^(2|V|t/r) rdot^-2."""
     return m * rdot + p * r**5 * V * math.exp(2.0 * V * t / r) / rdot**2
+
+
+def hamiltonian_displays(state, params, H_ym) -> tuple[float, float]:
+    """(delta_L, L0) of one state from their printed displays, so that
+    delta_L = -(H - H_YM) and L0 = g22 phidot^2 + g11 rdot^2 - H_YM are
+    genuine cross-checks of ``hamiltonian_split``; delta_L = 0 at p = 0."""
+    t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
+    m, p, V = params.m, params.p, params.V_abs
+    if p == 0.0:
+        return 0.0, 0.5 * m * r**2 * phidot**2 + 0.5 * m * rdot**2
+    E = 2.0 * V * t / r
+    # e^(-2E) (m rdot^3 + 6 p |V| r^5 e^E)^2 grouped as (m rdot^3 e^-E + ...)^2
+    # so the huge exponentials cancel before they can overflow
+    stable = (m * rdot**3 * math.exp(-E) + 6.0 * p * V * r**5) ** 2
+    delta_L = potential_U(t, r, params) + m * phidot**2 * stable / (64.0 * p**2 * V**2 * r**8)
+    L0 = -H_ym + 0.5 * m * r**2 * phidot**2 + 0.5 * rdot**2 * (m - 2.0 * p * V * r**5 * math.exp(E) / rdot**3)
+    return delta_L, L0
 
 
 # -- finite differences of derived fields ----------------------------------------

@@ -59,6 +59,9 @@ def test_traced_benchmark_ends_on_a_result(checkout, workload, trace):
     assert result["correct"] is True
     if trace == "1":
         assert set(result["metrics"]) == DECLARED
+        if workload in ("sweep", "resonant"):
+            # every trajectory's energies go through the traced hamiltonian_split
+            assert result["metrics"]["dynamics.energy_calls"]["value"] > 0
     else:
         assert result["failed"] == 0
         assert set(result["metrics"]) == END_TO_END

@@ -63,7 +63,7 @@ class TestConfig:
             ('{"sweep": {"r": 3}}', "sweep.r must be of type list"),
             ('{"sweep": {"r": ["a", 1, 5]}}', "sweep.r must be a list of numbers"),
             ('{"sweep": {"phidot_values": ["x"]}}', "sweep.phidot_values must be a list of numbers"),
-            ('{"deviation": {"resonant_substitution": 1}}', "deviation.resonant_substitution must be of type bool"),
+            ('{"deviation": {"resonant_substitution": 1}}', "unknown configuration key: deviation.resonant_substitution"),
             ('{"params": 3}', "params must be an object"),
             ('{"sweep": {"rdot": [-1, 1]}}', "sweep.rdot must be [lo, hi, n] with n a whole number >= 1, got [-1, 1]"),
             ('{"sweep": {"r": [0.2, 1.0, -3]}}', f"{whole} [0.2, 1.0, -3]"),
@@ -95,6 +95,9 @@ class TestConfig:
         ("simulate", '{"params": {"R0": NaN}}', "params.R0 must be positive and finite, got nan"),
         ("simulate", '{"params": {"V_abs": NaN}}', "params.V_abs must be positive and finite, got nan"),
         ("simulate", '{"params": {"p": Infinity}}', "params.p must be nonnegative and finite, got inf"),
+        # free_polar sets p = 0 only once the configured p has passed its check
+        ("simulate", '{"model": "free_polar", "params": {"p": -1}}', "params.p must be nonnegative and finite, got -1"),
+        ("simulate", '{"model": "free_polar", "params": {"p": NaN}}', "params.p must be nonnegative and finite, got nan"),
         ("simulate", '{"t_end": -1}', "t_end must be finite and exceed the initial time 0.0, got -1"),
         ("simulate", '{"t_end": NaN}', "t_end must be finite and exceed the initial time 0.0, got nan"),
         ("simulate", '{"initial_state": {"t": 1}}', "t_end must be finite and exceed the initial time 1, got 0.002"),
@@ -248,6 +251,17 @@ class TestEval:
         for name, cell in zip(header[5:], row[5:]):
             side, quantity = name.split("_", 1)
             assert (cell == "") == (side == "closed" and quantity not in closed), name
+
+    def test_eym_divides_by_the_configured_mass(self, tmp_path):
+        # at m = 2 the oracle's EYM = F21^2 / m reads the configured m, as the closed column does
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"m": 2.0}}))
+        out = tmp_path / "row.csv"
+        assert run_cli("eval", "--config", str(path), "--point", "0.001,0.5,0,-1,0.2", "--csv", str(out)) == 0
+        with open(out, newline="") as fh:
+            row = dict(zip(*csv.reader(fh)))
+        closed = float(row["closed_EYM"])
+        assert float(row["oracle_EYM"]) == pytest.approx(closed, rel=1e-5)
 
     def test_negative_first_value_takes_the_equals_form(self, cfg_path, capsys):
         # argparse reads "--point -0.35,..." as a missing value and an option

@@ -17,7 +17,6 @@ from jetlag.dynamics import (
     SimConfig,
     TrajectoryState,
     _closed_form,
-    _diagnostics,
     _finite_time_collapse,
     _spray_of,
     compose_perturbed,
@@ -32,13 +31,12 @@ from jetlag.monolayer import (
     MonolayerModel,
     MonolayerParams,
     _denominator,
-    electrocapillarity_U_s,
     em_component_f21,
     potential_U,
     zero_energy_bracket,
 )
 from jetlag.points import jet_point
-from oracles import PolynomialModel
+from oracles import PolynomialModel, hamiltonian_displays
 
 FP = MonolayerModel(MonolayerParams(m=1.0, p=0.0))
 FREE = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
@@ -175,17 +173,22 @@ class TestIntegrateGeodesic:
 
 
 def _e_inst(state: TrajectoryState, params: MonolayerParams):
-    """E_inst = (m/2) rdot^2 + (m r^2/2) phidot^2 - U_s, written out per call."""
-    kinetic = 0.5 * params.m * (state.rdot**2 + state.r**2 * state.phidot**2)
-    return kinetic - electrocapillarity_U_s(state.t, state.r, state.rdot, params)
+    """E_inst = (m/2) rdot^2 + (m r^2/2) phidot^2 - U_s with
+    U_s = U - p r^5 |V| e^E / rdot, written out per call."""
+    t, r, rdot = state.t, state.r, state.rdot
+    kinetic = 0.5 * params.m * (rdot**2 + r**2 * state.phidot**2)
+    U_s = potential_U(t, r, params)
+    if params.p != 0.0:
+        U_s = U_s - params.p * r**5 * params.V_abs * np.exp(2.0 * params.V_abs * t / r) / rdot
+    return kinetic - U_s
 
 
 class TestInstanton:
-    """The E_inst column of the per-sample diagnostics, at one sample."""
+    """The E_inst column of the per-sample energies, at one sample."""
 
     @staticmethod
     def _column(params, *state):
-        return _diagnostics(params, *([v] for v in state))[0][0]
+        return hamiltonian_split(TrajectoryState(*state), params)[0]
 
     def test_kinetic_limit_nonnegative(self):
         assert self._column(FREE, 0.0, 1.0, 0.0, 0.7, -0.3) >= 0.0
@@ -201,7 +204,7 @@ class TestInstanton:
 
 class TestHamiltonianSplit:
     def test_phidot_zero_kills_hym(self, params5):
-        _, H_ym, _, _ = hamiltonian_split(TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.0), params5)
+        _, _, H_ym, _, _ = hamiltonian_split(TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.0), params5)
         assert H_ym == 0.0
 
     @pytest.mark.parametrize(
@@ -213,7 +216,8 @@ class TestHamiltonianSplit:
         ],
     )
     def test_identities(self, params5, state):
-        H, H_ym, dL, L0 = hamiltonian_split(state, params5)
+        _, H, H_ym, _, _ = hamiltonian_split(state, params5)
+        dL, L0 = hamiltonian_displays(state, params5, H_ym)
         scale = max(1.0, abs(H), abs(H_ym), abs(dL))
         assert abs(dL + (H - H_ym)) < 1e-10 * scale
         g11 = 0.5 * _denominator(state.t, state.r, state.rdot, params5)
@@ -222,23 +226,24 @@ class TestHamiltonianSplit:
 
     def test_h_equals_minus_u(self, params5):
         st = TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.2)
-        H, _, _, _ = hamiltonian_split(st, params5)
+        H = hamiltonian_split(st, params5)[1]
         assert H == pytest.approx(-potential_U(st.t, st.r, params5), rel=1e-11)
 
     def test_p_zero_everything_vanishes(self):
         st = TrajectoryState(0.0, 1.0, 0.0, 1.0, 0.5)
-        H, H_ym, dL, L0 = hamiltonian_split(st, FREE)
+        _, H, H_ym, _, _ = hamiltonian_split(st, FREE)
+        dL, L0 = hamiltonian_displays(st, FREE, H_ym)
         assert H == 0.0 and H_ym == 0.0 and dL == 0.0
         assert L0 == pytest.approx(0.5 * (1.0 + 0.25), rel=1e-14)
 
 
 def _scalar_diagnostics(params, t, r, phi, rdot, phidot):
-    """The per-sample reference: every diagnostic from scalar calls."""
+    """The per-sample reference: every energy from scalar calls."""
     rows = []
     for sample in zip(t, r, phi, rdot, phidot):
         s = TrajectoryState(*(float(v) for v in sample))
+        _, H, H_ym, _, _ = hamiltonian_split(s, params)
         e_inst = _e_inst(s, params)
-        H, H_ym, _, _ = hamiltonian_split(s, params)
         g11 = 0.5 * _denominator(s.t, s.r, s.rdot, params)
         f21 = 0.0 if params.p == 0.0 else em_component_f21(s.point(), params, form="exact")
         rows.append((e_inst, H, H_ym, f21**2 / params.m, g11))
@@ -276,7 +281,7 @@ samples = st.lists(
 
 
 class TestArrayDiagnostics:
-    """_diagnostics takes one array pass per series; it must match the
+    """hamiltonian_split takes one array pass per series; it must match the
     per-sample scalar calls and raise as they do."""
 
     # without the explain phase: on a failure it reruns the test for minutes
@@ -285,7 +290,7 @@ class TestArrayDiagnostics:
     def test_matches_scalar_calls(self, rows, p):
         params = MonolayerParams(m=1.0, p=p, V_abs=1000.0)
         t, r, phi, rdot, phidot = (np.array(col) for col in zip(*rows))
-        got = _diagnostics(params, t, r, phi, rdot, phidot)
+        got = hamiltonian_split(TrajectoryState(t, r, phi, rdot, phidot), params)
         want = _scalar_diagnostics(params, t, r, phi, rdot, phidot)
         energy, hym, eym, g11 = _term_scales(params, t, r, rdot, phidot)
         for g, w, scale in zip(got, want, (energy, energy, hym, eym, g11)):
@@ -309,15 +314,15 @@ class TestArrayDiagnostics:
         monkeypatch.setattr(jetlag.dynamics, "potential_U", counted)
         t, r = np.linspace(0.0, 1e-3, 7), np.linspace(0.5, 0.4, 7)
         phi, rdot, phidot = np.zeros(7), np.full(7, -1.0), np.full(7, 0.2)
-        got = _diagnostics(params5, t, r, phi, rdot, phidot)
+        s = TrajectoryState(t, r, phi, rdot, phidot)
+        e_inst, H, H_ym, eym, g11 = hamiltonian_split(s, params5)
         assert len(calls) == 1
         monkeypatch.undo()
-        s = TrajectoryState(t, r, phi, rdot, phidot)
-        H, H_ym, _, _ = hamiltonian_split(s, params5)
-        want = (_e_inst(s, params5), H, H_ym, em_component_f21(s, params5) ** 2 / params5.m,
-                0.5 * _denominator(t, r, rdot, params5))
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        assert np.array_equal(e_inst, _e_inst(s, params5))
+        assert np.array_equal(H_ym, phidot**2 * zero_energy_bracket(t, r, rdot, params5) ** 2 / (4.0 * params5.m))
+        assert np.array_equal(eym, em_component_f21(s, params5) ** 2 / params5.m)
+        assert np.array_equal(g11, 0.5 * _denominator(t, r, rdot, params5))
+        assert np.allclose(H, -potential_U(t, r, params5), rtol=1e-11, atol=0.0)
 
     @staticmethod
     def _raised(fn):
@@ -352,12 +357,7 @@ class TestArrayDiagnostics:
         args = [cols[k] for k in ("t", "r", "phi", "rdot", "phidot")]
         want = self._raised(lambda: _scalar_diagnostics(params5, *args))
         assert want is not None
-        assert self._raised(lambda: _diagnostics(params5, *args)) is want
-        for fn in (_e_inst, hamiltonian_split):
-            scalar = None
-            for sample in zip(*args):
-                scalar = scalar or self._raised(lambda: fn(TrajectoryState(*sample), params5))
-            assert self._raised(lambda: fn(TrajectoryState(*args), params5)) is scalar
+        assert self._raised(lambda: hamiltonian_split(TrajectoryState(*args), params5)) is want
 
     def test_zero_em_denominator(self):
         # 2 p r^5 |V| e^E = m rdot^3 exactly: t = 0, r = 1, p = 4, rdot = 2
@@ -367,7 +367,7 @@ class TestArrayDiagnostics:
         with pytest.raises(DomainError):
             em_component_f21(TrajectoryState(*(c[0] for c in one)), params)
         with pytest.raises(DomainError):
-            _diagnostics(params, *args)
+            hamiltonian_split(TrajectoryState(*args), params)
 
     def test_overflow_raises_domain_error_naming_the_function(self, params5):
         # E = 2|V|t/r = 2000: e^E is past the float range (U itself reads inf - inf)
@@ -376,8 +376,8 @@ class TestArrayDiagnostics:
         arrays = TrajectoryState(*(np.array(pair) for pair in zip(good, bad)))
         for s in (TrajectoryState(*bad), arrays):
             with np.errstate(invalid="ignore"):
-                with pytest.raises(DomainError, match="electrocapillarity_U_s.*E = 2"):
-                    _e_inst(s, params5)
+                with pytest.raises(DomainError, match="hamiltonian_split.*E = 2"):
+                    hamiltonian_split(s, params5)
             with pytest.raises(DomainError, match="em_component_f21.*E = 2"):
                 em_component_f21(s, params5)
 
@@ -391,7 +391,6 @@ class TestArrayDiagnostics:
             potential_U(s.t, s.r, params5),
             potential_U(0.0, s.r, params5),
             potential_U(s.t, s.r, FREE),
-            electrocapillarity_U_s(s.t, s.r, s.rdot, params5),
             zero_energy_bracket(s.t, s.r, s.rdot, params5),
             em_component_f21(s.point(), params5),
         ]
@@ -491,13 +490,6 @@ class TestDeviation:
         dev = deviation_integrate(ref, DeviationState(0.0, 0.0, 0.0, 1.0), params)
         assert np.all(np.isfinite(dev.delta_phi))
         assert np.max(np.abs(dev.delta_phi - dev.t)) < 1e-15
-
-    def test_literal_phi_coefficient_mode(self, params5):
-        ref = resonant_trajectory(params5, source="ode")
-        dev = deviation_integrate(
-            ref, DeviationState(0.0, 0.0, 0.0, 1.0), params5, resonant_substitution=False
-        )
-        assert np.all(np.isfinite(dev.delta_phi))
 
     @staticmethod
     def _scaled_delta_r(lam, tau):

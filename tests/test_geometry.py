@@ -7,7 +7,7 @@ import pytest
 
 from jetlag.errors import SingularMetricError
 from jetlag.geometry import CartanConnection, EMForm, GeometryEvaluator, ym_energy
-from jetlag.monolayer import MonolayerModel, MonolayerParams, closed_semispray
+from jetlag.monolayer import MonolayerModel, MonolayerParams, closed_em_and_ym, closed_semispray
 from jetlag.points import jet_point
 from oracles import (
     CountingMonolayer,
@@ -310,6 +310,14 @@ def test_bundle_energy_is_the_eval_rule():
     energy = ev.bundle().ym_energy
     assert energy == ym_energy(ev.em_form(), 1.0)
     assert energy == pytest.approx(ev.em_form().F[1, 0] ** 2, rel=1e-14)
+
+
+def test_oracle_energy_divides_by_the_model_mass():
+    # at m = 2 the oracle's EYM = F21^2 / m must read the monolayer's m, as the closed form does
+    params = MonolayerParams(m=2.0)
+    pt = jet_point(1e-3, 0.5, 0.0, -1.0, 0.2)
+    closed = closed_em_and_ym(pt, params, form="exact")[1]
+    assert GeometryEvaluator(MonolayerModel(params), pt).yang_mills_energy() == pytest.approx(closed, rel=1e-5)
 
 
 def test_bundle_evaluates_each_probe_once(params5, sample_pt):

@@ -8,11 +8,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from jetlag.dynamics import TrajectoryState, hamiltonian_split
 from jetlag.errors import DomainError
 from jetlag.expint import exp_integral_f
 from jetlag.fd import numeric_partials
 from jetlag.geometry import GeometryEvaluator
 from jetlag.monolayer import (
+    MonolayerModel,
     MonolayerParams,
     closed_cartan,
     closed_em_and_ym,
@@ -21,8 +23,6 @@ from jetlag.monolayer import (
     closed_semispray,
     closed_torsions,
     em_component_f21,
-    electrocapillarity_U_s,
-    lagrangian_value,
     potential_U,
     potential_U_dr,
     potential_U_drr,
@@ -158,21 +158,17 @@ class TestPotential:
 class TestLagrangian:
     def test_kinetic_limit(self):
         params = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
-        pt = jet_point(0.0, 2.0, 0.0, 1.0, 1.0)
-        assert lagrangian_value(pt, params) == pytest.approx(0.5 + 2.0, rel=1e-14)
+        assert MonolayerModel(params).value(0.0, 2.0, 0.0, 1.0, 1.0) == pytest.approx(0.5 + 2.0, rel=1e-14)
 
-    def test_direct_substitution(self, params5):
-        pt = jet_point(0.0, 1.0, 0.0, -1.0, 0.0)
+    def test_direct_substitution(self, model5):
         want = 0.5 + 10000.0 - 40.0 / 3.0
-        assert lagrangian_value(pt, params5) == pytest.approx(want, rel=1e-13)
+        assert model5.value(0.0, 1.0, 0.0, -1.0, 0.0) == pytest.approx(want, rel=1e-13)
 
-    def test_us_split(self, params5):
-        pt = jet_point(1e-3, 0.5, 0.0, -1.0, 0.2)
-        kinetic = 0.5 * (pt.rdot**2 + pt.r**2 * pt.phidot**2)
-        lhs = lagrangian_value(pt, params5)
-        assert lhs == pytest.approx(
-            kinetic + electrocapillarity_U_s(pt.t, pt.r, pt.rdot, params5), rel=1e-14
-        )
+    def test_us_split(self, model5, params5):
+        t, r, rdot, phidot = 1e-3, 0.5, -1.0, 0.2
+        kinetic = 0.5 * (rdot**2 + r**2 * phidot**2)
+        U_s = potential_U(t, r, params5) - 10.0 * r**5 * 1000.0 * math.exp(2.0 * 1000.0 * t / r) / rdot
+        assert model5.value(t, r, 0.0, rdot, phidot) == pytest.approx(kinetic + U_s, rel=1e-14)
 
     def test_fd_second_partial_gives_g11(self, model5, params5, sample_pt):
         got = 0.5 * numeric_partials(model5, sample_pt, ("y1", "y1"))
@@ -181,7 +177,7 @@ class TestLagrangian:
 
     def test_rdot_zero_raises(self, params5):
         with pytest.raises(DomainError):
-            lagrangian_value(jet_point(0.0, 1.0, 0.0, 0.0, 0.2), params5)
+            hamiltonian_split(TrajectoryState(0.0, 1.0, 0.0, 0.0, 0.2), params5)
 
 
 @pytest.mark.parametrize("fn", [semispray_series_bracket, script_U, script_U_dt])
