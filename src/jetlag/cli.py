@@ -185,6 +185,11 @@ def load_config(path: str | None, seed_override=None) -> dict:
         for key in ("rtol", "atol"):
             if not merged[section][key] > 0:
                 raise ConfigError(f"{section}.{key} must be positive")
+            if merged[section][key] == math.inf:
+                raise ConfigError(f"{section}.{key} must be finite, got inf")
+    # written so that NaN fails the check; 0 means no limit
+    if not merged["integrator"]["max_step"] >= 0:
+        raise ConfigError(f"integrator.max_step must be >= 0 (0 means no limit), got {merged['integrator']['max_step']}")
     for key, value in merged["initial_state"].items():
         if not math.isfinite(value):
             raise ConfigError(f"initial_state.{key} must be finite, got {value}")

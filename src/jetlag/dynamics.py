@@ -4,11 +4,18 @@ trajectory carries its per-sample energies (instanton energy, renormalized
 Hamiltonian, printed and exact Yang-Mills energies, g11), all from one pass,
 ``hamiltonian_split``.
 
-The geodesic system is dy/dt + 2G(t, x, y) = 0, dx/dt = y, integrated with
-an adaptive embedded Runge-Kutta pair (4/5) with terminal events at the
-singular loci (g11 -> 0, rdot -> 0, r -> 0).  G is the closed exact spray
-of a ``MonolayerModel``, on floats; at p = 0 that model is the free polar
-particle, and the rdot -> 0 event is off.  When the solver gives up
+Every ODE solve goes through ``_solve``, one Dormand-Prince 5(4) driver on
+lists of Python floats that follows scipy's RK45 step for step (initial
+step, error norm and step control, dense output, give-up) and counts its
+own right-hand-side calls and accepted and rejected steps; at
+JETLAG_LOG=debug it logs them, one line per solve.  The resonant reference
+is read between its samples through ``HermiteCubic`` pieces, on floats.
+
+The geodesic system is dy/dt + 2G(t, x, y) = 0, dx/dt = y, integrated by
+that driver with terminal events at the singular loci (g11 -> 0,
+rdot -> 0, r -> 0).  G is the closed exact spray of a ``MonolayerModel``,
+on floats; at p = 0 that model is the free polar particle, and the
+rdot -> 0 event is off.  When the solver gives up
 because rdot blows up in finite time before r reaches r_min, the run ends
 in the ``finite_time_collapse`` event instead of a failure.  An independent
 Euler-Lagrange residual is recorded along every run: a
@@ -21,6 +28,8 @@ derivative itself, so the check does not depend on the solver tolerances
 
 from __future__ import annotations
 
+import bisect
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -43,9 +52,11 @@ from .monolayer import (
 )
 from .points import JetPoint, check_coordinates, jet_point
 
+log = logging.getLogger("jetlag")
+
 #: at most this many samples of a run get the FD Euler-Lagrange residual
 _EL_MAX_POINTS = 400
-#: every ODE solve stops with a JetLagError past this many right-hand-side calls
+#: no ODE solve makes more right-hand-side calls: a step that would raises a JetLagError
 _MAX_RHS_CALLS = 100_000
 #: a give-up with r/|rdot| within this many float spacings of t is a collapse
 _COLLAPSE_SPACINGS = 2**20
@@ -98,8 +109,11 @@ class SimConfig:
     def __post_init__(self):
         if self.t_end <= self.state0.t:
             raise ValueError("t_end must exceed the initial time")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("integrator tolerances must be positive")
+        # written so that NaN fails every check
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ValueError(f"integrator tolerances must be positive and finite, got rtol = {self.rtol}, atol = {self.atol}")
+        if not self.max_step > 0.0:
+            raise ValueError(f"max_step must be positive (inf means no limit), got {self.max_step}")
 
 
 @dataclass
@@ -133,6 +147,78 @@ class DeviationSeries:
     c2: float
 
 
+class HermiteCubic:
+    """The piecewise cubic through (x_i, y_i) with slopes d_i at increasing
+    nodes x_i, extended past the ends by the end pieces; scipy's
+    CubicHermiteSpline builds the same pieces.  It is callable on a float,
+    on Python floats with the piece found by bisection, or on an array, and
+    both paths give the same bits."""
+
+    def __init__(self, x, y, d):
+        x, y, d = (np.asarray(v, dtype=float) for v in (x, y, d))
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        curv = (d[:-1] + d[1:] - 2.0 * slope) / dx
+        self._x = x
+        # per piece, the coefficients of (s - x_i)^3, ^2, ^1 and ^0
+        self._c = np.array([curv / dx, (slope - d[:-1]) / dx - curv, d[:-1], y[:-1]])
+        self._nodes = x.tolist()
+        self._pieces = list(zip(*self._c.tolist()))
+
+    def _locate(self, s):
+        """The index of the piece at s and the offset s - x_i."""
+        if type(s) is float:
+            i = min(max(bisect.bisect_right(self._nodes, s) - 1, 0), len(self._pieces) - 1)
+            return i, s - self._nodes[i]
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(self._x, s, side="right") - 1, 0, len(self._x) - 2)
+        return i, s - self._x[i]
+
+    def __call__(self, s):
+        i, u = self._locate(s)
+        a, b, c, d = self._pieces[i] if type(s) is float else self._c[:, i]
+        return ((a * u + b) * u + c) * u + d
+
+    def derivative(self, s):
+        """The slope of the cubic at s."""
+        i, u = self._locate(s)
+        a, b, c, _ = self._pieces[i] if type(s) is float else self._c[:, i]
+        return (3.0 * a * u + 2.0 * b) * u + c
+
+
+def _not_a_knot_slopes(x, y) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through (x_i, y_i), the
+    tridiagonal system scipy's CubicSpline solves, here by the Thomas
+    algorithm; two nodes give the line and three the parabola through them."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if n == 2:
+        return np.full(2, slope[0])
+    if n == 3:
+        c = (slope[1] - slope[0]) / (x[2] - x[0])
+        return slope[0] + c * np.array([-dx[0], dx[0], dx[0] + 2.0 * dx[1]])
+    # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = [d0, *dx[:-1].tolist()]
+    lower = [0.0, *dx[1:].tolist(), d1]
+    rhs = np.concatenate((
+        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
+        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
+    )).tolist()
+    cp, dp = [0.0] * n, [0.0] * n
+    for i in range(n):
+        m = diag[i] - (lower[i] * cp[i - 1] if i else 0.0)
+        cp[i] = upper[i] / m if i < n - 1 else 0.0
+        dp[i] = (rhs[i] - (lower[i] * dp[i - 1] if i else 0.0)) / m
+    for i in range(n - 2, -1, -1):
+        dp[i] -= cp[i] * dp[i + 1]
+    return np.array(dp)
+
+
 @dataclass
 class ResonantTrajectory:
     """Samples of the resonant radius r0 (rdot0 < 0 throughout).
@@ -150,15 +236,13 @@ class ResonantTrajectory:
     source: str
     flags: list[str] = field(default_factory=list)
 
-    def spline(self):
-        from scipy.interpolate import CubicHermiteSpline
+    def spline(self) -> HermiteCubic:
+        """r0(t): the Hermite cubic on the samples and their rates."""
+        return HermiteCubic(self.t, self.r0, self.r0dot)
 
-        return CubicHermiteSpline(self.t, self.r0, self.r0dot)
-
-    def rdot_spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.t, self.r0dot)
+    def rdot_spline(self) -> HermiteCubic:
+        """r0dot(t): the not-a-knot cubic spline of the rates alone."""
+        return HermiteCubic(self.t, self.r0dot, _not_a_knot_slopes(self.t, self.r0dot))
 
     def _resonance_residual(self, exponent) -> np.ndarray:
         """Relative residual of m r0dot^3 + 6 p |V| r0^5 e^exponent = 0, taken
@@ -232,26 +316,287 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
     return kinetic - U_s, H, H_ym, em_component_f21(state, params) ** 2 / m, g11
 
 
-# -- the ODE driver and geodesic integration ----------------------------------
+# -- the ODE driver -------------------------------------------------------------
+# Dormand-Prince 5(4) with the coefficients of scipy's RK45, as float literals:
+# the stage nodes _C*, the stage rows _A*, the 5th-order weights _B, the error
+# weights _E (5th minus 4th order, the last for the step's end derivative) and
+# Shampine's dense output _P, for each power x .. x^4 the weights of the
+# stages (Dormand & Prince 1980; Shampine, Math. Comp. 46, 1986).  The zero
+# weights of the second stage are left out of the sums.
+_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 0.8888888888888888
+_A21 = 0.2
+_A31, _A32 = 0.075, 0.225
+_A41, _A42, _A43 = 0.9777777777777777, -3.7333333333333334, 3.5555555555555554
+_A51, _A52, _A53, _A54 = 2.9525986892242035, -11.595793324188385, 9.822892851699436, -0.2908093278463649
+_A61, _A62, _A63, _A64, _A65 = (
+    2.8462752525252526, -10.757575757575758, 8.906422717743473, 0.2784090909090909, -0.2735313036020583,
+)
+_B1, _B3, _B4, _B5, _B6 = (
+    0.09114583333333333, 0.44923629829290207, 0.6510416666666666, -0.322376179245283, 0.13095238095238096,
+)
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -0.0012326388888888888, 0.0042527702905061394, -0.03697916666666667, 0.05086379716981132,
+    -0.0419047619047619, 0.025,
+)
+_P = (
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (-2.8535800653862835, 4.023133379230305, -3.7324019615885042, 2.5548038301849423,
+     -1.3744241142186024, 1.3824689317781436),
+    (3.0717434641059005, -6.249321565289, 10.068970589843675, -6.399112377351017,
+     3.272657752246729, -3.764937863556287),
+    (-1.1270175653862835, 2.675424484351598, -5.685526961588504, 3.5219323679207912,
+     -1.7672812570757455, 2.382468931778144),
+)  # the weights of stages 1, 3, 4, 5, 6 and 7
+#: rtol is raised to 100 float spacings at 1.0, as scipy raises it
+_RTOL_FLOOR = 2.220446049250313e-14
+#: event roots are located to 4 float spacings at 1.0, absolute and relative
+_EVENT_TOL = 8.881784197001252e-16
+#: the debug line of each solve: what, RHS calls, accepted and rejected steps, outcome
+_SOLVE_LOG = "%s: %d RHS calls, %d accepted and %d rejected steps, %s"
+#: why a solve gave up, in scipy's words
+_GIVE_UP = "Required step size is less than spacing between numbers."
 
 
-def _solve(what: str, rhs, span, y0, rtol, atol, **options):
-    """scipy's RK45 on dy/dt = rhs(t, y) over span, returning its OdeResult; the
-    right-hand-side call past _MAX_RHS_CALLS raises a JetLagError naming the
-    solve, the budget, the t reached and the span, and solve_ivp passes it on."""
-    from scipy.integrate import solve_ivp  # here, so `import jetlag` skips scipy.integrate
+class _Solution:
+    """What ``_solve`` returns: the samples, the status (0 reached the end, 1 a
+    terminal event fired, -1 gave up), the driver's own counts and, with
+    ``dense``, the interpolant of every step."""
 
-    calls, budget = 0, _MAX_RHS_CALLS
+    __slots__ = ("t", "y", "status", "rhs_calls", "accepted", "rejected", "event", "steps")
 
-    def counted(t, y):
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            over = f"{what} over the span [{span[0]:.6g}, {span[1]:.6g}]"
-            raise JetLagError(f"{over} used up its budget of {budget} right-hand-side calls at t = {t:.6g}")
-        return rhs(t, y)
+    def at(self, s: float) -> list:
+        """The dense output at s, from the step whose end is the first node >= s."""
+        i = min(max(bisect.bisect_left(self.t, s) - 1, 0), len(self.steps) - 1)
+        return _dense_value(self.steps[i], s)
 
-    return solve_ivp(counted, span, y0, method="RK45", rtol=rtol, atol=atol, **options)
+
+def _rms(values, y, y_new, rtol, atol) -> float:
+    """RMS of values_i / (atol + max(|y_i|, |y_new_i|) rtol), scipy's error norm."""
+    acc = 0.0
+    for v, a, b in zip(values, y, y_new):
+        x = v / (atol + max(abs(b), abs(a)) * rtol)
+        acc += x * x
+    return math.sqrt(acc) / len(values) ** 0.5
+
+
+def _ratio(a: float, b: float) -> float:
+    """a / b, with numpy's inf or NaN where b = 0 instead of an exception."""
+    if b:
+        return a / b
+    return math.copysign(math.inf, a) * math.copysign(1.0, b) if a and a == a else math.nan
+
+
+def _dense_step(t_old, h, y_old, K) -> tuple:
+    """(t_old, h, y_old, Q) of one accepted step, Q the components' quartic
+    coefficients from the stage derivatives K that ``_dopri_step`` returns."""
+    Q = [
+        tuple(k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7 for p1, p3, p4, p5, p6, p7 in _P)
+        for k1, k3, k4, k5, k6, k7 in zip(*K)
+    ]
+    return t_old, h, y_old, Q
+
+
+def _dense_value(step, s: float) -> list:
+    """The state at s on one step's quartic, y_old + h Q (x, x^2, x^3, x^4)."""
+    t_old, h, y_old, Q = step
+    x = (s - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return [yo + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4) for yo, (q1, q2, q3, q4) in zip(y_old, Q)]
+
+
+def _brent(g, a: float, b: float, tol: float = _EVENT_TOL) -> float:
+    """A root of g in [a, b] by Brent's method to |dx| <= tol (1 + |x|) / 2,
+    step for step scipy's brentq; g(a) and g(b) must differ in sign."""
+    xpre, xcur = a, b
+    fpre, fcur = g(xpre), g(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = _ratio(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = g(xcur)
+    raise JetLagError(f"event root search in [{a:.17g}, {b:.17g}] did not converge")
+
+
+def _initial_step(rhs, t0: float, t1: float, y: list, f: list, rtol: float, atol: float, max_step: float) -> float:
+    """scipy's first step size from (t0, y) with y'(t0) = f, one RHS call
+    (Hairer, Norsett & Wanner, section II.4)."""
+    zeros = [0.0] * len(y)
+    d0 = _rms(y, y, zeros, rtol, atol)
+    d1 = _rms(f, y, zeros, rtol, atol)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t1 - t0)
+    f1 = rhs(t0 + h0, [a + h0 * b for a, b in zip(y, f)])
+    # h0 and max(d1, d2) can be 0: 0.01 d0 / d1 may underflow
+    d2 = _ratio(_rms([b - a for a, b in zip(f, f1)], y, zeros, rtol, atol), h0)
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = _ratio(0.01, max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t1 - t0, max_step)
+
+
+def _dopri_step(rhs, t: float, y: list, f: list, h: float) -> tuple:
+    """One Dormand-Prince step of size h from (t, y) with y'(t) = f, six RHS
+    calls: the 5th-order state at t + h and the stage derivatives that carry
+    a weight, stages 1 and 3 to 6 and the derivative at the new state."""
+    k2 = rhs(t + _C2 * h, [a + (p * _A21) * h for a, p in zip(y, f)])
+    k3 = rhs(t + _C3 * h, [a + (p * _A31 + q * _A32) * h for a, p, q in zip(y, f, k2)])
+    k4 = rhs(t + _C4 * h, [a + (p * _A41 + q * _A42 + r * _A43) * h for a, p, q, r in zip(y, f, k2, k3)])
+    k5 = rhs(t + _C5 * h, [
+        a + (p * _A51 + q * _A52 + r * _A53 + s * _A54) * h for a, p, q, r, s in zip(y, f, k2, k3, k4)
+    ])
+    k6 = rhs(t + h, [
+        a + (p * _A61 + q * _A62 + r * _A63 + s * _A64 + u * _A65) * h
+        for a, p, q, r, s, u in zip(y, f, k2, k3, k4, k5)
+    ])
+    y_new = [a + h * (p * _B1 + r * _B3 + s * _B4 + u * _B5 + v * _B6) for a, p, r, s, u, v in zip(y, f, k3, k4, k5, k6)]
+    return y_new, (f, k3, k4, k5, k6, rhs(t + h, y_new))
+
+
+def _solve(what: str, rhs, t0: float, t1: float, y0, rtol: float, atol: float,
+           max_step: float = math.inf, events=(), t_eval=None, dense: bool = False) -> _Solution:
+    """Dormand-Prince 5(4) on dy/dt = rhs(t, y) from t0 to t1 > t0, on lists
+    of Python floats, step for step scipy's RK45 (Hairer, Norsett & Wanner,
+    Solving ODEs I, sections II.4-II.6): its initial step, RMS error norm,
+    safety factor 0.9 and step factors 0.2 and 10, its give-up once the
+    step falls below 10 float spacings of t, and its floor on rtol, which
+    it logs as a warning when it applies.
+
+    ``events`` are terminal: the first sign change of one over an accepted
+    step ends the solve at its root on that step's dense output (Brent, to
+    4 eps).  Without ``t_eval`` the samples are the accepted steps' ends,
+    the root last; with it, the dense output at the t_eval points.  A step
+    that would take the RHS calls past _MAX_RHS_CALLS raises a JetLagError
+    naming the solve, the budget, the t reached and the span.
+    """
+    if not max_step > 0.0:
+        raise ValueError(f"{what}: max_step must be positive, got {max_step}")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"{what}: rtol and atol must be positive and finite, got {rtol} and {atol}")
+    y = [float(v) for v in y0]
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"{what}: the initial state must be finite, got {y}")
+    if rtol < _RTOL_FLOOR:
+        log.warning("%s: rtol = %g is below %g; raised to it", what, rtol, _RTOL_FLOOR)
+        rtol = _RTOL_FLOOR
+    t = t0
+    f = rhs(t, y)
+    calls = 2  # f, and the probe of the initial step
+    h_abs = _initial_step(rhs, t, t1, y, f, rtol, atol, max_step)
+
+    out = _Solution()
+    out.event, out.steps = None, []
+    ts, ys = ([t], [y]) if t_eval is None else ([], [])
+    i_eval = 0
+    g = [ev(t, y) for ev in events]
+    accepted = rejected = 0
+    status = None
+    while status is None:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while not h_abs < min_step:  # as scipy tests it, so a NaN step goes on to the budget
+            if calls + 6 > _MAX_RHS_CALLS:
+                log.debug(_SOLVE_LOG, what, calls, accepted, rejected, "over budget")
+                over = f"{what} over the span [{t0:.6g}, {t1:.6g}]"
+                raise JetLagError(f"{over} used up its budget of {_MAX_RHS_CALLS} right-hand-side calls at t = {t:.6g}")
+            t_new = t + h_abs
+            if t_new - t1 > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, K = _dopri_step(rhs, t, y, f, h)
+            calls += 6
+            err = [(p * _E1 + r * _E3 + s * _E4 + u * _E5 + v * _E6 + w * _E7) * h for p, r, s, u, v, w in zip(*K)]
+            error_norm = _rms(err, y, y_new, rtol, atol)
+            if error_norm < 1.0:
+                factor = 10.0 if error_norm == 0.0 else min(10.0, 0.9 * error_norm ** -0.2)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            step_rejected = True
+            rejected += 1
+        else:
+            status = -1
+            break
+        accepted += 1
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, K[-1]
+        if t - t1 >= 0:
+            status = 0
+        step = None
+        if dense or t_eval is not None:
+            step = _dense_step(t_old, h, y_old, K)
+            if dense:
+                out.steps.append(step)
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            active = [i for i, (a, b) in enumerate(zip(g, g_new)) if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
+            if active:
+                step = step or _dense_step(t_old, h, y_old, K)
+                roots = [_brent(lambda s, ev=events[i]: ev(s, _dense_value(step, s)), t_old, t) for i in active]
+                first = min(range(len(roots)), key=roots.__getitem__)
+                out.event, t = active[first], roots[first]
+                y = _dense_value(step, t)
+                status = 1
+            g = g_new
+        if t_eval is None:
+            if len(ts) > 1 and ts[-1] == t:  # an event root on the last node
+                if dense:
+                    out.steps.pop()
+            else:
+                ts.append(t)
+                ys.append(y)
+        else:
+            i_next = bisect.bisect_right(t_eval, t, i_eval)
+            for s in t_eval[i_eval:i_next]:
+                ts.append(s)
+                ys.append(_dense_value(step, s))
+            i_eval = i_next
+
+    out.t, out.y, out.status = ts, ys, status
+    out.rhs_calls, out.accepted, out.rejected = calls, accepted, rejected
+    log.debug(_SOLVE_LOG, what, calls, accepted, rejected, {0: "completed", 1: "event", -1: "failed"}[status])
+    return out
+
+
+# -- geodesic integration -----------------------------------------------------
 
 
 def _spray_of(model: MonolayerModel):
@@ -305,15 +650,15 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
     if violation is not None:
         raise DomainError(f"initial state invalid: {violation}")
 
-    # the right-hand side and the events run on Python floats: u.tolist()
-    # and float(t), the values a JetPoint per call used to hold
+    # the right-hand side and the events run on Python floats, the values a
+    # JetPoint per call used to hold
     spray = _spray_of(model)
     needs_rdot = model.params.p != 0.0  # L contains rdot^-1
     r_floor = config.r_min / 10.0
 
     def rhs(t, u):
-        r, phi, rdot, phidot = _safe_state(u.tolist(), r_floor, needs_rdot)
-        G1, G2 = spray(float(t), r, phi, rdot, phidot)
+        r, phi, rdot, phidot = _safe_state(u, r_floor, needs_rdot)
+        G1, G2 = spray(t, r, phi, rdot, phidot)
         return [rdot, phidot, -2.0 * G1, -2.0 * G2]
 
     events = []
@@ -336,7 +681,7 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
         kinds.append("rdot_zero")
 
     def ev_g11(t, u):
-        state = (float(t), *_safe_state(u.tolist(), r_floor, needs_rdot))
+        state = (t, *_safe_state(u, r_floor, needs_rdot))
         check_coordinates(*state)
         return model.metric_g11(*state)
 
@@ -344,30 +689,27 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
     events.append(ev_g11)
     kinds.append("metric_singular")
 
-    # an array, as the events see it at t0 too
-    u0 = np.array([config.state0.r, config.state0.phi, config.state0.rdot, config.state0.phidot], dtype=float)
-    # only with dense output does solve_ivp drop a repeated t
+    u0 = [config.state0.r, config.state0.phi, config.state0.rdot, config.state0.phidot]
     sol = _solve(
-        "geodesic integration", rhs, (config.state0.t, config.t_end), u0, config.rtol, config.atol,
-        max_step=config.max_step, events=events, dense_output=True,
+        "geodesic integration", rhs, float(config.state0.t), float(config.t_end), u0, config.rtol, config.atol,
+        max_step=config.max_step, events=events,
     )
 
-    t = sol.t
-    r, phi, rdot, phidot = sol.y
+    t = np.array(sol.t)
+    r, phi, rdot, phidot = np.array(sol.y).T
 
     recorded = []
     status = "completed"
-    if sol.status == 1:  # a terminal event fired
-        for kind, tev in zip(kinds, sol.t_events):
-            if len(tev):
-                below = t[t < tev[0]]
-                t_lo = below[-1] if len(below) else t[0]
-                recorded.append(SingularEvent(kind, float(t_lo), float(tev[0]), float(tev[0])))
-                status = f"event:{kind}"
+    if sol.status == 1:  # a terminal event fired; its root is the last sample
+        kind, t_event = kinds[sol.event], sol.t[-1]
+        below = t[t < t_event]
+        t_lo = below[-1] if len(below) else t[0]
+        recorded.append(SingularEvent(kind, float(t_lo), t_event, t_event))
+        status = f"event:{kind}"
     elif sol.status < 0:
-        collapse = _finite_time_collapse(spray, t[-1], sol.y[:, -1])
+        collapse = _finite_time_collapse(spray, sol.t[-1], sol.y[-1])
         if collapse is None:
-            status = f"failed:{sol.message}"
+            status = f"failed:{_GIVE_UP}"
         else:
             recorded.append(collapse)
             status = f"event:{collapse.kind}"
@@ -378,9 +720,8 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
     if config.compute_el_residual and len(t) >= 3:
         stride = max(1, int(math.ceil(len(t) / _EL_MAX_POINTS)))
         el = np.full(len(t), np.nan)
-        nodes = np.vstack([t, sol.y]).T.tolist()
         for i in range(0, len(t), stride):
-            node = nodes[i]
+            node = (sol.t[i], *sol.y[i])
             try:
                 G1, G2 = spray(*node)
                 ev = GeometryEvaluator(model, jet_point(*node))
@@ -412,17 +753,13 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
 def resonant_rhs(t, r0, params: MonolayerParams, R0: float):
     """rdot0 = -(6 p |V| / m)^(1/3) r0^(5/3) e^(2|V|t / (3(R0 - |V|t))).
 
-    A float r0, the solver's call, stays on :mod:`math`, with numpy's
-    answers where math would raise: NaN for r0 < 0 and inf for an
-    overflowing power or exponential.  numpy's SIMD exp and pow round
-    differently on different CPUs, and the solver's accepted steps join
-    the sample grid.  An array r0 (the r0dot pass on that grid) goes
-    through numpy.
+    On floats and :mod:`math`, for the solver and for the r0dot pass over
+    the sample grid alike, with numpy's answers where math would raise: NaN
+    for r0 < 0 and inf for an overflowing power or exponential.  numpy's
+    SIMD exp and pow would round differently on different CPUs.
     """
     c = (6.0 * params.p * params.V_abs / params.m) ** (1.0 / 3.0)
     exponent = 2.0 * params.V_abs * t / (3.0 * (R0 - params.V_abs * t))
-    if type(r0) is not float:
-        return -c * np.asarray(r0) ** (5.0 / 3.0) * np.exp(exponent)
     if not r0 >= 0.0:
         return math.nan
     try:
@@ -513,17 +850,18 @@ def resonant_trajectory(
     if source == "ode":
         seed = R0 * (1.0 - t0 * V / R0)
         sol = _solve(
-            "resonant integration", lambda t, r: [resonant_rhs(t, float(r[0]), params, R0)],
-            (t0, t1), [seed], rtol, atol, dense_output=True,
+            "resonant integration", lambda t, r: [resonant_rhs(t, r[0], params, R0)],
+            t0, t1, [seed], rtol, atol, dense=True,
         )
         if sol.status != 0:
-            raise JetLagError(f"resonant integration failed: {sol.message}")
+            raise JetLagError(f"resonant integration failed: {_GIVE_UP}")
         # merge the solver's accepted steps into the grid: steep initial
         # decay (large R0) is then resolved well enough for the Hermite
         # interpolation the deviation equations ride on
         grid = np.union1d(grid, sol.t)
-        r0 = sol.sol(grid)[0]
-        r0dot = resonant_rhs(grid, r0, params, R0)
+        samples = [(t, sol.at(t)[0]) for t in grid.tolist()]
+        r0 = np.array([r for _, r in samples])
+        r0dot = np.array([resonant_rhs(t, r, params, R0) for t, r in samples])
     elif source == "closed_form":
         r0, r0dot = _closed_form(grid, params, R0)
     else:
@@ -570,14 +908,14 @@ def deviation_integrate(
     mids = 0.5 * (reference.t[:-1] + reference.t[1:])
     ulp = np.spacing(np.abs(reference.r0))
     tol = 1e-5 * np.max(np.abs(reference.r0dot)) + 1.5 * (ulp[:-1] + ulp[1:]) / np.diff(reference.t)
-    if np.any(np.abs(spl.derivative()(mids) - rdot_spl(mids)) > tol):
+    if np.any(np.abs(spl.derivative(mids) - rdot_spl(mids)) > tol):
         raise ValueError("reference grid too coarse for deviation interpolation")
 
     m, p, V = params.m, params.p, params.V_abs
 
     def coeffs(t):
-        r0 = float(spl(t))
-        rd0 = float(rdot_spl(t))
+        r0 = spl(t)
+        rd0 = rdot_spl(t)
         expE0 = math.exp(2.0 * V * t / r0)
         A = 2.0 * p * V * r0**5 * expE0 - m * rd0**3
         B = p * V * r0**3 * expE0 * (2.0 * t * V - 5.0 * r0) * rd0
@@ -599,15 +937,17 @@ def deviation_integrate(
         return [drd, ddr, dphid, 0.0]
 
     w0 = [init.delta_r, init.delta_rdot, init.delta_phi, init.delta_phidot]
-    sol = _solve("deviation integration", rhs, reference.t[[0, -1]], w0, rtol, atol, t_eval=reference.t)
+    grid = reference.t.tolist()
+    sol = _solve("deviation integration", rhs, grid[0], grid[-1], w0, rtol, atol, t_eval=grid)
     if sol.status != 0:
-        raise JetLagError(f"deviation integration failed: {sol.message}")
+        raise JetLagError(f"deviation integration failed: {_GIVE_UP}")
+    delta_r, delta_rdot, delta_phi, delta_phidot = np.array(sol.y).T
     return DeviationSeries(
-        t=sol.t,
-        delta_r=sol.y[0],
-        delta_rdot=sol.y[1],
-        delta_phi=sol.y[2],
-        delta_phidot=sol.y[3],
+        t=np.array(sol.t),
+        delta_r=delta_r,
+        delta_rdot=delta_rdot,
+        delta_phi=delta_phi,
+        delta_phidot=delta_phidot,
         c1=init.delta_phi,
         c2=init.delta_phidot,
     )

@@ -179,10 +179,11 @@ _U_RR = _compiled(_combine((20, 0, _u), (-8, 1, _u1), (1, 2, _u2)))  # r^-3 d2U/
 _SCRIPT_U_DT = _compiled(_combine((1, 0, _dE(_u_r)), (-1, 0, _u_r)))  # e^E d/dE [e^-E (5u - E u')]
 
 
-def _ei_form(form, E, scaled: bool = False):
+def _ei_form(form, E, scaled: bool = False, expE=None):
     """A e^E + B Ei at E for a compiled form, or with ``scaled`` A + B e^-E Ei;
     floats stay on :mod:`math`.  The Ei term is 0 at E = 0, where B(0) = 0.
-    e^E saturates to inf (``_exp``); e^-E raises on overflow."""
+    e^E saturates to inf (``_exp``), or is the caller's ``expE``, ``_exp(E)``
+    formed once; e^-E raises on overflow."""
     A, B, k = form
     a = b = 0.0
     for c in A:
@@ -195,7 +196,7 @@ def _ei_form(form, E, scaled: bool = False):
     ei = b * E**k * exp_integral_f(np.where(E == 0.0, 1.0, E) if vec else E)
     if scaled:
         return a + (np.exp(-E) if vec else math.exp(-E)) * ei
-    return a * _exp(E) + ei
+    return a * (_exp(E) if expE is None else expE) + ei
 
 
 def _finite_E(t, r, params: MonolayerParams, where: str):
@@ -209,14 +210,15 @@ def _finite_E(t, r, params: MonolayerParams, where: str):
     return E
 
 
-def _potential(form, power: int, t, r, params: MonolayerParams, where: str):
+def _potential(form, power: int, t, r, params: MonolayerParams, where: str, expE=None):
     """p r^power times the form at E = 2|V|t/r; 0 at p = 0.  A DomainError
-    naming ``where`` for r <= 0 or, at p != 0, a non-finite E."""
+    naming ``where`` for r <= 0 or, at p != 0, a non-finite E.  ``expE`` is
+    the caller's ``_exp(E)``, if it has formed it."""
     if _any(r <= 0):
         raise DomainError(f"{where} requires r > 0, got r = {np.min(r)}")
     if params.p == 0.0:
         return _full_like(r, 0.0)
-    return params.p * r**power * _ei_form(form, _finite_E(t, r, params, where))
+    return params.p * r**power * _ei_form(form, _finite_E(t, r, params, where), expE=expE)
 
 
 def potential_U(t, r, params: MonolayerParams):
@@ -237,11 +239,13 @@ def potential_U_drr(t: float, r: float, params: MonolayerParams) -> float:
 # -- shared subexpressions -----------------------------------------------------
 
 
-def _denominator(t, r, rdot, params):
-    """D = m - 2 p r^5 |V| e^E / rdot^3 = 2 g11."""
+def _denominator(t, r, rdot, params, expE=None):
+    """D = m - 2 p r^5 |V| e^E / rdot^3 = 2 g11; ``expE`` is the caller's
+    ``_exp(E)``, if it has formed it."""
     if params.p == 0.0:
         return _full_like(r, params.m)
-    expE = _exp(2.0 * params.V_abs * t / r)
+    if expE is None:
+        expE = _exp(2.0 * params.V_abs * t / r)
     return params.m - 2.0 * params.p * r**5 * params.V_abs * expE / rdot**3
 
 
@@ -307,20 +311,22 @@ def _exact_spray(t: float, r: float, rdot: float, phidot: float, params: Monolay
     D = m - 2 p r^5 |V| e^E / rdot^3 and G^2 = (rdot/r) phidot.
 
     The one transcription that ``closed_semispray(form="exact")``, the
-    exact N and the geodesic right-hand side read.
+    exact N and the geodesic right-hand side read.  e^E is formed once:
+    saturated as ``_denominator`` and dU/dr take it, and checked as the
+    numerator takes it where the two differ, at E >= 709.
     """
     if params.p != 0.0 and rdot == 0.0:
         raise DomainError("semispray requires rdot != 0")
     V = params.V_abs
     E = 2.0 * V * t / r
-    D = _nonsingular(_denominator(t, r, rdot, params), "semispray")
-    if params.p == 0.0:
+    if params.p == 0.0:  # D = m > 0
         return -0.5 * r * phidot**2, rdot * phidot / r
-    expE = _exp_checked(E, "closed_semispray")
+    expE = _exp(E)
+    D = _nonsingular(_denominator(t, r, rdot, params, expE), "semispray")
     num = (
-        params.p * r**3 * V * expE
+        params.p * r**3 * V * (expE if E < 709.0 else _exp_checked(E, "closed_semispray"))
         * (5.0 * r / rdot - 2.0 * V * t / rdot + V * r / rdot**2)
-        - 0.5 * potential_U_dr(t, r, params)
+        - 0.5 * _potential(_U_R, 4, t, r, params, "potential_U_dr", expE)
         - 0.5 * params.m * r * phidot**2
     )
     return num / D, rdot * phidot / r

@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from jetlag.fd import noisy_field_partial, numeric_partials, scales_for
 from jetlag.geometry import EMForm, GeometryEvaluator
@@ -337,3 +338,26 @@ def monolayer_reference(pt, params) -> dict:
     with mpmath.workdps(REFERENCE_DPS):
         values = fn(*map(mpmath.mpf, args))
     return dict(zip(names, values))
+
+
+def scipy_solve(what, rhs, t0, t1, y0, rtol, atol, max_step=math.inf, events=(), t_eval=None, dense=False):
+    """``dynamics._solve`` on scipy's RK45 (``solve_ivp``), the differential
+    oracle of the float Dormand-Prince driver: the same samples, status,
+    fired event and dense output, with scipy's RHS count and message."""
+    y0 = np.asarray(y0, dtype=float)  # solve_ivp hands the events y0 as given
+    terminal = []
+    for ev in events:
+        def on_lists(t, y, ev=ev):
+            return ev(float(t), y.tolist())
+
+        on_lists.terminal = True
+        terminal.append(on_lists)
+    sol = solve_ivp(
+        lambda t, y: rhs(float(t), y.tolist()), (t0, t1), y0, method="RK45", rtol=rtol, atol=atol,
+        max_step=max_step, events=terminal or None, t_eval=t_eval, dense_output=dense or bool(events),
+    )
+    fired = [i for i, te in enumerate(sol.t_events or ()) if len(te)]
+    return SimpleNamespace(
+        t=sol.t.tolist(), y=sol.y.T.tolist(), status=sol.status, message=sol.message, rhs_calls=sol.nfev,
+        event=fired[0] if fired else None, at=lambda s: sol.sol(s).tolist(),
+    )

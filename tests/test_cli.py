@@ -78,6 +78,12 @@ class TestConfig:
             ('{"integrator": {"atol": NaN}}', "integrator.atol must be positive"),
             ('{"resonant": {"atol": 0}}', "resonant.atol must be positive"),
             ('{"deviation": {"rtol": 0.0}}', "deviation.rtol must be positive"),
+            # and finite: an inf tolerance passes a > 0 check
+            *[(f'{{"{section}": {{"{key}": Infinity}}}}', f"{section}.{key} must be finite, got inf")
+              for section in ("integrator", "resonant", "deviation") for key in ("rtol", "atol")],
+            # max_step: 0 means no limit; NaN, a negative number and -inf are faults
+            *[(f'{{"integrator": {{"max_step": {value}}}}}', f"integrator.max_step must be >= 0 (0 means no limit), got {shown}")
+              for value, shown in (("NaN", "nan"), ("-1", "-1"), ("-1e-9", "-1e-09"), ("-Infinity", "-inf"))],
         ]
         path = tmp_path / "bad.json"
         for cfg, message in cases:
@@ -620,12 +626,13 @@ def test_commands_reject_a_model_they_do_not_run(tmp_path, capsys, cmd, cfg, mes
     assert not (tmp_path / "o").exists()
 
 
-#: SHA-256 of the default free-polar simulate and sweep files as the former
-#: separate free-particle model wrote them, so the monolayer at p = 0 must
-#: write them bit for bit; at p = 0 the diagnostics take no exp, and numpy's
-#: AVX-512 and AVX2 dispatch give the same bytes
+#: SHA-256 of the default free-polar simulate and sweep files, which the
+#: monolayer at p = 0 must write bit for bit; at p = 0 the diagnostics take no
+#: exp, and numpy's AVX-512 and AVX2 dispatch give the same bytes.  The
+#: simulate file is the float Dormand-Prince driver's: one phi sample sits one
+#: float spacing from where scipy's BLAS stage sums put it
 FREE_PARTICLE_SHA256 = {
-    "simulate/trajectory.csv": "010dfc8d3b538f95c762d99a435f53b0e8603edb772d7b132c4caee43daab1f5",
+    "simulate/trajectory.csv": "724df3083bce6dbd8466d04c704e74824529b8bc2d0e9e1f458c277f7c36a8bd",
     "sweep/index.csv": "de1c7802e8772407a8b7a5ce62e0a8a54efb2f3a5472399a2cd8c4e95787b71f",
     "sweep/run_000.csv": "8216468d56cfd3714d760ca6f34b3db35f8818b39674c48cd363c83fdd699ce3",
     "sweep/run_001.csv": "8b09c211eb331d35cde15482e0fca79e2e868224bd1e245c078a2629c935d552",
@@ -776,13 +783,44 @@ def test_unknown_log_level_is_a_configuration_error(cfg_path, monkeypatch, capsy
     )
 
 
-def test_import_leaves_the_ode_solver_unloaded():
-    # scipy.integrate is imported where a solve starts, so `eval` and library
-    # use of the closed forms skip its import cost
+def test_import_leaves_the_ode_solver_unloaded(tmp_path):
+    # the ODE driver is jetlag's own, so no command loads scipy.integrate or
+    # scipy.interpolate, and importing jetlag does not either
+    unloaded = "sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.interpolate')))"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, jetlag; print('scipy.integrate' in sys.modules)"],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", f"import sys, jetlag; print({unloaded})"], capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
+    for cmd in ("simulate", "sweep", "resonant", "deviation", "validate"):
+        run = f"import sys; from jetlag.cli import main; code = main(sys.argv[1:]); print(code, {unloaded})"
+        proc = subprocess.run(
+            [sys.executable, "-c", run, cmd, "--out", str(tmp_path / cmd)], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []", (cmd, proc.stdout)
+
+
+def test_log_debug_reports_each_solve(tmp_path, monkeypatch, caplog):
+    # one line per solve from the driver's own counts; the data files do not change
+    files = {}
+    for level in ("debug", None):
+        if level is None:
+            monkeypatch.delenv("JETLAG_LOG", raising=False)
+        else:
+            monkeypatch.setenv("JETLAG_LOG", level)
+        out = tmp_path / str(level)
+        caplog.clear()
+        for cmd in ("simulate", "deviation"):
+            assert run_cli(cmd, "--out", str(out / cmd)) == 0
+        lines = [rec.getMessage() for rec in caplog.records if rec.name == "jetlag" and rec.levelname == "DEBUG"]
+        if level == "debug":
+            assert lines[0] == "geodesic integration: 350 RHS calls, 56 accepted and 2 rejected steps, completed"
+            assert [line.split(":")[0] for line in lines] == [
+                "geodesic integration", "resonant integration", "deviation integration",
+            ]
+            assert all(line.endswith(", completed") for line in lines)
+        else:
+            assert lines == []
+        files[level] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert files["debug"] and files["debug"] == files[None]
