@@ -198,6 +198,15 @@ def load_config(path: str | None, seed_override=None) -> dict:
                            ("sweep.t_end", merged["sweep"]["t_end"], 0.0)):
         if not t0 < t_end < math.inf:
             raise ConfigError(f"{key} must be finite and exceed the initial time {t0}, got {t_end}")
+    if seed_override is not None:
+        merged["seed"] = int(seed_override)
+    for key, value, least in (("seed", merged["seed"], 0), ("validate.n_points", merged["validate"]["n_points"], 1),
+                              ("resonant.n_samples", merged["resonant"]["n_samples"], 2)):
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
+    # written so that NaN fails the check
+    if not 0 < merged["tolerances"]["oracle"] < math.inf:
+        raise ConfigError(f"tolerances.oracle must be positive and finite, got {merged['tolerances']['oracle']}")
     p = merged["params"]
     try:
         params = MonolayerParams(**p)
@@ -205,8 +214,6 @@ def load_config(path: str | None, seed_override=None) -> dict:
         raise ConfigError(f"params.{exc}") from exc
     # free_polar is the monolayer at p = 0, once the configured p has passed its check
     merged["params"] = MonolayerParams(**{**p, "p": 0.0}) if merged["model"] == "free_polar" else params
-    if seed_override is not None:
-        merged["seed"] = int(seed_override)
     return merged
 
 

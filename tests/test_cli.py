@@ -110,6 +110,14 @@ class TestConfig:
         ("simulate", '{"initial_state": {"t": NaN}}', "initial_state.t must be finite, got nan"),
         ("simulate", '{"initial_state": {"r": Infinity}}', "initial_state.r must be finite, got inf"),
         ("sweep", '{"sweep": {"t_end": -1}}', "sweep.t_end must be finite and exceed the initial time 0.0, got -1"),
+        # the keys of validate, resonant and deviation; numpy's rng and linspace would reject some later, unnamed
+        ("validate", '{"validate": {"n_points": 0}}', "validate.n_points must be >= 1, got 0"),
+        ("validate", '{"validate": {"n_points": -1}}', "validate.n_points must be >= 1, got -1"),
+        ("validate", '{"seed": -1}', "seed must be >= 0, got -1"),
+        *[("validate", f'{{"tolerances": {{"oracle": {value}}}}}', f"tolerances.oracle must be positive and finite, got {shown}")
+          for value, shown in (("-1", "-1"), ("0", "0"), ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))],
+        ("resonant", '{"resonant": {"n_samples": 1}}', "resonant.n_samples must be >= 2, got 1"),
+        ("deviation", '{"resonant": {"n_samples": -1}}', "resonant.n_samples must be >= 2, got -1"),
     ])
     def test_bad_physical_values_rejected(self, tmp_path, capsys, cmd, cfg, message):
         # configuration errors, raised before any output directory exists
@@ -117,6 +125,11 @@ class TestConfig:
         path.write_text(cfg)
         assert run_cli(cmd, "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_override_rejected(self, tmp_path, capsys):
+        assert run_cli("validate", "--seed", "-1", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "o").exists()
 
     def test_dead_identity_tolerance_rejected(self, tmp_path, capsys):
@@ -783,19 +796,18 @@ def test_unknown_log_level_is_a_configuration_error(cfg_path, monkeypatch, capsy
     )
 
 
-def test_import_leaves_the_ode_solver_unloaded(tmp_path):
-    # the ODE driver is jetlag's own, so no command loads scipy.integrate or
-    # scipy.interpolate, and importing jetlag does not either
-    unloaded = "sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.interpolate')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, jetlag; print({unloaded})"], capture_output=True, text=True,
-    )
+def test_no_command_loads_scipy(tmp_path):
+    # Ei and the ODE driver are jetlag's own: importing jetlag and running any
+    # command leave no scipy module behind
+    loaded = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+    proc = subprocess.run([sys.executable, "-c", f"import sys, jetlag; print({loaded})"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
-    for cmd in ("simulate", "sweep", "resonant", "deviation", "validate"):
-        run = f"import sys; from jetlag.cli import main; code = main(sys.argv[1:]); print(code, {unloaded})"
+    run = f"import sys; from jetlag.cli import main; code = main(sys.argv[1:]); print(code, {loaded})"
+    for cmd, *extra in (("eval", "--point", "0.001,0.5,0,-1,0.2"), ("simulate",), ("sweep",), ("resonant",),
+                        ("deviation",), ("validate",)):
         proc = subprocess.run(
-            [sys.executable, "-c", run, cmd, "--out", str(tmp_path / cmd)], capture_output=True, text=True,
+            [sys.executable, "-c", run, cmd, *extra, "--out", str(tmp_path / cmd)], capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "0 []", (cmd, proc.stdout)

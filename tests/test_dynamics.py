@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import expi
 
 from jetlag import dynamics
+from jetlag.cli import DEFAULTS
 from jetlag.dynamics import (
     _COLLAPSE_SPACINGS,
     _EL_MAX_POINTS,
@@ -228,6 +229,27 @@ class TestHamiltonianSplit:
         st = TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.2)
         H = hamiltonian_split(st, params5)[1]
         assert H == pytest.approx(-potential_U(st.t, st.r, params5), rel=1e-11)
+
+    def test_model_value_is_k_plus_u_s_on_the_default_sweep(self, params5):
+        # the two copies of L: MonolayerModel.value and hamiltonian_split's
+        # K + U_s = 2K - E_inst, on the 25 start states of the default sweep
+        # and on every sample of their runs, where E reaches 20 and both read
+        # Ei.  L cancels between its terms, so the bound scales with the
+        # largest term, not with |L|
+        sweep = DEFAULTS["sweep"]
+        model = MonolayerModel(params5)
+        checked = 0
+        for r0 in np.linspace(*sweep["r"]):
+            for rd0 in np.linspace(*sweep["rdot"]):
+                start = TrajectoryState(0.0, float(r0), 0.0, float(rd0), sweep["phidot_values"][0])
+                ser = integrate_geodesic(SimConfig(params5, start, sweep["t_end"], compute_el_residual=False), model)
+                assert (ser.t[0], ser.r[0], ser.rdot[0]) == (start.t, start.r, start.rdot)
+                value = np.array([model.value(*s) for s in zip(ser.t, ser.r, ser.phi, ser.rdot, ser.phidot)])
+                kinetic = 0.5 * params5.m * (ser.rdot**2 + ser.r**2 * ser.phidot**2)
+                energy = _term_scales(params5, ser.t, ser.r, ser.rdot, ser.phidot)[0]
+                assert np.all(np.abs(value - (2.0 * kinetic - ser.e_inst)) <= 1e-14 * energy)
+                checked += len(ser.t)
+        assert checked > 25 * 10
 
     def test_p_zero_everything_vanishes(self):
         st = TrajectoryState(0.0, 1.0, 0.0, 1.0, 0.5)

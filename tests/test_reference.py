@@ -11,7 +11,14 @@ import mpmath
 import pytest
 from oracles import monolayer_reference
 
-from jetlag.monolayer import MonolayerModel, MonolayerParams, closed_cartan, closed_nonlinear_connection
+from jetlag.monolayer import (
+    MonolayerModel,
+    MonolayerParams,
+    closed_cartan,
+    closed_em_and_ym,
+    closed_nonlinear_connection,
+    em_component_f21,
+)
 from jetlag.points import jet_point
 from jetlag.validate import _closed_exact_values, sample_points
 
@@ -70,3 +77,24 @@ def test_n_and_cartan_finite_past_d_squared_overflow():
     for name, value in got.items():
         assert math.isfinite(value), name
         assert _rel_err(value, ref[name]) < 1e-11, name
+
+
+@pytest.mark.parametrize("t, r, phidot", [(1e-4, 0.5, 0.3), (5e-4, 0.8, 1.0), (2e-5, 0.6, -0.5)])
+def test_exact_f_on_the_resonance_surface(t, r, phidot):
+    # The resonance m rdot^3 + 6 p |V| r^5 e^E = 0 is eps = -3, with
+    # eps = m rdot^3 e^-E / (2 p r^5 |V|).  There the printed bracket, and with
+    # it the printed F21, vanishes; the exact F21 = -(3/4) m r phidot / (eps - 1)
+    # is (3/16) m r phidot and EYM = F21^2 / m is (9/256) m r^2 phidot^2
+    m, p, V = PARAMS.m, PARAMS.p, PARAMS.V_abs
+    E = 2.0 * V * t / r
+    rdot = -((6.0 * p * V * r**5 * math.exp(E) / m) ** (1.0 / 3.0))
+    pt = jet_point(t, r, 0.0, rdot, phidot)
+    ref = monolayer_reference(pt, PARAMS)
+    f21 = 3.0 / 16.0 * m * r * phidot
+    assert _rel_err(f21, ref["F21_exact"]) < 1e-14
+    assert _rel_err(em_component_f21(pt, PARAMS), ref["F21_exact"]) < 1e-12
+    _, eym = closed_em_and_ym(pt, PARAMS, form="exact")
+    assert _rel_err(eym, ref["F21_exact"] ** 2 / m) < 1e-12
+    assert eym == pytest.approx(9.0 / 256.0 * m * r**2 * phidot**2, rel=1e-12)
+    # the printed F21 is 0 up to the rounding of its two cancelling terms, 3mr/2
+    assert abs(em_component_f21(pt, PARAMS, form="printed")) < 1e-14 * m * r * abs(phidot)
