@@ -190,20 +190,36 @@ def load_config(path: str | None, seed_override=None) -> dict:
     # written so that NaN fails the check; 0 means no limit
     if not merged["integrator"]["max_step"] >= 0:
         raise ConfigError(f"integrator.max_step must be >= 0 (0 means no limit), got {merged['integrator']['max_step']}")
-    for key, value in merged["initial_state"].items():
+    finite = [(f"initial_state.{key}", value) for key, value in merged["initial_state"].items()]
+    finite += [(f"deviation.{key}", merged["deviation"][key]) for key in ("c1", "c2", "delta_r", "delta_rdot")]
+    for key, value in finite:
         if not math.isfinite(value):
-            raise ConfigError(f"initial_state.{key} must be finite, got {value}")
+            raise ConfigError(f"{key} must be finite, got {value}")
     # written so that NaN fails both checks; a sweep run starts at t = 0
     for key, t_end, t0 in (("t_end", merged["t_end"], merged["initial_state"]["t"]),
                            ("sweep.t_end", merged["sweep"]["t_end"], 0.0)):
         if not t0 < t_end < math.inf:
             raise ConfigError(f"{key} must be finite and exceed the initial time {t0}, got {t_end}")
+    # resonant.t_end = 0 is the default span [0, 0.8 R0/|V|]; NaN fails every check
+    t_start, t_end = merged["resonant"]["t_start"], merged["resonant"]["t_end"]
+    if not 0 <= t_start < math.inf:
+        raise ConfigError(f"resonant.t_start must be finite and >= 0, got {t_start}")
+    if t_end == 0 and t_start != 0:
+        raise ConfigError(f"resonant.t_start must be 0 while resonant.t_end is 0 (the default span), got {t_start}")
+    if t_end != 0 and not t_start < t_end < math.inf:
+        raise ConfigError(
+            f"resonant.t_end must be 0 (the default span) or finite and exceed resonant.t_start {t_start}, got {t_end}"
+        )
     if seed_override is not None:
         merged["seed"] = int(seed_override)
-    for key, value, least in (("seed", merged["seed"], 0), ("validate.n_points", merged["validate"]["n_points"], 1),
-                              ("resonant.n_samples", merged["resonant"]["n_samples"], 2)):
+    # every sample is held in memory, so the sample counts are capped as sweep's runs are
+    for key, value, least, capped in (("seed", merged["seed"], 0, False),
+                                      ("validate.n_points", merged["validate"]["n_points"], 1, True),
+                                      ("resonant.n_samples", merged["resonant"]["n_samples"], 2, True)):
         if value < least:
             raise ConfigError(f"{key} must be >= {least}, got {value}")
+        if capped and value > 10**6:
+            raise ConfigError(f"{key} must be at most 10^6, got {value}")
     # written so that NaN fails the check
     if not 0 < merged["tolerances"]["oracle"] < math.inf:
         raise ConfigError(f"tolerances.oracle must be positive and finite, got {merged['tolerances']['oracle']}")

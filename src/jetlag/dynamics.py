@@ -8,8 +8,10 @@ Every ODE solve goes through ``_solve``, one Dormand-Prince 5(4) driver on
 lists of Python floats that follows scipy's RK45 step for step (initial
 step, error norm and step control, dense output, give-up) and counts its
 own right-hand-side calls and accepted and rejected steps; at
-JETLAG_LOG=debug it logs them, one line per solve.  The resonant reference
-is read between its samples through ``HermiteCubic`` pieces, on floats.
+JETLAG_LOG=debug it logs them, one line per solve.  The deviation
+equations carry the resonant radius r0 as one more state component,
+integrated by the same float right-hand side as the reference, so
+``deviation_integrate`` reads only the reference's grid and first sample.
 
 The geodesic system is dy/dt + 2G(t, x, y) = 0, dx/dt = y, integrated by
 that driver with terminal events at the singular loci (g11 -> 0,
@@ -150,9 +152,7 @@ class DeviationSeries:
 class HermiteCubic:
     """The piecewise cubic through (x_i, y_i) with slopes d_i at increasing
     nodes x_i, extended past the ends by the end pieces; scipy's
-    CubicHermiteSpline builds the same pieces.  It is callable on a float,
-    on Python floats with the piece found by bisection, or on an array, and
-    both paths give the same bits."""
+    CubicHermiteSpline builds the same pieces.  It is callable on an array."""
 
     def __init__(self, x, y, d):
         x, y, d = (np.asarray(v, dtype=float) for v in (x, y, d))
@@ -162,61 +162,13 @@ class HermiteCubic:
         self._x = x
         # per piece, the coefficients of (s - x_i)^3, ^2, ^1 and ^0
         self._c = np.array([curv / dx, (slope - d[:-1]) / dx - curv, d[:-1], y[:-1]])
-        self._nodes = x.tolist()
-        self._pieces = list(zip(*self._c.tolist()))
-
-    def _locate(self, s):
-        """The index of the piece at s and the offset s - x_i."""
-        if type(s) is float:
-            i = min(max(bisect.bisect_right(self._nodes, s) - 1, 0), len(self._pieces) - 1)
-            return i, s - self._nodes[i]
-        s = np.asarray(s, dtype=float)
-        i = np.clip(np.searchsorted(self._x, s, side="right") - 1, 0, len(self._x) - 2)
-        return i, s - self._x[i]
 
     def __call__(self, s):
-        i, u = self._locate(s)
-        a, b, c, d = self._pieces[i] if type(s) is float else self._c[:, i]
+        s = np.asarray(s, dtype=float)
+        i = np.clip(np.searchsorted(self._x, s, side="right") - 1, 0, len(self._x) - 2)
+        u = s - self._x[i]
+        a, b, c, d = self._c[:, i]
         return ((a * u + b) * u + c) * u + d
-
-    def derivative(self, s):
-        """The slope of the cubic at s."""
-        i, u = self._locate(s)
-        a, b, c, _ = self._pieces[i] if type(s) is float else self._c[:, i]
-        return (3.0 * a * u + 2.0 * b) * u + c
-
-
-def _not_a_knot_slopes(x, y) -> np.ndarray:
-    """Node slopes of the not-a-knot cubic spline through (x_i, y_i), the
-    tridiagonal system scipy's CubicSpline solves, here by the Thomas
-    algorithm; two nodes give the line and three the parabola through them."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    n = len(x)
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    if n == 2:
-        return np.full(2, slope[0])
-    if n == 3:
-        c = (slope[1] - slope[0]) / (x[2] - x[0])
-        return slope[0] + c * np.array([-dx[0], dx[0], dx[0] + 2.0 * dx[1]])
-    # row i: lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    diag = np.concatenate(([dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
-    upper = [d0, *dx[:-1].tolist()]
-    lower = [0.0, *dx[1:].tolist(), d1]
-    rhs = np.concatenate((
-        [((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0],
-        3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-        [(dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1],
-    )).tolist()
-    cp, dp = [0.0] * n, [0.0] * n
-    for i in range(n):
-        m = diag[i] - (lower[i] * cp[i - 1] if i else 0.0)
-        cp[i] = upper[i] / m if i < n - 1 else 0.0
-        dp[i] = (rhs[i] - (lower[i] * dp[i - 1] if i else 0.0)) / m
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    return np.array(dp)
 
 
 @dataclass
@@ -239,10 +191,6 @@ class ResonantTrajectory:
     def spline(self) -> HermiteCubic:
         """r0(t): the Hermite cubic on the samples and their rates."""
         return HermiteCubic(self.t, self.r0, self.r0dot)
-
-    def rdot_spline(self) -> HermiteCubic:
-        """r0dot(t): the not-a-knot cubic spline of the rates alone."""
-        return HermiteCubic(self.t, self.r0dot, _not_a_knot_slopes(self.t, self.r0dot))
 
     def _resonance_residual(self, exponent) -> np.ndarray:
         """Relative residual of m r0dot^3 + 6 p |V| r0^5 e^exponent = 0, taken
@@ -359,15 +307,10 @@ _GIVE_UP = "Required step size is less than spacing between numbers."
 
 class _Solution:
     """What ``_solve`` returns: the samples, the status (0 reached the end, 1 a
-    terminal event fired, -1 gave up), the driver's own counts and, with
-    ``dense``, the interpolant of every step."""
+    terminal event fired, -1 gave up), the fired event's index and the
+    driver's own counts."""
 
-    __slots__ = ("t", "y", "status", "rhs_calls", "accepted", "rejected", "event", "steps")
-
-    def at(self, s: float) -> list:
-        """The dense output at s, from the step whose end is the first node >= s."""
-        i = min(max(bisect.bisect_left(self.t, s) - 1, 0), len(self.steps) - 1)
-        return _dense_value(self.steps[i], s)
+    __slots__ = ("t", "y", "status", "rhs_calls", "accepted", "rejected", "event")
 
 
 def _rms(values, y, y_new, rtol, atol) -> float:
@@ -485,7 +428,7 @@ def _dopri_step(rhs, t: float, y: list, f: list, h: float) -> tuple:
 
 
 def _solve(what: str, rhs, t0: float, t1: float, y0, rtol: float, atol: float,
-           max_step: float = math.inf, events=(), t_eval=None, dense: bool = False) -> _Solution:
+           max_step: float = math.inf, events=(), t_eval=None) -> _Solution:
     """Dormand-Prince 5(4) on dy/dt = rhs(t, y) from t0 to t1 > t0, on lists
     of Python floats, step for step scipy's RK45 (Hairer, Norsett & Wanner,
     Solving ODEs I, sections II.4-II.6): its initial step, RMS error norm,
@@ -516,7 +459,7 @@ def _solve(what: str, rhs, t0: float, t1: float, y0, rtol: float, atol: float,
     h_abs = _initial_step(rhs, t, t1, y, f, rtol, atol, max_step)
 
     out = _Solution()
-    out.event, out.steps = None, []
+    out.event = None
     ts, ys = ([t], [y]) if t_eval is None else ([], [])
     i_eval = 0
     g = [ev(t, y) for ev in events]
@@ -560,11 +503,7 @@ def _solve(what: str, rhs, t0: float, t1: float, y0, rtol: float, atol: float,
         t, y, f = t_new, y_new, K[-1]
         if t - t1 >= 0:
             status = 0
-        step = None
-        if dense or t_eval is not None:
-            step = _dense_step(t_old, h, y_old, K)
-            if dense:
-                out.steps.append(step)
+        step = None if t_eval is None else _dense_step(t_old, h, y_old, K)
         if events:
             g_new = [ev(t, y) for ev in events]
             active = [i for i, (a, b) in enumerate(zip(g, g_new)) if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
@@ -577,10 +516,7 @@ def _solve(what: str, rhs, t0: float, t1: float, y0, rtol: float, atol: float,
                 status = 1
             g = g_new
         if t_eval is None:
-            if len(ts) > 1 and ts[-1] == t:  # an event root on the last node
-                if dense:
-                    out.steps.pop()
-            else:
+            if len(ts) == 1 or ts[-1] != t:  # an event root can fall on the last node
                 ts.append(t)
                 ys.append(y)
         else:
@@ -661,38 +597,21 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
         G1, G2 = spray(t, r, phi, rdot, phidot)
         return [rdot, phidot, -2.0 * G1, -2.0 * G2]
 
-    events = []
-    kinds = []
-
-    def ev_r(t, u):
-        return u[0] - config.r_min
-
-    ev_r.terminal = True
-    events.append(ev_r)
-    kinds.append("r_collapse")
-
-    if needs_rdot:
-
-        def ev_rdot(t, u):
-            return u[2]
-
-        ev_rdot.terminal = True
-        events.append(ev_rdot)
-        kinds.append("rdot_zero")
-
     def ev_g11(t, u):
         state = (t, *_safe_state(u, r_floor, needs_rdot))
         check_coordinates(*state)
         return model.metric_g11(*state)
 
-    ev_g11.terminal = True
-    events.append(ev_g11)
-    kinds.append("metric_singular")
+    # (kind, g) pairs; on a tie between roots the first listed wins
+    events = [("r_collapse", lambda t, u: u[0] - config.r_min)]
+    if needs_rdot:
+        events.append(("rdot_zero", lambda t, u: u[2]))
+    events.append(("metric_singular", ev_g11))
 
     u0 = [config.state0.r, config.state0.phi, config.state0.rdot, config.state0.phidot]
     sol = _solve(
         "geodesic integration", rhs, float(config.state0.t), float(config.t_end), u0, config.rtol, config.atol,
-        max_step=config.max_step, events=events,
+        max_step=config.max_step, events=[g for _, g in events],
     )
 
     t = np.array(sol.t)
@@ -701,7 +620,7 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
     recorded = []
     status = "completed"
     if sol.status == 1:  # a terminal event fired; its root is the last sample
-        kind, t_event = kinds[sol.event], sol.t[-1]
+        kind, t_event = events[sol.event][0], sol.t[-1]
         below = t[t < t_event]
         t_lo = below[-1] if len(below) else t[0]
         recorded.append(SingularEvent(kind, float(t_lo), t_event, t_event))
@@ -753,10 +672,11 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
 def resonant_rhs(t, r0, params: MonolayerParams, R0: float):
     """rdot0 = -(6 p |V| / m)^(1/3) r0^(5/3) e^(2|V|t / (3(R0 - |V|t))).
 
-    On floats and :mod:`math`, for the solver and for the r0dot pass over
-    the sample grid alike, with numpy's answers where math would raise: NaN
-    for r0 < 0 and inf for an overflowing power or exponential.  numpy's
-    SIMD exp and pow would round differently on different CPUs.
+    On floats and :mod:`math`, for the solver, the r0dot pass over the
+    sample grid and the radial deviation solve alike, with numpy's answers
+    where math would raise: NaN for r0 < 0 and inf for an overflowing power
+    or exponential.  numpy's SIMD exp and pow would round differently on
+    different CPUs.
     """
     c = (6.0 * params.p * params.V_abs / params.m) ** (1.0 / 3.0)
     exponent = 2.0 * params.V_abs * t / (3.0 * (R0 - params.V_abs * t))
@@ -851,17 +771,12 @@ def resonant_trajectory(
         seed = R0 * (1.0 - t0 * V / R0)
         sol = _solve(
             "resonant integration", lambda t, r: [resonant_rhs(t, r[0], params, R0)],
-            t0, t1, [seed], rtol, atol, dense=True,
+            t0, t1, [seed], rtol, atol, t_eval=grid.tolist(),
         )
         if sol.status != 0:
             raise JetLagError(f"resonant integration failed: {_GIVE_UP}")
-        # merge the solver's accepted steps into the grid: steep initial
-        # decay (large R0) is then resolved well enough for the Hermite
-        # interpolation the deviation equations ride on
-        grid = np.union1d(grid, sol.t)
-        samples = [(t, sol.at(t)[0]) for t in grid.tolist()]
-        r0 = np.array([r for _, r in samples])
-        r0dot = np.array([resonant_rhs(t, r, params, R0) for t, r in samples])
+        r0 = np.array([r for r, in sol.y])
+        r0dot = np.array([resonant_rhs(t, r, params, R0) for t, (r,) in zip(sol.t, sol.y)])
     elif source == "closed_form":
         r0, r0dot = _closed_form(grid, params, R0)
     else:
@@ -896,52 +811,42 @@ def deviation_integrate(
           + rdot0^3 d2U/dr2(t, r0) dr = 0
 
     Each term has the units of the first, M L^4 T^-5; d2U/dt2 in place of
-    d2U/dr2 would carry an extra (L/T)^2.  On resonant references the
-    delta_phi friction coefficient is identically reduced to zero (the
+    d2U/dr2 would carry an extra (L/T)^2.  r0 rides along as a fifth state
+    component with rdot0 = ``resonant_rhs``, the rate an ODE reference is
+    solved with, from the reference's first sample; nothing else of the
+    reference but its grid is read.  On resonant references the delta_phi
+    friction coefficient is identically reduced to zero (the
     resonance-condition substitution), so delta_phi = C1 + C2 t.
     """
-    spl = reference.spline()
-    rdot_spl = reference.rdot_spline()
-    # coarse-grid guard: the Hermite derivative must agree with the stored
-    # velocities between the nodes, up to the rounding floor of its slope,
-    # 1.5 (ulp(r0_i) + ulp(r0_i+1)) / h_i on each interval
-    mids = 0.5 * (reference.t[:-1] + reference.t[1:])
-    ulp = np.spacing(np.abs(reference.r0))
-    tol = 1e-5 * np.max(np.abs(reference.r0dot)) + 1.5 * (ulp[:-1] + ulp[1:]) / np.diff(reference.t)
-    if np.any(np.abs(spl.derivative(mids) - rdot_spl(mids)) > tol):
-        raise ValueError("reference grid too coarse for deviation interpolation")
-
-    m, p, V = params.m, params.p, params.V_abs
-
-    def coeffs(t):
-        r0 = spl(t)
-        rd0 = rdot_spl(t)
-        expE0 = math.exp(2.0 * V * t / r0)
-        A = 2.0 * p * V * r0**5 * expE0 - m * rd0**3
-        B = p * V * r0**3 * expE0 * (2.0 * t * V - 5.0 * r0) * rd0
-        C = rd0**3 * potential_U_drr(t, r0, params)
-        return A, B, C
+    grid = reference.t.tolist()
+    w0 = [init.delta_r, init.delta_rdot, init.delta_phi, init.delta_phidot]
 
     # delta_r = delta_rdot = 0 is an exact solution of its (decoupled,
-    # homogeneous) equation, so the radial block is skipped entirely then;
+    # homogeneous) equation, so the radial block and r0 are left out then;
     # this also keeps collapsed references (r0 -> 0, exploding e^(2|V|t/r0)
     # coefficients) usable for the purely angular deviation scenario
-    radial_active = init.delta_r != 0.0 or init.delta_rdot != 0.0
+    if init.delta_r == 0.0 and init.delta_rdot == 0.0:
 
-    def rhs(t, w):
-        dr, drd, dphi, dphid = w
-        ddr = 0.0
-        if radial_active:
-            A, B, C = coeffs(t)
-            ddr = -(B * drd + C * dr) / A
-        return [drd, ddr, dphid, 0.0]
+        def rhs(t, w):
+            return [w[1], 0.0, w[3], 0.0]
 
-    w0 = [init.delta_r, init.delta_rdot, init.delta_phi, init.delta_phidot]
-    grid = reference.t.tolist()
+    else:
+        m, p, V = params.m, params.p, params.V_abs
+        w0.append(reference.r0[0])
+
+        def rhs(t, w):
+            dr, drd, _, dphid, r0 = w
+            rd0 = resonant_rhs(t, r0, reference.params, reference.R0)
+            expE0 = math.exp(2.0 * V * t / r0)
+            A = 2.0 * p * V * r0**5 * expE0 - m * rd0**3
+            B = p * V * r0**3 * expE0 * (2.0 * t * V - 5.0 * r0) * rd0
+            C = rd0**3 * potential_U_drr(t, r0, params)
+            return [drd, -(B * drd + C * dr) / A, dphid, 0.0, rd0]
+
     sol = _solve("deviation integration", rhs, grid[0], grid[-1], w0, rtol, atol, t_eval=grid)
     if sol.status != 0:
         raise JetLagError(f"deviation integration failed: {_GIVE_UP}")
-    delta_r, delta_rdot, delta_phi, delta_phidot = np.array(sol.y).T
+    delta_r, delta_rdot, delta_phi, delta_phidot = np.array(sol.y).T[:4]
     return DeviationSeries(
         t=np.array(sol.t),
         delta_r=delta_r,

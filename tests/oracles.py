@@ -340,10 +340,10 @@ def monolayer_reference(pt, params) -> dict:
     return dict(zip(names, values))
 
 
-def scipy_solve(what, rhs, t0, t1, y0, rtol, atol, max_step=math.inf, events=(), t_eval=None, dense=False):
+def scipy_solve(what, rhs, t0, t1, y0, rtol, atol, max_step=math.inf, events=(), t_eval=None):
     """``dynamics._solve`` on scipy's RK45 (``solve_ivp``), the differential
-    oracle of the float Dormand-Prince driver: the same samples, status,
-    fired event and dense output, with scipy's RHS count and message."""
+    oracle of the float Dormand-Prince driver: the same samples, status and
+    fired event, with scipy's RHS count and message."""
     y0 = np.asarray(y0, dtype=float)  # solve_ivp hands the events y0 as given
     terminal = []
     for ev in events:
@@ -354,10 +354,10 @@ def scipy_solve(what, rhs, t0, t1, y0, rtol, atol, max_step=math.inf, events=(),
         terminal.append(on_lists)
     sol = solve_ivp(
         lambda t, y: rhs(float(t), y.tolist()), (t0, t1), y0, method="RK45", rtol=rtol, atol=atol,
-        max_step=max_step, events=terminal or None, t_eval=t_eval, dense_output=dense or bool(events),
+        max_step=max_step, events=terminal or None, t_eval=t_eval,
     )
     fired = [i for i, te in enumerate(sol.t_events or ()) if len(te)]
     return SimpleNamespace(
         t=sol.t.tolist(), y=sol.y.T.tolist(), status=sol.status, message=sol.message, rhs_calls=sol.nfev,
-        event=fired[0] if fired else None, at=lambda s: sol.sol(s).tolist(),
+        event=fired[0] if fired else None,
     )

@@ -14,11 +14,14 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetlag.cli import TRAJECTORY_HEADER, load_config, main
+from jetlag.dynamics import _closed_form
+from jetlag.monolayer import MonolayerParams
 
 
 def run_cli(*args):
@@ -118,6 +121,25 @@ class TestConfig:
           for value, shown in (("-1", "-1"), ("0", "0"), ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))],
         ("resonant", '{"resonant": {"n_samples": 1}}', "resonant.n_samples must be >= 2, got 1"),
         ("deviation", '{"resonant": {"n_samples": -1}}', "resonant.n_samples must be >= 2, got -1"),
+        # capped as sweep's runs are: rejected before anything is allocated, so nothing of this size runs
+        ("resonant", '{"resonant": {"n_samples": 10000001}}', "resonant.n_samples must be at most 10^6, got 10000001"),
+        ("deviation", '{"resonant": {"n_samples": 1000001}}', "resonant.n_samples must be at most 10^6, got 1000001"),
+        ("validate", '{"validate": {"n_points": 10000000}}', "validate.n_points must be at most 10^6, got 10000000"),
+        # the resonant span: t_end = 0 is the default span, which starts at 0
+        ("resonant", '{"resonant": {"t_start": 5}}',
+         "resonant.t_start must be 0 while resonant.t_end is 0 (the default span), got 5"),
+        ("resonant", '{"resonant": {"t_start": -1}}', "resonant.t_start must be finite and >= 0, got -1"),
+        ("deviation", '{"resonant": {"t_start": NaN, "t_end": 1e-4}}', "resonant.t_start must be finite and >= 0, got nan"),
+        *[("resonant", f'{{"resonant": {{"t_end": {value}}}}}',
+           f"resonant.t_end must be 0 (the default span) or finite and exceed resonant.t_start 0.0, got {shown}")
+          for value, shown in (("NaN", "nan"), ("-1", "-1"), ("Infinity", "inf"))],
+        ("resonant", '{"resonant": {"t_start": 2e-4, "t_end": 1e-4}}',
+         "resonant.t_end must be 0 (the default span) or finite and exceed resonant.t_start 0.0002, got 0.0001"),
+        # the deviation's initial data
+        *[("deviation", f'{{"deviation": {{"{key}": {value}}}}}', f"deviation.{key} must be finite, got {shown}")
+          for key in ("delta_r", "c1") for value, shown in (("NaN", "nan"), ("Infinity", "inf"))],
+        ("deviation", '{"deviation": {"delta_rdot": -Infinity}}', "deviation.delta_rdot must be finite, got -inf"),
+        ("deviation", '{"deviation": {"c2": NaN}}', "deviation.c2 must be finite, got nan"),
     ])
     def test_bad_physical_values_rejected(self, tmp_path, capsys, cmd, cfg, message):
         # configuration errors, raised before any output directory exists
@@ -454,6 +476,20 @@ class TestResonant:
         line = (out / "resonant.csv").read_text().splitlines()[1]
         cells = line.split(",")
         assert cells[5] != "" and cells[6] != ""
+
+    def test_closed_form_columns_sit_at_the_row_time(self, tmp_path):
+        # the default config: every row's closed form is the printed solution at that row's t
+        out = tmp_path / "o"
+        assert run_cli("resonant", "--closed-form", "--out", str(out)) == 0
+        with open(out / "resonant.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 400
+        t = np.array([float(row["t"]) for row in rows])
+        want = _closed_form(t, MonolayerParams(), 1.0)[0]
+        got = np.array([float(row["closed_form_r0"]) for row in rows])
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        r0 = np.array([float(row["r0"]) for row in rows])
+        assert np.max(np.abs(got - r0) / r0) < 1e-9
 
     @pytest.mark.parametrize("params", [{"p": 1.0, "V_abs": 1e-20}, {"R0": 1e10}], ids=["tiny-V", "huge-R0"])
     def test_residuals_stay_finite_where_the_exponential_overflows(self, tmp_path, params):
