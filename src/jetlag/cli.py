@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: eval, simulate, resonant, deviation, validate, sweep.
-Configuration is strict JSON (unknown keys are rejected) merged over the reference-parameter
-defaults (m=1, p=10, |V|=1000); all numeric CSV fields are written with 17 significant digits so
-repeated runs with the same config and seed are byte-identical.  Every CSV goes through one
+Configuration is strict JSON checked against ``SCHEMA``, which holds each key's default and
+rule, and merged over the defaults (m=1, p=10, |V|=1000, R0=1); all numeric CSV fields are
+written with 17 significant digits so repeated runs with the same config and seed are
+byte-identical.  Every CSV goes through one
 writer: a missing value is an empty cell, a text cell holding a comma, a quote or a newline
 (a sweep's ``invalid:`` status) is quoted as RFC 4180 says, and an inf or a NaN is a
 numerical failure.  ``simulate`` and each ``sweep`` run build their integrator from the same
@@ -79,33 +80,6 @@ def _write_csv(path: Path, header, rows) -> None:
 
 # -- configuration --------------------------------------------------------------
 
-DEFAULTS = {
-    "model": "monolayer",
-    "params": {"m": 1.0, "p": 10.0, "V_abs": 1000.0, "R0": 1.0},
-    "initial_state": {"t": 0.0, "r": 0.5, "phi": 0.0, "rdot": -1.0, "phidot": 0.1},
-    "t_end": 2e-3,
-    "integrator": {"rtol": 1e-9, "atol": 1e-9, "max_step": 0.0},
-    "events": {"r_min": 1e-6},
-    "seed": 0,
-    "tolerances": {"oracle": 1e-5},
-    "resonant": {"t_start": 0.0, "t_end": 0.0, "n_samples": 400, "rtol": 1e-12, "atol": 1e-14},
-    "deviation": {
-        "c1": 0.0,
-        "c2": 1.0,
-        "delta_r": 0.0,
-        "delta_rdot": 0.0,
-        "rtol": 1e-10,
-        "atol": 1e-12,
-    },
-    "validate": {"n_points": 100},
-    "sweep": {"r": [0.2, 1.0, 5], "rdot": [-5.0, -0.5, 5], "phidot_values": [0.0], "t_end": 2e-3},
-}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 #: the models each command runs; ``eval`` runs every model there is
 _COMMAND_MODELS = {
     "eval": ("monolayer", "free_polar"),
@@ -117,39 +91,86 @@ _COMMAND_MODELS = {
 }
 
 
-def _check_keys(cfg: dict, defaults: dict, path: str = ""):
-    """Reject keys without a default and values whose type does not fit the
-    default's: an object for a dict, a number (an int or a float, never a
-    bool) for a float, a list of numbers for a list, and exactly the
-    default's type otherwise, so a bool is no int."""
+# A rule is (predicate, what the value must be); each predicate is written so
+# that NaN fails it.  Every count that sizes what is held in memory is capped.
+_POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+_NONNEGATIVE = (lambda v: 0 <= v < math.inf, "nonnegative and finite")
+_FINITE = (math.isfinite, "finite")
+_FINITE_LIST = (lambda v: all(map(math.isfinite, v)), "a list of finite numbers")
+_GRID = (
+    lambda v: len(v) == 3 and all(map(math.isfinite, v[:2])) and 1 <= v[2] <= 10**6 and v[2] == int(v[2]),
+    "[lo, hi, n] with lo and hi finite and n a whole number from 1 to 10^6",
+)
+_MODEL = (lambda v: v in _COMMAND_MODELS["eval"], f"one of {', '.join(_COMMAND_MODELS['eval'])}")
+
+
+def _count(least: int):
+    return (lambda v: least <= v <= 10**6, f"an int from {least} to 10^6")
+
+
+#: each leaf key's (default, rule); a value must also have its default's type
+SCHEMA = {
+    "model": ("monolayer", _MODEL),
+    "params": {"m": (1.0, _POSITIVE), "p": (10.0, _NONNEGATIVE), "V_abs": (1000.0, _POSITIVE), "R0": (1.0, _POSITIVE)},
+    "initial_state": {
+        "t": (0.0, _FINITE), "r": (0.5, _FINITE), "phi": (0.0, _FINITE), "rdot": (-1.0, _FINITE), "phidot": (0.1, _FINITE),
+    },
+    "t_end": (2e-3, _FINITE),
+    "integrator": {"rtol": (1e-9, _POSITIVE), "atol": (1e-9, _POSITIVE), "max_step": (0.0, _NONNEGATIVE)},
+    "events": {"r_min": (1e-6, _POSITIVE)},
+    "seed": (0, (lambda v: v >= 0, ">= 0 and an int")),
+    "tolerances": {"oracle": (1e-5, _POSITIVE)},
+    # t_end = 0 is the default span [0, 0.8 R0/|V|]
+    "resonant": {
+        "t_start": (0.0, _NONNEGATIVE), "t_end": (0.0, _NONNEGATIVE), "n_samples": (400, _count(2)),
+        "rtol": (1e-12, _POSITIVE), "atol": (1e-14, _POSITIVE),
+    },
+    "deviation": {
+        "c1": (0.0, _FINITE), "c2": (1.0, _FINITE), "delta_r": (0.0, _FINITE), "delta_rdot": (0.0, _FINITE),
+        "rtol": (1e-10, _POSITIVE), "atol": (1e-12, _POSITIVE),
+    },
+    "validate": {"n_points": (100, _count(1))},
+    # a sweep run starts at t = 0
+    "sweep": {
+        "r": ([0.2, 1.0, 5], _GRID), "rdot": ([-5.0, -0.5, 5], _GRID), "phidot_values": ([0.0], _FINITE_LIST),
+        "t_end": (2e-3, _POSITIVE),
+    },
+}
+
+
+def _defaults(schema: dict) -> dict:
+    return {key: _defaults(entry) if isinstance(entry, dict) else entry[0] for key, entry in schema.items()}
+
+
+DEFAULTS = _defaults(SCHEMA)
+
+
+def _fits(value, default) -> bool:
+    """A number (an int or a float, never a bool) where the default is a float,
+    a list of numbers for a list, and exactly the default's type otherwise."""
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    if isinstance(default, list):
+        return type(value) is list and all(type(x) in (int, float) for x in value)
+    return type(value) is type(default)
+
+
+def _check(cfg: dict, schema: dict = SCHEMA, path: str = "") -> None:
+    """Reject keys the schema lacks, and values that do not fit their default's
+    type or break their rule."""
     for key, value in cfg.items():
         here = f"{path}.{key}" if path else key
-        if key not in defaults:
+        if key not in schema:
             raise ConfigError(f"unknown configuration key: {here}")
-        default = defaults[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here} must be an object")
-            _check_keys(value, default, here)
-        elif isinstance(default, float):
-            if not _is_number(value):
-                raise ConfigError(f"{here} must be a number")
-        elif type(value) is not type(default):
-            raise ConfigError(f"{here} must be of type {type(default).__name__}")
-        elif isinstance(default, list) and not all(map(_is_number, value)):
-            raise ConfigError(f"{here} must be a list of numbers")
-
-
-def _check_sweep(sw: dict):
-    """Sweep axes are [lo, hi, n], n whole and >= 1, for at most 10^6 runs."""
-    runs = len(sw["phidot_values"])
-    for key in ("r", "rdot"):
-        n = sw[key][2] if len(sw[key]) == 3 else 0
-        if not (math.isfinite(n) and n == int(n) and n >= 1):
-            raise ConfigError(f"sweep.{key} must be [lo, hi, n] with n a whole number >= 1, got {sw[key]}")
-        runs *= int(n)
-    if runs > 10**6:
-        raise ConfigError(f"sweep.r, sweep.rdot and sweep.phidot_values make {runs} runs, more than 10^6")
+        entry = schema[key]
+        if isinstance(entry, dict):
+            if type(value) is not dict:
+                raise ConfigError(f"{here} must be an object, got {value}")
+            _check(value, entry, here)
+            continue
+        default, (holds, must_be) = entry
+        if not (_fits(value, default) and holds(value)):
+            raise ConfigError(f"{here} must be {must_be}, got {value}")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -176,60 +197,29 @@ def load_config(path: str | None, seed_override=None) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("top-level config must be a JSON object")
-        _check_keys(cfg, DEFAULTS)
-    merged = _merge(DEFAULTS, cfg)
-    if merged["model"] not in _COMMAND_MODELS["eval"]:
-        raise ConfigError(f"unknown model: {merged['model']}")
-    _check_sweep(merged["sweep"])
-    for section in ("integrator", "resonant", "deviation"):
-        for key in ("rtol", "atol"):
-            if not merged[section][key] > 0:
-                raise ConfigError(f"{section}.{key} must be positive")
-            if merged[section][key] == math.inf:
-                raise ConfigError(f"{section}.{key} must be finite, got inf")
-    # written so that NaN fails the check; 0 means no limit
-    if not merged["integrator"]["max_step"] >= 0:
-        raise ConfigError(f"integrator.max_step must be >= 0 (0 means no limit), got {merged['integrator']['max_step']}")
-    finite = [(f"initial_state.{key}", value) for key, value in merged["initial_state"].items()]
-    finite += [(f"deviation.{key}", merged["deviation"][key]) for key in ("c1", "c2", "delta_r", "delta_rdot")]
-    for key, value in finite:
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    # written so that NaN fails both checks; a sweep run starts at t = 0
-    for key, t_end, t0 in (("t_end", merged["t_end"], merged["initial_state"]["t"]),
-                           ("sweep.t_end", merged["sweep"]["t_end"], 0.0)):
-        if not t0 < t_end < math.inf:
-            raise ConfigError(f"{key} must be finite and exceed the initial time {t0}, got {t_end}")
-    # resonant.t_end = 0 is the default span [0, 0.8 R0/|V|]; NaN fails every check
-    t_start, t_end = merged["resonant"]["t_start"], merged["resonant"]["t_end"]
-    if not 0 <= t_start < math.inf:
-        raise ConfigError(f"resonant.t_start must be finite and >= 0, got {t_start}")
-    if t_end == 0 and t_start != 0:
-        raise ConfigError(f"resonant.t_start must be 0 while resonant.t_end is 0 (the default span), got {t_start}")
-    if t_end != 0 and not t_start < t_end < math.inf:
-        raise ConfigError(
-            f"resonant.t_end must be 0 (the default span) or finite and exceed resonant.t_start {t_start}, got {t_end}"
-        )
     if seed_override is not None:
-        merged["seed"] = int(seed_override)
-    # every sample is held in memory, so the sample counts are capped as sweep's runs are
-    for key, value, least, capped in (("seed", merged["seed"], 0, False),
-                                      ("validate.n_points", merged["validate"]["n_points"], 1, True),
-                                      ("resonant.n_samples", merged["resonant"]["n_samples"], 2, True)):
-        if value < least:
-            raise ConfigError(f"{key} must be >= {least}, got {value}")
-        if capped and value > 10**6:
-            raise ConfigError(f"{key} must be at most 10^6, got {value}")
-    # written so that NaN fails the check
-    if not 0 < merged["tolerances"]["oracle"] < math.inf:
-        raise ConfigError(f"tolerances.oracle must be positive and finite, got {merged['tolerances']['oracle']}")
-    p = merged["params"]
-    try:
-        params = MonolayerParams(**p)
-    except ValueError as exc:
-        raise ConfigError(f"params.{exc}") from exc
+        cfg = {**cfg, "seed": seed_override}
+    _check(cfg)
+    merged = _merge(DEFAULTS, cfg)
+    # the checks that read two keys or more
+    t0, t_end = merged["initial_state"]["t"], merged["t_end"]
+    if not t_end > t0:
+        raise ConfigError(f"t_end must be finite and exceed initial_state.t = {t0}, got {t_end}")
+    res, p = merged["resonant"], merged["params"]
+    if res["t_end"] == 0 and res["t_start"] != 0:
+        raise ConfigError(f"resonant.t_start must be 0 while resonant.t_end is 0 (the default span), got {res['t_start']}")
+    horizon = p["R0"] / p["V_abs"]
+    if res["t_end"] != 0 and not res["t_start"] < res["t_end"] < horizon:
+        raise ConfigError(
+            f"resonant.t_end must be 0 (the default span) or exceed resonant.t_start = {res['t_start']} "
+            f"and stay below R0/|V| = {horizon}, got {res['t_end']}"
+        )
+    sw = merged["sweep"]
+    runs = int(sw["r"][2]) * int(sw["rdot"][2]) * len(sw["phidot_values"])
+    if runs > 10**6:
+        raise ConfigError(f"sweep.r, sweep.rdot and sweep.phidot_values make {runs} runs, more than 10^6")
     # free_polar is the monolayer at p = 0, once the configured p has passed its check
-    merged["params"] = MonolayerParams(**{**p, "p": 0.0}) if merged["model"] == "free_polar" else params
+    merged["params"] = MonolayerParams(**({**p, "p": 0.0} if merged["model"] == "free_polar" else p))
     return merged
 
 
@@ -393,7 +383,7 @@ def cmd_deviation(cfg: dict, args) -> int:
     )
     dev = deviation_integrate(reference, init, params, rtol=d["rtol"], atol=d["atol"])
     log.info("deviation: Jacobi solve done (%d samples)", len(dev.t))
-    affine = np.abs(dev.delta_phi - (dev.c1 + dev.c2 * dev.t))
+    affine = np.abs(dev.delta_phi - (dev.c1 + dev.c2 * (dev.t - dev.t[0])))
     header = ["t", "delta_r", "delta_rdot", "delta_phi", "delta_phidot", "affine_residual"]
     cols = [dev.t, dev.delta_r, dev.delta_rdot, dev.delta_phi, dev.delta_phidot, affine]
     if args.compose:
@@ -404,7 +394,7 @@ def cmd_deviation(cfg: dict, args) -> int:
     out = _out_dir(args) / "deviation.csv"
     _write_csv(out, header, zip(*cols))
     print(f"wrote {out} ({len(dev.t)} samples)")
-    print(f"max |delta_phi - (C1 + C2 t)|: {np.max(affine):.3e}")
+    print(f"max |delta_phi - (C1 + C2 (t - t0))|: {np.max(affine):.3e}")
     return 0
 
 

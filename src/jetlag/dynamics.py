@@ -80,8 +80,8 @@ class TrajectoryState:
 
 @dataclass(frozen=True)
 class DeviationState:
-    """Deviation components; on resonance delta_phi(t) = C1 + C2 t with
-    C1 = delta_phi(t0) and C2 = delta_phidot(t0)."""
+    """Deviation components; on resonance delta_phi(t) = C1 + C2 (t - t0)
+    with C1 = delta_phi(t0) and C2 = delta_phidot(t0)."""
 
     delta_r: float = 0.0
     delta_rdot: float = 0.0
@@ -537,11 +537,16 @@ def _solve(what: str, rhs, t0: float, t1: float, y0, rtol: float, atol: float,
 
 def _spray_of(model: MonolayerModel):
     """(t, r, phi, rdot, phidot) -> (G1, G2) on floats: the model's exact
-    spray, the coordinates checked as a JetPoint checks them."""
+    spray, the coordinates checked as a JetPoint checks them, and a power
+    that overflows a DomainError naming the state."""
 
     def spray(t, r, phi, rdot, phidot):
         check_coordinates(t, r, phi, rdot, phidot)
-        return model.spray(t, r, phi, rdot, phidot)
+        try:
+            return model.spray(t, r, phi, rdot, phidot)
+        except OverflowError:
+            state = ", ".join(f"{v:.6g}" for v in (t, r, phi, rdot, phidot))
+            raise DomainError(f"the spray G overflows at (t, r, phi, rdot, phidot) = ({state})") from None
 
     return spray
 
@@ -816,7 +821,7 @@ def deviation_integrate(
     solved with, from the reference's first sample; nothing else of the
     reference but its grid is read.  On resonant references the delta_phi
     friction coefficient is identically reduced to zero (the
-    resonance-condition substitution), so delta_phi = C1 + C2 t.
+    resonance-condition substitution), so delta_phi = C1 + C2 (t - t0).
     """
     grid = reference.t.tolist()
     w0 = [init.delta_r, init.delta_rdot, init.delta_phi, init.delta_phidot]

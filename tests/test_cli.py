@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jetlag.cli import TRAJECTORY_HEADER, load_config, main
+from jetlag.cli import DEFAULTS, SCHEMA, TRAJECTORY_HEADER, load_config, main
+from jetlag.errors import ConfigError
 from jetlag.dynamics import _closed_form
 from jetlag.monolayer import MonolayerParams
 
@@ -43,6 +44,26 @@ def cfg_path(tmp_path):
     return str(path)
 
 
+#: the edge values each leaf key is set to, alone: by its default's type, and
+#: for a list the same edits to each element
+_FLOAT_EDGES = [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 5e-324, 1e-300]
+_INT_EDGES = [0, -1, 10**7]
+
+
+def _edge_values(default):
+    if isinstance(default, float):
+        return _FLOAT_EDGES
+    return _INT_EDGES if isinstance(default, int) else ["", "X"]
+
+
+def _leaf_keys(schema, path=""):
+    keys = []
+    for key, entry in schema.items():
+        here = f"{path}.{key}" if path else key
+        keys += _leaf_keys(entry, here) if isinstance(entry, dict) else [here]
+    return keys
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -56,37 +77,37 @@ class TestConfig:
         assert run_cli("simulate", "--config", str(path)) == 2
 
     def test_wrong_type_rejected(self, tmp_path, capsys):
-        # one test id over every type rule the defaults imply
-        whole = "sweep.r must be [lo, hi, n] with n a whole number >= 1, got"
+        # one test id over every type rule the defaults imply; a value of the
+        # wrong type breaks its key's rule, with the rule's message
+        grid = "must be [lo, hi, n] with lo and hi finite and n a whole number from 1 to 10^6, got"
         cases = [
-            ('{"t_end": "soon"}', "t_end must be a number"),
-            ('{"seed": 1.5}', "seed must be of type int"),
-            ('{"seed": true}', "seed must be of type int"),
-            ('{"t_end": true}', "t_end must be a number"),
-            ('{"sweep": {"r": 3}}', "sweep.r must be of type list"),
-            ('{"sweep": {"r": ["a", 1, 5]}}', "sweep.r must be a list of numbers"),
-            ('{"sweep": {"phidot_values": ["x"]}}', "sweep.phidot_values must be a list of numbers"),
+            ('{"t_end": "soon"}', "t_end must be finite, got soon"),
+            ('{"seed": 1.5}', "seed must be >= 0 and an int, got 1.5"),
+            ('{"seed": true}', "seed must be >= 0 and an int, got True"),
+            ('{"t_end": true}', "t_end must be finite, got True"),
+            ('{"sweep": {"r": 3}}', f"sweep.r {grid} 3"),
+            ('{"sweep": {"r": ["a", 1, 5]}}', f"sweep.r {grid} ['a', 1, 5]"),
+            ('{"sweep": {"phidot_values": ["x"]}}', "sweep.phidot_values must be a list of finite numbers, got ['x']"),
             ('{"deviation": {"resonant_substitution": 1}}', "unknown configuration key: deviation.resonant_substitution"),
-            ('{"params": 3}', "params must be an object"),
-            ('{"sweep": {"rdot": [-1, 1]}}', "sweep.rdot must be [lo, hi, n] with n a whole number >= 1, got [-1, 1]"),
-            ('{"sweep": {"r": [0.2, 1.0, -3]}}', f"{whole} [0.2, 1.0, -3]"),
-            ('{"sweep": {"r": [0.2, 1.0, 2.7]}}', f"{whole} [0.2, 1.0, 2.7]"),
-            ('{"sweep": {"r": [0.2, 1.0, 0]}}', f"{whole} [0.2, 1.0, 0]"),
-            ('{"sweep": {"r": [0.2, 1.0, 1e12]}}',
-             "sweep.r, sweep.rdot and sweep.phidot_values make 5000000000000 runs, more than 10^6"),
-            # solver tolerances must be > 0, NaN included, in every section that sets them
-            ('{"resonant": {"rtol": -1}}', "resonant.rtol must be positive"),
-            ('{"deviation": {"atol": -1}}', "deviation.atol must be positive"),
-            ('{"integrator": {"rtol": -1}}', "integrator.rtol must be positive"),
-            ('{"integrator": {"atol": NaN}}', "integrator.atol must be positive"),
-            ('{"resonant": {"atol": 0}}', "resonant.atol must be positive"),
-            ('{"deviation": {"rtol": 0.0}}', "deviation.rtol must be positive"),
-            # and finite: an inf tolerance passes a > 0 check
-            *[(f'{{"{section}": {{"{key}": Infinity}}}}', f"{section}.{key} must be finite, got inf")
+            ('{"params": 3}', "params must be an object, got 3"),
+            ('{"sweep": {"rdot": [-1, 1]}}', f"sweep.rdot {grid} [-1, 1]"),
+            ('{"sweep": {"r": [0.2, 1.0, -3]}}', f"sweep.r {grid} [0.2, 1.0, -3]"),
+            ('{"sweep": {"r": [0.2, 1.0, 2.7]}}', f"sweep.r {grid} [0.2, 1.0, 2.7]"),
+            ('{"sweep": {"r": [0.2, 1.0, 0]}}', f"sweep.r {grid} [0.2, 1.0, 0]"),
+            ('{"sweep": {"r": [0.2, 1.0, 1e12]}}', f"sweep.r {grid} [0.2, 1.0, 1000000000000.0]"),
+            ('{"sweep": {"r": [0.2, 1.0, 1000], "rdot": [-5.0, -0.5, 1000], "phidot_values": [0, 1]}}',
+             "sweep.r, sweep.rdot and sweep.phidot_values make 2000000 runs, more than 10^6"),
+            # solver tolerances must be positive and finite, in every section that sets them
+            *[(f'{{"{section}": {{"{key}": {value}}}}}', f"{section}.{key} must be positive and finite, got {shown}")
+              for section, key, value, shown in (
+                  ("resonant", "rtol", "-1", "-1"), ("deviation", "atol", "-1", "-1"), ("integrator", "rtol", "-1", "-1"),
+                  ("integrator", "atol", "NaN", "nan"), ("resonant", "atol", "0", "0"), ("deviation", "rtol", "0.0", "0.0"))],
+            *[(f'{{"{section}": {{"{key}": Infinity}}}}', f"{section}.{key} must be positive and finite, got inf")
               for section in ("integrator", "resonant", "deviation") for key in ("rtol", "atol")],
-            # max_step: 0 means no limit; NaN, a negative number and -inf are faults
-            *[(f'{{"integrator": {{"max_step": {value}}}}}', f"integrator.max_step must be >= 0 (0 means no limit), got {shown}")
-              for value, shown in (("NaN", "nan"), ("-1", "-1"), ("-1e-9", "-1e-09"), ("-Infinity", "-inf"))],
+            # max_step: 0 means no limit; NaN, a negative number and +-inf are faults
+            *[(f'{{"integrator": {{"max_step": {value}}}}}', f"integrator.max_step must be nonnegative and finite, got {shown}")
+              for value, shown in (("NaN", "nan"), ("-1", "-1"), ("-1e-9", "-1e-09"), ("-Infinity", "-inf"),
+                                   ("Infinity", "inf"))],
         ]
         path = tmp_path / "bad.json"
         for cfg, message in cases:
@@ -107,39 +128,52 @@ class TestConfig:
         # free_polar sets p = 0 only once the configured p has passed its check
         ("simulate", '{"model": "free_polar", "params": {"p": -1}}', "params.p must be nonnegative and finite, got -1"),
         ("simulate", '{"model": "free_polar", "params": {"p": NaN}}', "params.p must be nonnegative and finite, got nan"),
-        ("simulate", '{"t_end": -1}', "t_end must be finite and exceed the initial time 0.0, got -1"),
-        ("simulate", '{"t_end": NaN}', "t_end must be finite and exceed the initial time 0.0, got nan"),
-        ("simulate", '{"initial_state": {"t": 1}}', "t_end must be finite and exceed the initial time 1, got 0.002"),
+        ("simulate", '{"t_end": -1}', "t_end must be finite and exceed initial_state.t = 0.0, got -1"),
+        ("simulate", '{"t_end": NaN}', "t_end must be finite, got nan"),
+        ("simulate", '{"initial_state": {"t": 1}}', "t_end must be finite and exceed initial_state.t = 1, got 0.002"),
         ("simulate", '{"initial_state": {"t": NaN}}', "initial_state.t must be finite, got nan"),
         ("simulate", '{"initial_state": {"r": Infinity}}', "initial_state.r must be finite, got inf"),
-        ("sweep", '{"sweep": {"t_end": -1}}', "sweep.t_end must be finite and exceed the initial time 0.0, got -1"),
+        ("sweep", '{"sweep": {"t_end": -1}}', "sweep.t_end must be positive and finite, got -1"),
         # the keys of validate, resonant and deviation; numpy's rng and linspace would reject some later, unnamed
-        ("validate", '{"validate": {"n_points": 0}}', "validate.n_points must be >= 1, got 0"),
-        ("validate", '{"validate": {"n_points": -1}}', "validate.n_points must be >= 1, got -1"),
-        ("validate", '{"seed": -1}', "seed must be >= 0, got -1"),
+        ("validate", '{"validate": {"n_points": 0}}', "validate.n_points must be an int from 1 to 10^6, got 0"),
+        ("validate", '{"validate": {"n_points": -1}}', "validate.n_points must be an int from 1 to 10^6, got -1"),
+        ("validate", '{"seed": -1}', "seed must be >= 0 and an int, got -1"),
         *[("validate", f'{{"tolerances": {{"oracle": {value}}}}}', f"tolerances.oracle must be positive and finite, got {shown}")
           for value, shown in (("-1", "-1"), ("0", "0"), ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"))],
-        ("resonant", '{"resonant": {"n_samples": 1}}', "resonant.n_samples must be >= 2, got 1"),
-        ("deviation", '{"resonant": {"n_samples": -1}}', "resonant.n_samples must be >= 2, got -1"),
+        ("resonant", '{"resonant": {"n_samples": 1}}', "resonant.n_samples must be an int from 2 to 10^6, got 1"),
+        ("deviation", '{"resonant": {"n_samples": -1}}', "resonant.n_samples must be an int from 2 to 10^6, got -1"),
         # capped as sweep's runs are: rejected before anything is allocated, so nothing of this size runs
-        ("resonant", '{"resonant": {"n_samples": 10000001}}', "resonant.n_samples must be at most 10^6, got 10000001"),
-        ("deviation", '{"resonant": {"n_samples": 1000001}}', "resonant.n_samples must be at most 10^6, got 1000001"),
-        ("validate", '{"validate": {"n_points": 10000000}}', "validate.n_points must be at most 10^6, got 10000000"),
+        ("resonant", '{"resonant": {"n_samples": 10000001}}', "resonant.n_samples must be an int from 2 to 10^6, got 10000001"),
+        ("deviation", '{"resonant": {"n_samples": 1000001}}', "resonant.n_samples must be an int from 2 to 10^6, got 1000001"),
+        ("validate", '{"validate": {"n_points": 10000000}}', "validate.n_points must be an int from 1 to 10^6, got 10000000"),
         # the resonant span: t_end = 0 is the default span, which starts at 0
         ("resonant", '{"resonant": {"t_start": 5}}',
          "resonant.t_start must be 0 while resonant.t_end is 0 (the default span), got 5"),
-        ("resonant", '{"resonant": {"t_start": -1}}', "resonant.t_start must be finite and >= 0, got -1"),
-        ("deviation", '{"resonant": {"t_start": NaN, "t_end": 1e-4}}', "resonant.t_start must be finite and >= 0, got nan"),
-        *[("resonant", f'{{"resonant": {{"t_end": {value}}}}}',
-           f"resonant.t_end must be 0 (the default span) or finite and exceed resonant.t_start 0.0, got {shown}")
+        ("resonant", '{"resonant": {"t_start": -1}}', "resonant.t_start must be nonnegative and finite, got -1"),
+        ("deviation", '{"resonant": {"t_start": NaN, "t_end": 1e-4}}', "resonant.t_start must be nonnegative and finite, got nan"),
+        *[("resonant", f'{{"resonant": {{"t_end": {value}}}}}', f"resonant.t_end must be nonnegative and finite, got {shown}")
           for value, shown in (("NaN", "nan"), ("-1", "-1"), ("Infinity", "inf"))],
         ("resonant", '{"resonant": {"t_start": 2e-4, "t_end": 1e-4}}',
-         "resonant.t_end must be 0 (the default span) or finite and exceed resonant.t_start 0.0002, got 0.0001"),
+         "resonant.t_end must be 0 (the default span) or exceed resonant.t_start = 0.0002 "
+         "and stay below R0/|V| = 0.001, got 0.0001"),
+        # a span that reaches R0/|V| is decided from the config, before any solve
+        ("resonant", '{"resonant": {"t_end": 0.002}}',
+         "resonant.t_end must be 0 (the default span) or exceed resonant.t_start = 0.0 "
+         "and stay below R0/|V| = 0.001, got 0.002"),
         # the deviation's initial data
         *[("deviation", f'{{"deviation": {{"{key}": {value}}}}}', f"deviation.{key} must be finite, got {shown}")
           for key in ("delta_r", "c1") for value, shown in (("NaN", "nan"), ("Infinity", "inf"))],
         ("deviation", '{"deviation": {"delta_rdot": -Infinity}}', "deviation.delta_rdot must be finite, got -inf"),
         ("deviation", '{"deviation": {"c2": NaN}}', "deviation.c2 must be finite, got nan"),
+        # NaN would turn off both the r event and the clamp floor
+        *[("simulate", f'{{"events": {{"r_min": {value}}}}}', f"events.r_min must be positive and finite, got {shown}")
+          for value, shown in (("NaN", "nan"), ("-1", "-1"), ("-Infinity", "-inf"), ("Infinity", "inf"))],
+        # a non-finite sweep bound or phidot, rejected before any run is written
+        *[("sweep", f'{{"sweep": {{"{key}": {grid}}}}}', f"sweep.{key} must be [lo, hi, n] with lo and hi finite "
+           f"and n a whole number from 1 to 10^6, got {shown}")
+          for key in ("r", "rdot")
+          for grid, shown in (("[NaN, 1.0, 2]", "[nan, 1.0, 2]"), ("[0.2, Infinity, 2]", "[0.2, inf, 2]"))],
+        ("sweep", '{"sweep": {"phidot_values": [0.0, NaN]}}', "sweep.phidot_values must be a list of finite numbers, got [0.0, nan]"),
     ])
     def test_bad_physical_values_rejected(self, tmp_path, capsys, cmd, cfg, message):
         # configuration errors, raised before any output directory exists
@@ -151,7 +185,7 @@ class TestConfig:
 
     def test_negative_seed_override_rejected(self, tmp_path, capsys):
         assert run_cli("validate", "--seed", "-1", "--out", str(tmp_path / "o")) == 2
-        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0 and an int, got -1\n"
         assert not (tmp_path / "o").exists()
 
     def test_dead_identity_tolerance_rejected(self, tmp_path, capsys):
@@ -174,13 +208,50 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text('{"params": {"R0": null}}')
         assert run_cli(cmd, "--config", str(path)) == 2
-        assert "params.R0 must be a number" in capsys.readouterr().err
+        assert "params.R0 must be positive and finite, got None" in capsys.readouterr().err
 
     def test_bad_model_name(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": "spherical_cow"}')
         assert run_cli("simulate", "--config", str(path)) == 2
 
+    def test_readme_config_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Configuration is strict JSON")[1].split("```json\n")[1].split("```")[0]
+        assert json.loads(block) == DEFAULTS
+
+    @pytest.mark.parametrize("key", _leaf_keys(SCHEMA))
+    def test_every_key_takes_its_edge_values(self, tmp_path, key):
+        # each edit alone: load_config returns, or raises a ConfigError that names the key first
+        *sections, leaf = key.split(".")
+        default = DEFAULTS
+        for section in sections:
+            default = default[section]
+        default = default[leaf]
+        if isinstance(default, list):
+            edits = [[*default[:i], v, *default[i + 1:]] for i, x in enumerate(default) for v in _edge_values(x)]
+        else:
+            edits = _edge_values(default)
+
+        def check(value, *args, **kwargs):
+            try:
+                load_config(*args, **kwargs)
+            except ConfigError as exc:
+                message = str(exc)
+                # a t past t_end is reported on t_end, which names it
+                crossed = key == "initial_state.t" and message.startswith("t_end must be ") and key in message
+                assert message.startswith(f"{key} must be ") or crossed, (value, message)
+
+        path = tmp_path / "cfg.json"
+        for value in [*edits, None, True, "x", [], {}]:
+            cfg = {leaf: value}
+            for section in reversed(sections):
+                cfg = {section: cfg}
+            path.write_text(json.dumps(cfg))
+            check(value, str(path))
+        if key == "seed":  # --seed takes the same walk
+            for value in edits:
+                check(value, None, seed_override=value)
 
 class TestEval:
     def test_smoke(self, cfg_path, tmp_path, capsys):
@@ -517,6 +588,19 @@ class TestDeviation:
             assert float(cells[5]) < 1e-8  # slope-1 intercept-0 fit
             assert float(cells[1]) == 0.0  # zero initial data, zero forcing
 
+    def test_affine_residual_on_an_offset_span(self, tmp_path, capsys):
+        # delta_phi starts at C1 at the span's first time, so the fit is C1 + C2 (t - t0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"resonant": {"t_start": 1e-4, "t_end": 2e-4, "n_samples": 5}}))
+        out = tmp_path / "o"
+        assert run_cli("deviation", "--config", str(path), "--out", str(out)) == 0
+        printed = capsys.readouterr().out
+        assert float(printed.split("max |delta_phi - (C1 + C2 (t - t0))|: ")[1]) < 1e-15
+        with open(out / "deviation.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["t"]) == 1e-4
+        assert max(float(row["affine_residual"]) for row in rows) < 1e-15
+
     def test_compose_adds_r(self, cfg_path, tmp_path):
         out = tmp_path / "o"
         assert run_cli("deviation", "--config", cfg_path, "--compose", "--out", str(out)) == 0
@@ -615,6 +699,16 @@ class TestSweep:
             assert run[header.index("status")] == "invalid:zero_energy_bracket: m^2 overflows at m = 1e+300"
         assert not list(out.glob("run_*.csv"))
 
+    def test_spray_overflow_is_an_invalid_run(self, tmp_path):
+        sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [1e308, 0.0], "t_end": 1e-4}
+        out, rows = self._sweep(tmp_path, {"sweep": sweep})
+        header, overflow, completed = rows
+        assert overflow[header.index("status")] == (
+            "invalid:the spray G overflows at (t, r, phi, rdot, phidot) = (0, 0.5, 0, -1, 1e+308)"
+        )
+        assert not (out / "run_000.csv").exists()
+        assert completed[header.index("status")] == "completed"
+
     def test_budget_stop_is_recorded_and_the_sweep_goes_on(self, tmp_path, monkeypatch):
         # the solve of the r0 = 0.2, rdot0 = -5 run takes 3338 right-hand-side calls, that of r0 = 1 fewer than 200
         monkeypatch.setattr("jetlag.dynamics._MAX_RHS_CALLS", 1000)
@@ -646,7 +740,7 @@ def test_eval_other_models(tmp_path, capsys):
 
     # the charged-particle fixture is a test oracle, not a model eval runs
     for cfg, message in [
-        ({"model": "electrodynamics_fixture"}, "unknown model: electrodynamics_fixture"),
+        ({"model": "electrodynamics_fixture"}, "model must be one of monolayer, free_polar, got electrodynamics_fixture"),
         ({"fixture": {"m": 1.0, "c": 1.0, "e": 1.0, "a": 2.0, "b": -1.0}}, "unknown configuration key: fixture"),
     ]:
         fp.write_text(json.dumps(cfg))
@@ -663,7 +757,8 @@ def test_eval_other_models(tmp_path, capsys):
                    id=f"{cmd}-p0")
       for cmd in ("resonant", "deviation", "validate")],
     # no command runs the fixture model: it is unknown
-    *[pytest.param(cmd, {"model": "electrodynamics_fixture"}, "unknown model: electrodynamics_fixture",
+    *[pytest.param(cmd, {"model": "electrodynamics_fixture"},
+                   "model must be one of monolayer, free_polar, got electrodynamics_fixture",
                    id=f"{cmd}-electrodynamics_fixture")
       for cmd in ("resonant", "deviation", "validate", "simulate", "sweep")],
 ])
@@ -741,6 +836,11 @@ def test_free_particle_files_are_pinned(tmp_path, cfg):
                  {"params": {"p": 1.0, "V_abs": 1e-20}, "deviation": {"delta_r": 1e-5}, "resonant": {"n_samples": 10}},
                  "deviation integration over the span [0, 8e+19] used up its budget of 100000 right-hand-side "
                  "calls at t = ", id="deviation-budget"),
+    # r_min = 1e308 clamps r to 1e307, whose r^5 overflows; phidot^2 overflows at 1e308
+    pytest.param("simulate", {"events": {"r_min": 1e308}},
+                 "the spray G overflows at (t, r, phi, rdot, phidot) = (0, 1e+307, 0, -1, 0.1)", id="r_min-overflow"),
+    pytest.param("simulate", {"initial_state": {"phidot": 1e308}},
+                 "the spray G overflows at (t, r, phi, rdot, phidot) = (0, 0.5, 0, -1, 1e+308)", id="phidot-overflow"),
     pytest.param("simulate", {"integrator": {"max_step": 1e-10}},
                  "geodesic integration over the span [0, 0.002] used up its budget of 100000 right-hand-side "
                  "calls at t = ", id="simulate-budget"),
