@@ -38,6 +38,7 @@ from .dynamics import (
     SimConfig,
     TrajectoryState,
     compose_perturbed,
+    default_span,
     deviation_integrate,
     integrate_geodesic,
     resonant_trajectory,
@@ -206,20 +207,28 @@ def load_config(path: str | None, seed_override=None) -> dict:
     if not t_end > t0:
         raise ConfigError(f"t_end must be finite and exceed initial_state.t = {t0}, got {t_end}")
     res, p = merged["resonant"], merged["params"]
+    # free_polar is the monolayer at p = 0, once the configured p has passed its check
+    params = merged["params"] = MonolayerParams(**({**p, "p": 0.0} if merged["model"] == "free_polar" else p))
     if res["t_end"] == 0 and res["t_start"] != 0:
         raise ConfigError(f"resonant.t_start must be 0 while resonant.t_end is 0 (the default span), got {res['t_start']}")
-    horizon = p["R0"] / p["V_abs"]
-    if res["t_end"] != 0 and not res["t_start"] < res["t_end"] < horizon:
+    start, end = (res["t_start"], res["t_end"]) if res["t_end"] else default_span(params)
+    horizon = params.R0 / params.V_abs
+    if not start < end < horizon:
+        if res["t_end"]:
+            raise ConfigError(
+                f"resonant.t_end must be 0 (the default span) or exceed resonant.t_start = {start} "
+                f"and stay below R0/|V| = {horizon}, got {end}"
+            )
+        # the default span: R0/|V| overflows where |V| is too small, and underflows where R0 is
+        key, value, other = ("params.V_abs", params.V_abs, "R0") if horizon == math.inf else ("params.R0", params.R0, "V_abs")
         raise ConfigError(
-            f"resonant.t_end must be 0 (the default span) or exceed resonant.t_start = {res['t_start']} "
-            f"and stay below R0/|V| = {horizon}, got {res['t_end']}"
+            f"{key} must be large enough against params.{other} = {getattr(params, other)} for the default resonant "
+            f"span [0, 0.8 R0/|V|] to be nonempty and below R0/|V| = {horizon}, got {value}"
         )
     sw = merged["sweep"]
     runs = int(sw["r"][2]) * int(sw["rdot"][2]) * len(sw["phidot_values"])
     if runs > 10**6:
         raise ConfigError(f"sweep.r, sweep.rdot and sweep.phidot_values make {runs} runs, more than 10^6")
-    # free_polar is the monolayer at p = 0, once the configured p has passed its check
-    merged["params"] = MonolayerParams(**({**p, "p": 0.0} if merged["model"] == "free_polar" else p))
     return merged
 
 
@@ -495,7 +504,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="integrate a geodesic trajectory")
     common(p_sim)
 
-    p_res = sub.add_parser("resonant", help="resonant zero-Yang-Mills trajectory")
+    zero_ym = ("resonant trajectory: the zero of the printed Yang-Mills bracket (eps = -3), where the exact "
+               "EYM is (9/256) m r^2 phidot^2, nonzero for phidot != 0")
+    p_res = sub.add_parser("resonant", help=zero_ym, description=zero_ym)
     common(p_res)
     p_res.add_argument("--closed-form", action="store_true", help="add the printed-solution columns")
 

@@ -44,8 +44,10 @@ from .monolayer import (
     MonolayerModel,
     MonolayerParams,
     _any,
+    _bracket,
     _denominator,
     _exp_checked,
+    _finite,
     _full_like,
     em_component_f21,
     potential_U,
@@ -120,7 +122,8 @@ class SimConfig:
 
 @dataclass
 class TrajectorySeries:
-    """Sampled trajectory plus per-sample diagnostics; t strictly increasing."""
+    """Sampled trajectory plus per-sample diagnostics, the energies in
+    ``hamiltonian_split``'s order; t strictly increasing."""
 
     params: MonolayerParams
     t: np.ndarray
@@ -149,28 +152,6 @@ class DeviationSeries:
     c2: float
 
 
-class HermiteCubic:
-    """The piecewise cubic through (x_i, y_i) with slopes d_i at increasing
-    nodes x_i, extended past the ends by the end pieces; scipy's
-    CubicHermiteSpline builds the same pieces.  It is callable on an array."""
-
-    def __init__(self, x, y, d):
-        x, y, d = (np.asarray(v, dtype=float) for v in (x, y, d))
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        curv = (d[:-1] + d[1:] - 2.0 * slope) / dx
-        self._x = x
-        # per piece, the coefficients of (s - x_i)^3, ^2, ^1 and ^0
-        self._c = np.array([curv / dx, (slope - d[:-1]) / dx - curv, d[:-1], y[:-1]])
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        i = np.clip(np.searchsorted(self._x, s, side="right") - 1, 0, len(self._x) - 2)
-        u = s - self._x[i]
-        a, b, c, d = self._c[:, i]
-        return ((a * u + b) * u + c) * u + d
-
-
 @dataclass
 class ResonantTrajectory:
     """Samples of the resonant radius r0 (rdot0 < 0 throughout).
@@ -184,47 +165,48 @@ class ResonantTrajectory:
     r0: np.ndarray
     r0dot: np.ndarray
     params: MonolayerParams
-    R0: float
     source: str
     flags: list[str] = field(default_factory=list)
 
-    def spline(self) -> HermiteCubic:
-        """r0(t): the Hermite cubic on the samples and their rates."""
-        return HermiteCubic(self.t, self.r0, self.r0dot)
+    def spline(self):
+        """r0(t), piecewise linear between the samples and r0 itself at them."""
+        return lambda s: np.interp(s, self.t, self.r0)
 
-    def _resonance_residual(self, exponent) -> np.ndarray:
+    def _resonance_residual(self, exponent, what: str) -> np.ndarray:
         """Relative residual of m r0dot^3 + 6 p |V| r0^5 e^exponent = 0, taken
-        as |m r0dot^3 e^-exponent + 6 p |V| r0^5| over the larger term: the
+        as |m r0dot^3 e^-exponent + 6 p |V| r0^5| over the larger term (the
         exponent is >= 0 on every span ``resonant_trajectory`` accepts, so
-        e^-exponent cannot overflow."""
+        e^-exponent cannot overflow); a DomainError names ``what`` where it is not finite."""
         p = self.params
         drive = 6.0 * p.p * p.V_abs * self.r0**5
         kinetic = p.m * self.r0dot**3 * np.exp(-exponent)
-        return np.abs(kinetic + drive) / np.maximum(np.abs(kinetic), drive)
+        out = np.abs(kinetic + drive) / np.maximum(np.abs(kinetic), drive)
+        return _finite(out, f"{what}: |m r0dot^3 e^-X + 6 p |V| r0^5| over its larger term", t=self.t, r0=self.r0)
 
+    def _large_time_exponent(self) -> np.ndarray:
+        """X = 2 |V| t / (R0 - |V| t)."""
+        V = self.params.V_abs
+        return 2.0 * V * self.t / (self.params.R0 - V * self.t)
+
+    @np.errstate(all="ignore")
     def residual_eq21(self) -> np.ndarray:
         """Relative residual of the r0-exponent resonance condition."""
-        return self._resonance_residual(2.0 * self.params.V_abs * self.t / self.r0)
+        return self._resonance_residual(2.0 * self.params.V_abs * self.t / self.r0, "residual_eq21")
 
+    @np.errstate(all="ignore")
     def residual_eq22(self) -> np.ndarray:
         """Relative residual of the large-time resonance condition."""
-        V = self.params.V_abs
-        return self._resonance_residual(2.0 * V * self.t / (self.R0 - V * self.t))
+        return self._resonance_residual(self._large_time_exponent(), "residual_eq22")
 
+    @np.errstate(all="ignore")
     def ym_bracket_residual(self) -> np.ndarray:
         """Relative residual of the time-reversed zero-Yang-Mills bracket,
         3 m r0 / 2 + m^2 e^(-X) rdot0^3 / (4 p |V| r0^4) with the large-time
-        exponent X; identically zero on resonance.  A DomainError names an
-        m^2 that overflows."""
+        exponent X, over its first term; identically zero on resonance.  A
+        DomainError names an m^2 that overflows or a residual that is not finite."""
         p = self.params
-        try:
-            m2 = p.m**2
-        except OverflowError:
-            raise DomainError(f"ym_bracket_residual: m^2 overflows at m = {p.m:.6g}") from None
-        X = 2.0 * p.V_abs * self.t / (self.R0 - p.V_abs * self.t)
-        lead = 1.5 * p.m * self.r0
-        bracket = lead + m2 * np.exp(-X) * self.r0dot**3 / (4.0 * p.p * p.V_abs * self.r0**4)
-        return np.abs(bracket) / lead
+        bracket = _bracket(self._large_time_exponent(), self.r0, self.r0dot, p, "ym_bracket_residual")
+        return _finite(np.abs(bracket) / (1.5 * p.m * self.r0), "ym_bracket_residual", t=self.t, r0=self.r0)
 
 
 # -- pointwise diagnostics -----------------------------------------------------
@@ -245,7 +227,8 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
     instanton energy, H = g11 rdot^2 + g22 phidot^2 - L the renormalized
     Hamiltonian (algebraically -U), H_YM the printed Yang-Mills energy and
     EYM = F_(2)1^(1)^2 / m the exact one.  At p = 0 H = H_YM = EYM = 0.
-    An rdot = 0 sample raises a DomainError when p != 0.
+    An rdot = 0 sample raises a DomainError when p != 0.  On arrays, an H_YM
+    or EYM that overflows is an inf or a NaN, without a warning.
     """
     t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
     m, p, V = params.m, params.p, params.V_abs
@@ -260,8 +243,9 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
     H = g11 * rdot**2 + 0.5 * m * r**2 * phidot**2 - (kinetic + U_s)
     if p == 0.0:
         return kinetic - U_s, H, _full_like(r, 0.0), _full_like(r, 0.0), g11
-    H_ym = phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * m)
-    return kinetic - U_s, H, H_ym, em_component_f21(state, params) ** 2 / m, g11
+    with np.errstate(all="ignore"):
+        H_ym = phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * m)
+        return kinetic - U_s, H, H_ym, em_component_f21(state, params) ** 2 / m, g11
 
 
 # -- the ODE driver -------------------------------------------------------------
@@ -638,7 +622,7 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
             recorded.append(collapse)
             status = f"event:{collapse.kind}"
 
-    e_inst, H, H_ym, eym, g11 = hamiltonian_split(TrajectoryState(t, r, phi, rdot, phidot), config.params)
+    energies = hamiltonian_split(TrajectoryState(t, r, phi, rdot, phidot), config.params)
 
     el = None
     if config.compute_el_residual and len(t) >= 3:
@@ -654,27 +638,19 @@ def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySe
                 el[i] = np.nan
 
     return TrajectorySeries(
-        params=config.params,
-        t=t,
-        r=r,
-        phi=phi,
-        rdot=rdot,
-        phidot=phidot,
-        e_inst=e_inst,
-        H=H,
-        H_ym=H_ym,
-        eym=eym,
-        g11=g11,
-        el_residual=el,
-        events=recorded,
-        status=status,
+        config.params, t, r, phi, rdot, phidot, *energies, el_residual=el, events=recorded, status=status
     )
 
 
 # -- resonant trajectory -------------------------------------------------------
 
 
-def resonant_rhs(t, r0, params: MonolayerParams, R0: float):
+def default_span(params: MonolayerParams) -> tuple[float, float]:
+    """The resonant span when none is given: [0, 0.8 R0/|V|]."""
+    return 0.0, 0.8 * (params.R0 / params.V_abs)
+
+
+def resonant_rhs(t, r0, params: MonolayerParams):
     """rdot0 = -(6 p |V| / m)^(1/3) r0^(5/3) e^(2|V|t / (3(R0 - |V|t))).
 
     On floats and :mod:`math`, for the solver, the r0dot pass over the
@@ -684,7 +660,7 @@ def resonant_rhs(t, r0, params: MonolayerParams, R0: float):
     different CPUs.
     """
     c = (6.0 * params.p * params.V_abs / params.m) ** (1.0 / 3.0)
-    exponent = 2.0 * params.V_abs * t / (3.0 * (R0 - params.V_abs * t))
+    exponent = 2.0 * params.V_abs * t / (3.0 * (params.R0 - params.V_abs * t))
     if not r0 >= 0.0:
         return math.nan
     try:
@@ -698,9 +674,11 @@ def resonant_rhs(t, r0, params: MonolayerParams, R0: float):
     return -c * power * growth
 
 
-def _closed_form(t, params: MonolayerParams, R0: float):
+@np.errstate(all="ignore")
+def _closed_form(t, params: MonolayerParams):
     """(r0, dr0/dt) of the printed large-time solution, with the unhoused
-    symbol v read as |V| (confirmed algebraically and by the ODE oracle).
+    symbol v read as |V| (confirmed algebraically and by the ODE oracle); a
+    DomainError where either is not finite.
 
     r0 = 27 sqrt(m) R0 |V| e^g B^(-3/2) with g = -|V|t/w, w = R0 - |V|t and
     B = -4 c R0^(5/3) e^(-a) (f(2/3) - f(a)) + e^(2/3 - a) K - 6 c R0^(2/3) w,
@@ -709,7 +687,7 @@ def _closed_form(t, params: MonolayerParams, R0: float):
     dr0/dt = r0 (dg/dt - 3/2 dB/dt / B).
     """
     t = np.asarray(t, dtype=float)
-    m, p, V = params.m, params.p, params.V_abs
+    m, p, V, R0 = params.m, params.p, params.V_abs, params.R0
     om = R0 - V * t
     if np.any(om <= 0.0):
         raise ValueError("t reaches R0/|V|: the large-time denominator blows up")
@@ -733,7 +711,8 @@ def _closed_form(t, params: MonolayerParams, R0: float):
         - alpha_dot * growth * K
         + 6.0 * cbrt6p * R0 ** (2.0 / 3.0) * V
     )
-    return r0, r0 * (-R0 * V / om**2 - 1.5 * B_dot / B)
+    r0dot = r0 * (-R0 * V / om**2 - 1.5 * B_dot / B)
+    return _finite(r0, "the closed-form resonant r0", t=t), _finite(r0dot, "the closed-form dr0/dt", t=t, r0=r0)
 
 
 def resonant_trajectory(
@@ -744,7 +723,7 @@ def resonant_trajectory(
     rtol: float = 1e-12,
     atol: float = 1e-14,
 ) -> ResonantTrajectory:
-    """Resonant r0(t) over t_span (default [0, 0.8 R0/|V|]).
+    """Resonant r0(t) over t_span (default ``default_span``).
 
     source="ode" integrates the cube root of the large-time resonance
     condition, seeded with r0(t0) = R0 (1 - t0 |V| / R0); rdot0 samples are
@@ -757,33 +736,28 @@ def resonant_trajectory(
         raise ValueError("resonant trajectory needs params.R0")
     if params.p == 0.0:
         raise ValueError("resonant trajectory needs p > 0")
-    R0 = params.R0
-    V = params.V_abs
+    R0, V = params.R0, params.V_abs
     horizon = R0 / V
-    if t_span is None:
-        t_span = (0.0, 0.8 * horizon)
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1 = map(float, default_span(params) if t_span is None else t_span)
     if not 0.0 <= t0 < t1:
         raise ValueError("need 0 <= t_start < t_end")
     if t1 >= horizon:
-        raise ValueError(
-            f"t_end = {t1} reaches R0/|V| = {horizon}: the resonance exponent blows up"
-        )
+        raise ValueError(f"t_end = {t1} reaches R0/|V| = {horizon}: the resonance exponent blows up")
 
     grid = np.linspace(t0, t1, n_samples)
     flags: list[str] = []
     if source == "ode":
         seed = R0 * (1.0 - t0 * V / R0)
         sol = _solve(
-            "resonant integration", lambda t, r: [resonant_rhs(t, r[0], params, R0)],
+            "resonant integration", lambda t, r: [resonant_rhs(t, r[0], params)],
             t0, t1, [seed], rtol, atol, t_eval=grid.tolist(),
         )
         if sol.status != 0:
             raise JetLagError(f"resonant integration failed: {_GIVE_UP}")
         r0 = np.array([r for r, in sol.y])
-        r0dot = np.array([resonant_rhs(t, r, params, R0) for t, (r,) in zip(sol.t, sol.y)])
+        r0dot = np.array([resonant_rhs(t, r, params) for t, (r,) in zip(sol.t, sol.y)])
     elif source == "closed_form":
-        r0, r0dot = _closed_form(grid, params, R0)
+        r0, r0dot = _closed_form(grid, params)
     else:
         raise ValueError(f"unknown resonant source {source!r}")
 
@@ -791,9 +765,7 @@ def resonant_trajectory(
         flags.append("r0 reached zero inside the span")
     if np.any(r0dot >= 0.0):
         flags.append("rdot0 >= 0 somewhere: resonance sign analysis violated")
-    return ResonantTrajectory(
-        t=grid, r0=r0, r0dot=r0dot, params=params, R0=R0, source=source, flags=flags
-    )
+    return ResonantTrajectory(t=grid, r0=r0, r0dot=r0dot, params=params, source=source, flags=flags)
 
 
 # -- deviation equations -------------------------------------------------------
@@ -841,26 +813,22 @@ def deviation_integrate(
 
         def rhs(t, w):
             dr, drd, _, dphid, r0 = w
-            rd0 = resonant_rhs(t, r0, reference.params, reference.R0)
-            expE0 = math.exp(2.0 * V * t / r0)
-            A = 2.0 * p * V * r0**5 * expE0 - m * rd0**3
-            B = p * V * r0**3 * expE0 * (2.0 * t * V - 5.0 * r0) * rd0
-            C = rd0**3 * potential_U_drr(t, r0, params)
+            rd0 = resonant_rhs(t, r0, reference.params)
+            try:
+                expE0 = math.exp(2.0 * V * t / r0)
+                A = 2.0 * p * V * r0**5 * expE0 - m * rd0**3
+                B = p * V * r0**3 * expE0 * (2.0 * t * V - 5.0 * r0) * rd0
+                C = rd0**3 * potential_U_drr(t, r0, params)
+            except OverflowError:
+                raise DomainError(f"deviation_integrate: A, B or C overflows at t = {t:.6g}, r0 = {r0:.6g}") from None
+            if A == 0.0:
+                raise DomainError(f"deviation_integrate: A = 2 p |V| r0^5 e^E0 - m rdot0^3 is 0 at t = {t:.6g}, r0 = {r0:.6g}")
             return [drd, -(B * drd + C * dr) / A, dphid, 0.0, rd0]
 
     sol = _solve("deviation integration", rhs, grid[0], grid[-1], w0, rtol, atol, t_eval=grid)
     if sol.status != 0:
         raise JetLagError(f"deviation integration failed: {_GIVE_UP}")
-    delta_r, delta_rdot, delta_phi, delta_phidot = np.array(sol.y).T[:4]
-    return DeviationSeries(
-        t=np.array(sol.t),
-        delta_r=delta_r,
-        delta_rdot=delta_rdot,
-        delta_phi=delta_phi,
-        delta_phidot=delta_phidot,
-        c1=init.delta_phi,
-        c2=init.delta_phidot,
-    )
+    return DeviationSeries(np.array(sol.t), *np.array(sol.y).T[:4], c1=init.delta_phi, c2=init.delta_phidot)
 
 
 def compose_perturbed(
@@ -874,24 +842,12 @@ def compose_perturbed(
     leaves them."""
     dev = deviations
     t = reference.t
-    if len(dev.t) != len(t) or not np.allclose(dev.t, t, rtol=0.0, atol=1e-12 * max(1.0, t[-1])):
+    if not np.array_equal(dev.t, t):
         raise ValueError("deviations are not sampled on the reference grid")
     r = reference.r0 + dev.delta_r
     rdot = reference.r0dot + dev.delta_rdot
     phi = dev.delta_phi.copy()
     phidot = dev.delta_phidot.copy()
-    e_inst, H, H_ym, eym, g11 = hamiltonian_split(TrajectoryState(t, r, phi, rdot, phidot), reference.params)
-    return TrajectorySeries(
-        params=reference.params,
-        t=t,
-        r=r,
-        phi=phi,
-        rdot=rdot,
-        phidot=phidot,
-        e_inst=e_inst,
-        H=H,
-        H_ym=H_ym,
-        eym=eym,
-        g11=g11,
-    )
+    energies = hamiltonian_split(TrajectoryState(t, r, phi, rdot, phidot), reference.params)
+    return TrajectorySeries(reference.params, t, r, phi, rdot, phidot, *energies)
 

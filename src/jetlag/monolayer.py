@@ -106,6 +106,16 @@ def _full_like(x, value: float):
     return np.full(np.shape(x), value) if type(x) is _ndarray else value
 
 
+def _finite(value, what: str, **at):
+    """value, a float or an array, if it is finite throughout; else a DomainError naming
+    ``what`` and ``at`` (floats, or arrays shaped like value) at its first non-finite entry."""
+    bad = ~np.isfinite(value)
+    if _any(bad):
+        coords = ", ".join(f"{k} = {np.ravel(v)[np.argmax(bad)] if np.ndim(v) else v:.6g}" for k, v in at.items())
+        raise DomainError(f"{what} is not finite at {coords}")
+    return value
+
+
 @dataclass(frozen=True)
 class MonolayerParams:
     """Physical constants of the monolayer model, each finite.
@@ -179,11 +189,11 @@ _U_RR = _compiled(_combine((20, 0, _u), (-8, 1, _u1), (1, 2, _u2)))  # r^-3 d2U/
 _SCRIPT_U_DT = _compiled(_combine((1, 0, _dE(_u_r)), (-1, 0, _u_r)))  # e^E d/dE [e^-E (5u - E u')]
 
 
-def _ei_form(form, E, scaled: bool = False, expE=None):
+def _ei_form(form, E, where: str, scaled: bool = False, expE=None):
     """A e^E + B Ei at E for a compiled form, or with ``scaled`` A + B e^-E Ei;
     floats stay on :mod:`math`.  The Ei term is 0 at E = 0, where B(0) = 0.
     e^E saturates to inf (``_exp``), or is the caller's ``expE``, ``_exp(E)``
-    formed once; e^-E raises on overflow."""
+    formed once; e^-E raises on overflow, a float E^k a DomainError naming ``where``."""
     A, B, k = form
     a = b = 0.0
     for c in A:
@@ -193,7 +203,10 @@ def _ei_form(form, E, scaled: bool = False, expE=None):
     vec = type(E) is _ndarray
     if not vec and E == 0.0:
         return a
-    ei = b * E**k * exp_integral_f(np.where(E == 0.0, 1.0, E) if vec else E)
+    try:
+        ei = b * E**k * exp_integral_f(np.where(E == 0.0, 1.0, E) if vec else E)
+    except OverflowError:
+        raise DomainError(f"{where}: E^{k} overflows at E = 2|V|t/r = {E:.6g}") from None
     if scaled:
         return a + (np.exp(-E) if vec else math.exp(-E)) * ei
     return a * (_exp(E) if expE is None else expE) + ei
@@ -218,7 +231,7 @@ def _potential(form, power: int, t, r, params: MonolayerParams, where: str, expE
         raise DomainError(f"{where} requires r > 0, got r = {np.min(r)}")
     if params.p == 0.0:
         return _full_like(r, 0.0)
-    return params.p * r**power * _ei_form(form, _finite_E(t, r, params, where), expE=expE)
+    return params.p * r**power * _ei_form(form, _finite_E(t, r, params, where), where, expE=expE)
 
 
 def potential_U(t, r, params: MonolayerParams):
@@ -293,7 +306,7 @@ def _scaled_form(form, t: float, r: float, params: MonolayerParams, where: str) 
     a DomainError naming ``where`` for r <= 0 or a non-finite E."""
     if r <= 0:
         raise DomainError(f"{where} requires r > 0, got r = {r}")
-    return _ei_form(form, _finite_E(t, r, params, where), scaled=True)
+    return _ei_form(form, _finite_E(t, r, params, where), where, scaled=True)
 
 
 def _series_bracket(t: float, r: float, params: MonolayerParams, where: str) -> float:
@@ -507,16 +520,23 @@ def em_component_f21(pt: JetPoint, params: MonolayerParams, form: str = "exact")
     raise ValueError(f"unknown EM form {form!r}")
 
 
-def zero_energy_bracket(t, r, rdot, params: MonolayerParams):
-    """[3mr/2 + m^2 e^-E rdot^3 / (4 p |V| r^4)] of the cancellation condition."""
-    _require_printed(params, "the zero-energy bracket")
+def _bracket(E, r, rdot, params: MonolayerParams, where: str):
+    """3mr/2 + m^2 e^-E rdot^3 / (4 p |V| r^4) at the exponent E: the zero-energy bracket
+    at E = 2|V|t/r, the resonant one at the large-time exponent.  An m^2 or e^-E that
+    overflows raises a DomainError naming ``where``; on arrays an overflow is silent."""
     try:
         m2 = params.m**2  # once per call, also for a whole series
     except OverflowError:
-        raise DomainError(f"zero_energy_bracket: m^2 overflows at m = {params.m:.6g}") from None
-    E = 2.0 * params.V_abs * t / r
-    exp_mE = _exp_checked(-E, "zero_energy_bracket")
-    return 1.5 * params.m * r + m2 * exp_mE * rdot**3 / (4.0 * params.p * params.V_abs * r**4)
+        raise DomainError(f"{where}: m^2 overflows at m = {params.m:.6g}") from None
+    exp_mE = _exp_checked(-E, where)
+    with np.errstate(all="ignore"):
+        return 1.5 * params.m * r + m2 * exp_mE * rdot**3 / (4.0 * params.p * params.V_abs * r**4)
+
+
+def zero_energy_bracket(t, r, rdot, params: MonolayerParams):
+    """[3mr/2 + m^2 e^-E rdot^3 / (4 p |V| r^4)] of the cancellation condition."""
+    _require_printed(params, "the zero-energy bracket")
+    return _bracket(2.0 * params.V_abs * t / r, r, rdot, params, "zero_energy_bracket")
 
 
 def closed_em_and_ym(
@@ -527,7 +547,11 @@ def closed_em_and_ym(
         raise DomainError("EM form requires r > 0")
     f21 = em_component_f21(pt, params, form=form)
     F = np.array([[0.0, -f21], [f21, 0.0]])
-    return EMForm(F=F), f21**2 / params.m
+    try:
+        eym = f21**2 / params.m
+    except OverflowError:
+        raise DomainError(f"closed_em_and_ym: F21^2 overflows in EYM = F21^2 / m at F21 = {f21:.6g}") from None
+    return EMForm(F=F), eym
 
 
 class MonolayerModel(LagrangianModel):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import monolayer as mono
-from .errors import JetLagError
+from .errors import DomainError, JetLagError
 from .geometry import CartanConnection, GeometryEvaluator
 from .monolayer import MonolayerModel, MonolayerParams
 from .points import JetPoint, jet_point
@@ -199,7 +199,7 @@ def dynamic_range_ratio(model: MonolayerModel, pt: JetPoint) -> float:
     eps*|L| is one ulp of the Lagrangian; m r^2 scales the fibre-metric
     signal; the min(|rdot|, 1)^2 factor tracks the shrinking step budget of
     the rdot axis and max(|phidot|, 0.02) the smallness of the
-    phidot-proportional connection/EM signals.
+    phidot-proportional connection/EM signals; a DomainError where it is 0.
     """
     signal = (
         model.params.m
@@ -207,6 +207,8 @@ def dynamic_range_ratio(model: MonolayerModel, pt: JetPoint) -> float:
         * min(abs(pt.rdot), 1.0) ** 2
         * max(min(abs(pt.phidot), 1.0), 0.02)
     )
+    if signal == 0.0:
+        raise DomainError(f"dynamic_range_ratio: the fibre signal underflows to 0 at m = {model.params.m:.6g}, r = {pt.r:.6g}")
     return _EPS * abs(model.value(pt.t, *pt.x, *pt.y)) / signal
 
 
@@ -249,7 +251,10 @@ def _point_dict(pt: JetPoint) -> dict:
 
 def _expansion_eps(pt: JetPoint, params: MonolayerParams) -> float:
     """eps = m / a, the printed displays' expansion parameter."""
-    return params.m / mono._stiff_term(pt.t, pt.r, pt.rdot, params, "_expansion_eps")
+    a = mono._stiff_term(pt.t, pt.r, pt.rdot, params, "_expansion_eps")
+    if a == 0.0:
+        raise DomainError(f"_expansion_eps: a = 2 p r^5 |V| e^E / rdot^3 underflows to 0 at p = {params.p:.6g}, r = {pt.r:.6g}")
+    return params.m / a
 
 
 def _exact_table(g, G, N, cartan: CartanConnection, F21) -> dict[str, float]:
@@ -399,14 +404,15 @@ def _append_resonant_records(report: DiscrepancyReport, params: MonolayerParams,
     """
     if params.R0 is None or params.p == 0.0:
         return
-    from .dynamics import resonant_trajectory
+    from .dynamics import default_span, resonant_trajectory
 
-    span = (0.0, 0.8 * params.R0 / params.V_abs)
-    grid_info = {"t_start": span[0], "t_end": span[1], "n_samples": 100}
-    ode = resonant_trajectory(params, t_span=span, source="ode", n_samples=100)
-    closed = resonant_trajectory(params, t_span=span, source="closed_form", n_samples=100)
-    spline = ode.spline()
-    agree = float(np.max(np.abs(closed.r0 - spline(closed.t)) / closed.r0))
+    t_start, t_end = default_span(params)
+    grid_info = {"t_start": t_start, "t_end": t_end, "n_samples": 100}
+    ode = resonant_trajectory(params, source="ode", n_samples=100)
+    closed = resonant_trajectory(params, source="closed_form", n_samples=100)
+    if not np.array_equal(closed.t, ode.t):
+        raise ValueError("the closed-form and ODE resonant trajectories are not on one grid")
+    agree = float(np.max(np.abs(closed.r0 - ode.r0) / closed.r0))
     pairs = [
         ("resonant_closed_form_vs_ode", agree, 1e-8),
         ("resonant_eq_large_time_residual_ode", float(np.max(ode.residual_eq22())), 1e-6),

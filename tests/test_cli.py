@@ -160,6 +160,13 @@ class TestConfig:
         ("resonant", '{"resonant": {"t_end": 0.002}}',
          "resonant.t_end must be 0 (the default span) or exceed resonant.t_start = 0.0 "
          "and stay below R0/|V| = 0.001, got 0.002"),
+        # the default span [0, 0.8 R0/|V|] is decided from the config too: R0/|V| underflows or overflows
+        *[(cmd, '{"params": {"R0": 5e-324}}', "params.R0 must be large enough against params.V_abs = 1000.0 for the "
+           "default resonant span [0, 0.8 R0/|V|] to be nonempty and below R0/|V| = 0.0, got 5e-324")
+          for cmd in ("resonant", "deviation", "validate")],
+        *[(cmd, '{"params": {"V_abs": 5e-324}}', "params.V_abs must be large enough against params.R0 = 1.0 for the "
+           "default resonant span [0, 0.8 R0/|V|] to be nonempty and below R0/|V| = inf, got 5e-324")
+          for cmd in ("resonant", "deviation", "validate")],
         # the deviation's initial data
         *[("deviation", f'{{"deviation": {{"{key}": {value}}}}}', f"deviation.{key} must be finite, got {shown}")
           for key in ("delta_r", "c1") for value, shown in (("NaN", "nan"), ("Infinity", "inf"))],
@@ -420,8 +427,9 @@ _EDGE = [1e-300, 1e-100, 1e-5, 0.5, 1e10, 1e100, 1e300]
 @st.composite
 def _edge_configs(draw):
     """A command and a config of it with p, m, |V| and R0 from 1e-300 to 1e300, each
-    run short: simulate to t_end <= 1e-3, a sweep of 1 or 2 runs, few resonant samples."""
-    cmd = draw(st.sampled_from(["simulate", "sweep", "resonant", "deviation"]))
+    run short: simulate to t_end <= 1e-3, a sweep of 1 or 2 runs, few resonant samples,
+    validate at 1 to 3 points."""
+    cmd = draw(st.sampled_from(["eval", "simulate", "sweep", "resonant", "deviation", "validate"]))
     defaults = {"p": 10.0, "m": 1.0, "V_abs": 1000.0, "R0": 1.0}
     cfg = {"params": {k: draw(st.sampled_from([v, *_EDGE]) | st.floats(1e-300, 1e300)) for k, v in defaults.items()}}
     t_end = draw(st.sampled_from([1e-6, 1e-3]) | st.floats(1e-9, 1e-3))
@@ -430,7 +438,9 @@ def _edge_configs(draw):
     elif cmd == "sweep":
         n = draw(st.integers(1, 2))
         cfg["sweep"] = {"r": [0.2, 1.0, n], "rdot": [-5.0, -0.5, 1], "phidot_values": [0.0], "t_end": t_end}
-    else:
+    elif cmd == "validate":
+        cfg["validate"] = {"n_points": draw(st.integers(1, 3))}
+    elif cmd != "eval":
         cfg["resonant"] = {"n_samples": draw(st.integers(2, 30))}
     if cmd == "deviation":
         cfg["deviation"] = {
@@ -440,26 +450,49 @@ def _edge_configs(draw):
     return cmd, cfg
 
 
+_SHORT = {"validate": {"n_points": 3}}
+#: the explicit examples: configs that once ended in a solver give-up, a bare error, a numpy RuntimeWarning
+#: or a config fault found only while running
+_EDGE_EXAMPLES = [
+    ("resonant", {"params": {"R0": 1e300}}),  # the solver gives up
+    ("deviation", {"deviation": {"delta_r": 1e300}}),
+    ("resonant", {"model": "free_polar"}),  # a model resonant does not run
+    ("resonant", {"params": {"R0": 1e-300}}),
+    ("resonant", {"params": {"R0": 5e-324}}), ("deviation", {"params": {"V_abs": 5e-324}}),
+    ("validate", {"params": {"m": 5e-324}, **_SHORT}), ("validate", {"params": {"p": 5e-324}, **_SHORT}),
+    ("deviation", {"params": {"R0": 1e-100}, "deviation": {"delta_r": 1e-5}}),
+    ("deviation", {"params": {"R0": 1e-300}, "deviation": {"delta_r": 1e-5}}),
+    ("validate", {"params": {"V_abs": 1e100}, **_SHORT}), ("validate", {"params": {"V_abs": 1e300}, **_SHORT}),
+    *[("resonant", {"params": {k: v}}) for k, v in (("m", 1e-300), ("p", 1e300), ("V_abs", 1e-100), ("R0", 1e-100))],
+    ("validate", {"params": {"R0": 1e-300}, **_SHORT}), ("validate", {"params": {"R0": 1e-100}, **_SHORT}),
+    *[(cmd, {"params": {k: v}, "t_end": 1e-4, "sweep": {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "t_end": 1e-4}})
+      for cmd in ("simulate", "sweep") for k, v in (("p", 1e-300), ("V_abs", 1e-300), ("m", 1e100))],
+]
+
+
+def _edge_examples(test):
+    for case in _EDGE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@example(("resonant", {"params": {"R0": 1e300}}))  # the solver gives up
-@example(("deviation", {"deviation": {"delta_r": 1e300}}))
-@example(("resonant", {"model": "free_polar"}))  # a model resonant does not run
-@example(("resonant", {"params": {"p": 1e300}}))  # non-finite CSV cells
-@example(("resonant", {"params": {"m": 1e-300}}))
-@example(("resonant", {"params": {"R0": 1e-300}}))
-@example(("sweep", {"params": {"p": 1e-300}, "sweep": {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "t_end": 1e-4}}))
+@_edge_examples
 @given(_edge_configs())
 def test_edge_configs_end_in_a_result_or_a_classified_failure(case):
     cmd, cfg = case
+    point = ["--point=0.001,0.5,0,-1,0.2"] if cmd == "eval" else []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = run_cli(cmd, "--config", str(path), "--out", str(Path(tmp) / "o"))
-        assert rc in (0, 2, 3), (cmd, cfg)
-        assert "Traceback" not in err.getvalue()
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run_cli(cmd, "--config", str(path), "--out", str(Path(tmp) / "o"), *point)
+        assert rc in (0, 1, 2, 3), (cmd, cfg)
+        assert rc != 1 or cmd == "validate", (cmd, cfg)
+        for bare in ("Traceback", "(34,", "division by zero"):
+            assert bare not in err.getvalue(), (cmd, cfg, err.getvalue())
         if rc == 0:
             for table in Path(tmp).glob("o/*.csv"):
                 with open(table, newline="") as fh:
@@ -556,7 +589,7 @@ class TestResonant:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 400
         t = np.array([float(row["t"]) for row in rows])
-        want = _closed_form(t, MonolayerParams(), 1.0)[0]
+        want = _closed_form(t, MonolayerParams(R0=1.0))[0]
         got = np.array([float(row["closed_form_r0"]) for row in rows])
         assert np.max(np.abs(got - want) / want) <= 1e-12
         r0 = np.array([float(row["r0"]) for row in rows])
@@ -684,7 +717,7 @@ class TestSweep:
         # p = 1e-300 leaves the zero-energy bracket ~ 1/p, whose square overflows in H_YM
         sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 1e-4}
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             out, rows = self._sweep(tmp_path, {"params": {"p": 1e-300}, "sweep": sweep})
         header, run = rows
         assert run[header.index("status")] == "invalid:run_000.csv: column H_YM holds the non-finite number nan"
@@ -824,8 +857,10 @@ def test_free_particle_files_are_pinned(tmp_path, cfg):
     pytest.param("resonant", {"params": {"R0": 1e300}}, "resonant integration failed", id="resonant-give-up"),
     pytest.param("validate", {"params": {"R0": 1e300}}, "resonant integration failed", id="validate-give-up"),
     pytest.param("deviation", {"deviation": {"delta_r": 1e300}}, "deviation integration failed", id="deviation-give-up"),
-    pytest.param("resonant", {"params": {"p": 1e300}}, "resonant.csv: column residual_eq21 holds the non-finite number nan",
-                 id="nonfinite-cell"),
+    # both terms of the resonance residual underflow to 0
+    pytest.param("resonant", {"params": {"p": 1e300}},
+                 "residual_eq21: |m r0dot^3 e^-X + 6 p |V| r0^5| over its larger term is not finite at t = 2.00501e-06, "
+                 "r0 = 8.58859e-144", id="nonfinite-cell"),
     pytest.param("simulate", {"params": {"m": 1e300}, "t_end": 1e-4},
                  "zero_energy_bracket: m^2 overflows at m = 1e+300", id="m-squared-overflow"),
     pytest.param("resonant", {"params": {"m": 1e300}},
@@ -844,18 +879,38 @@ def test_free_particle_files_are_pinned(tmp_path, cfg):
     pytest.param("simulate", {"integrator": {"max_step": 1e-10}},
                  "geodesic integration over the span [0, 0.002] used up its budget of 100000 right-hand-side "
                  "calls at t = ", id="simulate-budget"),
+    # a quantity that underflows to 0 or overflows is named, never a bare division or range error
+    pytest.param("validate", {"params": {"m": 5e-324}, "validate": {"n_points": 3}},
+                 "dynamic_range_ratio: the fibre signal underflows to 0 at m = 4.94066e-324, r = ",
+                 id="fibre-signal-underflow"),
+    pytest.param("validate", {"params": {"p": 5e-324}, "validate": {"n_points": 3}},
+                 "_expansion_eps: a = 2 p r^5 |V| e^E / rdot^3 underflows to 0 at p = 4.94066e-324, r = ",
+                 id="eps-underflow"),
+    *[pytest.param("deviation", {"params": {"R0": R0}, "deviation": {"delta_r": 1e-5}},
+                   f"deviation_integrate: A = 2 p |V| r0^5 e^E0 - m rdot0^3 is 0 at t = 0, r0 = {R0:g}",
+                   id=f"deviation-A-underflow-{R0:g}") for R0 in (1e-100, 1e-300)],
+    *[pytest.param("validate", {"params": {"V_abs": V}, "validate": {"n_points": 3}},
+                   "potential_U: E^6 overflows at E = 2|V|t/r = ", id=f"E-power-overflow-{V:g}") for V in (1e100, 1e300)],
+    pytest.param("validate", {"params": {"R0": 1e-300}},
+                 "the closed-form dr0/dt is not finite at t = 0, r0 = 1e-300", id="closed-form-rate"),
+    pytest.param("validate", {"params": {"R0": 1e-100}},
+                 "residual_eq22: |m r0dot^3 e^-X + 6 p |V| r0^5| over its larger term is not finite at t = 0, "
+                 "r0 = 1e-100", id="validate-residual-underflow"),
+    # an H_YM that overflows reaches the CSV writer, which names its column
+    *[pytest.param("simulate", {"params": {k: v}, "t_end": 1e-4}, "trajectory.csv: column H_YM holds the non-finite "
+                   "number inf", id=f"H_YM-overflow-{k}-{v:g}") for k, v in (("p", 5e-324), ("m", 1e100))],
 ])
 def test_numerical_failures_exit_3(tmp_path, capsys, cmd, cfg, fragment):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     started = time.monotonic()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert run_cli(cmd, "--config", str(path), "--out", str(tmp_path / "o")) == 3
     assert time.monotonic() - started < 10.0
     err = capsys.readouterr().err
     assert f"numerical/domain error: {fragment}" in err and "Traceback" not in err
-    assert not list(tmp_path.glob("o/*.csv"))
+    assert not list(tmp_path.glob("o/*.csv")) and not list(tmp_path.glob("o/*.json"))
 
 
 def test_console_entry_point(cfg_path):

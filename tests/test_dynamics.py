@@ -436,7 +436,7 @@ class TestResonantTrajectory:
     def test_closed_form_agrees_with_ode(self, params5):
         span = (0.0, 8e-4)
         ode = resonant_trajectory(params5, t_span=span, source="ode", n_samples=200)
-        closed_on_grid = _closed_form(ode.t, params5, ode.R0)[0]
+        closed_on_grid = _closed_form(ode.t, params5)[0]
         assert np.max(np.abs(closed_on_grid - ode.r0) / ode.r0) < 1e-9
         # the printed solution's own residual in the large-time equation is
         # reported, not asserted tiny (it contains an FD-differentiated rdot)
@@ -501,7 +501,7 @@ class TestDeviation:
         keep = np.r_[0:len(fine.t):150, len(fine.t) - 1]
         coarse = ResonantTrajectory(
             t=fine.t[keep], r0=fine.r0[keep], r0dot=fine.r0dot[keep],
-            params=params5, R0=fine.R0, source="ode",
+            params=params5, source="ode",
         )
         init = DeviationState(1e-5, 1e-4, 0.3, 0.2)
         dev_fine = deviation_integrate(fine, init, params5)
@@ -578,7 +578,7 @@ class TestComposeAndReverse:
 
 def test_closed_form_r0_horizon_guard(params5):
     with pytest.raises(ValueError):
-        _closed_form(np.array([1.1e-3]), params5, 1.0)[0]
+        _closed_form(np.array([1.1e-3]), params5)[0]
 
 
 def _el_residual_reference(model, pt, ydot) -> float:

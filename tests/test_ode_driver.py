@@ -1,11 +1,10 @@
 """The float Dormand-Prince driver against scipy's RK45, its event roots
-against scipy's brentq, and the reference's Hermite cubic against scipy's."""
+against scipy's brentq, and the resonant reference's samples."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from jetlag import dynamics
@@ -152,16 +151,15 @@ def reference():
     return resonant_trajectory(PARAMS)
 
 
-def test_hermite_cubic_is_scipys(reference):
-    ref = reference
-    ours, theirs = ref.spline(), CubicHermiteSpline(ref.t, ref.r0, ref.r0dot)
-    probes = np.concatenate([ref.t, 0.5 * (ref.t[:-1] + ref.t[1:]), [-1e-5, ref.t[-1] + 1e-5]])
-    assert np.allclose(ours(probes), theirs(probes), rtol=1e-14, atol=0.0)
+@pytest.mark.parametrize("n_samples", [100, 400])
+def test_spline_is_r0_at_its_nodes(n_samples):
+    ref = resonant_trajectory(PARAMS, n_samples=n_samples)
+    assert ref.spline()(ref.t).tolist() == ref.r0.tolist()
 
 
 def test_r0dot_is_the_float_rhs_on_every_sample(reference):
     ref = reference
-    per_sample = [resonant_rhs(t, r, PARAMS, ref.R0) for t, r in zip(ref.t.tolist(), ref.r0.tolist())]
+    per_sample = [resonant_rhs(t, r, PARAMS) for t, r in zip(ref.t.tolist(), ref.r0.tolist())]
     assert ref.r0dot.tolist() == per_sample
     assert all(type(v) is float for v in per_sample)
 

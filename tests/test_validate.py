@@ -142,3 +142,11 @@ def test_to_json_raises_where_the_json_module_raises(bad, error):
         _json_module(rep)
     with pytest.raises(error):
         rep.to_json()
+
+
+def test_resonant_closed_form_vs_ode_is_pinned():
+    # the CLI validate defaults; the closed form and the ODE sit on one grid, compared at its nodes
+    rep = run_validation(MonolayerParams(R0=1.0), seed=0, n_points=1)
+    rec = next(r for r in rep.records if r.quantity == "resonant_closed_form_vs_ode")
+    assert rec.rel_err == 4.891908418910636e-12
+    assert rec.point == {"t_start": 0.0, "t_end": 8e-4, "n_samples": 100}
