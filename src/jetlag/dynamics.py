@@ -228,7 +228,8 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
     Hamiltonian (algebraically -U), H_YM the printed Yang-Mills energy and
     EYM = F_(2)1^(1)^2 / m the exact one.  At p = 0 H = H_YM = EYM = 0.
     An rdot = 0 sample raises a DomainError when p != 0.  On arrays, an H_YM
-    or EYM that overflows is an inf or a NaN, without a warning.
+    or EYM that overflows is an inf or a NaN, without a warning; H_YM is
+    +0.0 wherever phidot = 0.
     """
     t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
     m, p, V = params.m, params.p, params.V_abs
@@ -243,8 +244,14 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
     H = g11 * rdot**2 + 0.5 * m * r**2 * phidot**2 - (kinetic + U_s)
     if p == 0.0:
         return kinetic - U_s, H, _full_like(r, 0.0), _full_like(r, 0.0), g11
+    bracket = zero_energy_bracket(t, r, rdot, params)
     with np.errstate(all="ignore"):
-        H_ym = phidot**2 * zero_energy_bracket(t, r, rdot, params) ** 2 / (4.0 * m)
+        # exactly 0 at phidot = 0, also where the bracket's square overflows (0 * inf)
+        if type(phidot) is np.ndarray:
+            H_ym = phidot**2 * bracket**2 / (4.0 * m)
+            H_ym[phidot == 0.0] = 0.0
+        else:
+            H_ym = _full_like(bracket, 0.0) if phidot == 0.0 else phidot**2 * bracket**2 / (4.0 * m)
         return kinetic - U_s, H, H_ym, em_component_f21(state, params) ** 2 / m, g11
 
 
@@ -512,7 +519,7 @@ def _solve(what: str, rhs, t0: float, t1: float, y0, rtol: float, atol: float,
 
     out.t, out.y, out.status = ts, ys, status
     out.rhs_calls, out.accepted, out.rejected = calls, accepted, rejected
-    log.debug(_SOLVE_LOG, what, calls, accepted, rejected, {0: "completed", 1: "event", -1: "failed"}[status])
+    log.debug(_SOLVE_LOG, what, calls, accepted, rejected, {0: "completed", 1: "event", -1: "gave up"}[status])
     return out
 
 
@@ -794,7 +801,12 @@ def deviation_integrate(
     reference but its grid is read.  On resonant references the delta_phi
     friction coefficient is identically reduced to zero (the
     resonance-condition substitution), so delta_phi = C1 + C2 (t - t0).
+    Every coefficient reads ``reference.params``; ``params`` must equal them,
+    or a ValueError names both.
     """
+    if params != reference.params:
+        raise ValueError(f"deviation_integrate: params {params} differ from the reference's {reference.params}")
+    params = reference.params
     grid = reference.t.tolist()
     w0 = [init.delta_r, init.delta_rdot, init.delta_phi, init.delta_phidot]
 
@@ -813,7 +825,7 @@ def deviation_integrate(
 
         def rhs(t, w):
             dr, drd, _, dphid, r0 = w
-            rd0 = resonant_rhs(t, r0, reference.params)
+            rd0 = resonant_rhs(t, r0, params)
             try:
                 expE0 = math.exp(2.0 * V * t / r0)
                 A = 2.0 * p * V * r0**5 * expE0 - m * rd0**3

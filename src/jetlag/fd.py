@@ -36,11 +36,10 @@ exact coordinates before they are checked (``points.check_coordinates``),
 the domain checked or ``model.value`` called, and L is stored only for
 probes that pass every check.  The dict defaults to one per call;
 ``geometry.GeometryEvaluator`` shares one across the partials at its
-point.  Its nested evaluators, one per probe point of
-``noisy_field_partial``, are kept and shared by the N field of the
-torsions and the F field of the Maxwell check; each keeps its own memo, as
-no probe of one evaluator recurs in another.  Nothing is cached on the
-model.  This relies on ``value`` and ``domain_violation``
+point.  The torsions differentiate N once more with
+``noisy_field_partial``, through one nested evaluator per probe point,
+each with its own memo, as no probe of one evaluator recurs in another.
+Nothing is cached on the model.  This relies on ``value`` and ``domain_violation``
 being pure functions of the point.
 """
 

@@ -175,8 +175,8 @@ def _stage(method):
 
 
 class GeometryEvaluator:
-    """The geometry at one jet point; its stages share the L-partials, the
-    finite-difference probe memo and the nested evaluators of the fields."""
+    """The geometry at one jet point; its stages share the L-partials and
+    the finite-difference probe memo."""
 
     def __init__(self, model: LagrangianModel, pt: JetPoint):
         self.model = model
@@ -184,7 +184,6 @@ class GeometryEvaluator:
         self._partials: dict[tuple, float] = {}
         self._values: dict[tuple, float] = {}  # the FD probe memo, see fd.py
         self._objects: dict[str, object] = {}
-        self._children: dict[JetPoint, GeometryEvaluator] = {}  # by probe point, see _field_partials
 
     # -- L-partials ------------------------------------------------------------
     def partial(self, *spec) -> float:
@@ -201,25 +200,6 @@ class GeometryEvaluator:
     def _dg(self, group) -> np.ndarray:
         """[k, i, j] = d g_ij / d a^k for the axes a of ``group``."""
         return 0.5 * self._d(group, _Y, _Y)
-
-    def _field_partials(self, field, axes) -> np.ndarray:
-        """[a, ...] = d field / d axes[a] by nested FD; ``field`` maps the
-        evaluator at a probe point to an array.
-
-        The evaluator at each probe point q = pt +- h e_a is built on first
-        use and kept, with its own stages and probe memo, so every field
-        differentiated here (N for the torsions, F for the Maxwell check)
-        is read off one family of at most ten children, in any call order.
-        """
-        scales = scales_for(self.model, self.pt)
-
-        def at(q: JetPoint) -> np.ndarray:
-            child = self._children.get(q)
-            if child is None:
-                child = self._children[q] = GeometryEvaluator(self.model, q)
-            return field(child)
-
-        return np.array([noisy_field_partial(at, self.pt, a, scales[AXES.index(a)]) for a in axes])
 
     # -- geometric objects --------------------------------------------------
     @_stage
@@ -274,7 +254,13 @@ class GeometryEvaluator:
     def torsions(self) -> TorsionSet:
         cart = self.cartan()
         N = self.nonlinear_connection().N
-        dN = self._field_partials(lambda ev: ev.nonlinear_connection().N, AXES)  # [t, x1, x2, y1, y2]
+        scales = scales_for(self.model, self.pt)
+
+        def N_at(q: JetPoint) -> np.ndarray:
+            return GeometryEvaluator(self.model, q).nonlinear_connection().N
+
+        # [a] = dN / d AXES[a] by nested FD, one evaluator per probe point
+        dN = np.array([noisy_field_partial(N_at, self.pt, a, scales[i]) for i, a in enumerate(AXES)])
         dN_dy = dN[3:]
         # [j, k, i] = delta N^k_i / delta x^j = dN/dx^j - N_(1)j^(q) dN/dy^q
         delta_N = dN[1:3] - np.einsum("qj,qki->jki", N, dN_dy)
@@ -342,11 +328,19 @@ class GeometryEvaluator:
         return _term_balance(np.concatenate(terms))  # [term, s]
 
     def maxwell_vertical_residual(self) -> float:
-        """Normalized cyclic-sum residual of F_(i)j|^(1)_(k) over {i,j,k}."""
+        """Normalized cyclic-sum residual of F_(i)j|^(1)_(k) over {i,j,k}.
+
+        F_(i)j|(k) = dF_ij/dy^k - F_sj C^s_ik - F_is C^s_jk.  With two
+        spatial indices every cyclic triple repeats one, so the cyclic sum
+        of dF_ij/dy^k pairs dF_ik/dy^i with dF_ki/dy^i = -dF_ik/dy^i and
+        vanishes for every F antisymmetric in (i, j), whatever its
+        derivative, so the check does not compute dF/dy.  The C-terms
+        cancel in the same pairs, so the residual detects only an F that
+        is not antisymmetric or not finite.
+        """
         C = self.cartan().C
         F = self.em_form().F
-        dF_dy = self._field_partials(lambda ev: ev.em_form().F, _Y)  # [k, i, j]
-        vert = dF_dy.transpose(1, 2, 0) - np.einsum("sj,sik->ijk", F, C) - np.einsum("is,sjk->ijk", F, C)
+        vert = -np.einsum("sj,sik->ijk", F, C) - np.einsum("is,sjk->ijk", F, C)
         floor = max(np.abs(vert).max(), np.abs(F).max(), _TINY)
         cyclic = vert + vert.transpose(2, 0, 1) + vert.transpose(1, 2, 0)
         return float(np.abs(cyclic).max() / floor)

@@ -4,7 +4,9 @@ Every exported closed form is compared against the generic FD pipeline at
 seeded random jet points.  Three record classes appear:
 
 * exact closed forms at FD-resolvable points: must agree to tolerance,
-  anything else is an unexplained flag (a defect);
+  anything else is an unexplained flag (a defect), unless the
+  disagreement lies inside the oracle's own spread when every FD step
+  scale is halved and doubled (explained as fd step spread);
 * printed (approximate) display forms: flagged with an explanation naming
   the expansion parameter wherever they drift beyond tolerance -- they are
   leading-order approximations by construction and the oracle is the
@@ -14,6 +16,14 @@ seeded random jet points.  Three record classes appear:
   eps * |L| rises past the fibre-scale signals (g22 = m r^2 / 2, the
   phidot-proportional N, L and F entries) no finite-difference scheme can
   extract them from L values alone; the closed forms stay exact there.
+
+Identity checks ride along as residual records.  In two dimensions the
+``maxwell_vertical`` and ``em_antisymmetry`` records can detect only an F
+that is not antisymmetric or not finite: every cyclic triple of the
+Maxwell identity repeats an index, so its cyclic sum vanishes for every
+antisymmetric F.  ``GeometryEvaluator.em_form`` builds F exactly
+antisymmetric; F's transcription is checked by the ``F21_exact`` record
+and by the 40-digit reference of ``tests/test_reference.py``.
 
 ``n_flagged_unexplained`` must be zero for a run to pass.
 """
@@ -29,7 +39,9 @@ import numpy as np
 
 from . import monolayer as mono
 from .errors import DomainError, JetLagError
+from .fd import scales_for
 from .geometry import CartanConnection, GeometryEvaluator
+from .models import LagrangianModel
 from .monolayer import MonolayerModel, MonolayerParams
 from .points import JetPoint, jet_point
 
@@ -43,10 +55,17 @@ SAMPLE_BOX = {
 }
 
 #: the dynamic-range ratio above which a point is outside the FD-resolvable
-#: regime.  Calibrated on 300 box samples: every point under 1.9e-10 keeps
-#: the worst pipeline-vs-exact error below 1e-6, so 2e-11 carries a 10x
-#: margin on the cut and ~10x on the 1e-5 tolerance.
+#: regime.  Calibrated on 300 box samples, where every point under 1.9e-10
+#: kept the worst pipeline-vs-exact error below 1e-6.  The ratio does not
+#: bound that error at every point under the cut: at (t, r, rdot, phidot) =
+#: (2.4308e-4, 0.17837, -3.0202, 0.99220) it reads 9.6e-14, yet N11's FD
+#: error of 6.6e-7 grows about 20x through cancellation in L1_11, which the
+#: oracle misses by 1.34e-5.  Such a disagreement lies inside the oracle's
+#: own step spread (``_step_spread``), and only then is it explained.
 FD_RESOLVABLE_CUT = 2e-11
+
+#: the factors on every FD step scale whose oracles give the step spread
+_STEP_FACTORS = (0.5, 2.0)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -54,6 +73,12 @@ _APPROX_NOTE = (
     "printed display is the leading-order expansion in "
     "eps = m*rdot^3*exp(-2|V|t/r)/(2*p*r^5*|V|); eps = {eps:.3e} here, "
     "the exact-form counterpart matches the oracle"
+)
+
+_SPREAD_NOTE = (
+    "fd step spread: the oracle moves by {spread:.3e} (relative) when every "
+    "finite-difference step scale is halved or doubled, more than this "
+    "disagreement, so the oracle cannot adjudicate it at this point"
 )
 
 _DYNRANGE_NOTE = (
@@ -295,6 +320,38 @@ def _oracle_values(ev: GeometryEvaluator) -> dict[str, float]:
     return _exact_table(met.g, spray.G, nlc.N, cart, ev.em_form().F[1, 0])
 
 
+class _ScaledSteps(LagrangianModel):
+    """``model`` with every finite-difference step scale times ``factor``."""
+
+    def __init__(self, model: LagrangianModel, factor: float):
+        self.model, self.factor, self.m = model, factor, model.m
+
+    def value(self, t, r, phi, rdot, phidot) -> float:
+        return self.model.value(t, r, phi, rdot, phidot)
+
+    def domain_violation(self, t, r, phi, rdot, phidot) -> str | None:
+        return self.model.domain_violation(t, r, phi, rdot, phidot)
+
+    def fd_scales(self, pt: JetPoint, spec=None):
+        return self.factor * scales_for(self.model, pt, spec)
+
+
+def _step_spread(model: LagrangianModel, pt: JetPoint, oracle: dict[str, float]) -> dict[str, float]:
+    """Per quantity, the largest relative change of the oracle's value when
+    every FD step scale is halved or doubled: how far the oracle itself can
+    be trusted at ``pt``.  Where a rescaled oracle raises, the spread is 0,
+    so it explains nothing."""
+    spread = dict.fromkeys(oracle, 0.0)
+    for factor in _STEP_FACTORS:
+        try:
+            scaled = _oracle_values(GeometryEvaluator(_ScaledSteps(model, factor), pt))
+        except JetLagError:
+            continue
+        for name, value in scaled.items():
+            spread[name] = max(spread[name], _rel_err(float(value), float(oracle[name])))
+    return spread
+
+
 def run_validation(
     params: MonolayerParams | None = None,
     seed: int = 0,
@@ -343,9 +400,16 @@ def run_validation(
             continue
 
         report.n_points_resolvable += 1
+        spread = None  # computed only for a disagreement nothing else explains
         for name, value in closed.items():
             closed_v, oracle_v = float(value), float(oracle[name])
-            report.add(name, pd, closed_v, oracle_v, _rel_err(closed_v, oracle_v), tolerance)
+            err, note = _rel_err(closed_v, oracle_v), ""
+            if not err < tolerance:
+                if spread is None:
+                    spread = _step_spread(model, pt, oracle)
+                if err < spread[name]:
+                    note = _SPREAD_NOTE.format(spread=spread[name])
+            report.add(name, pd, closed_v, oracle_v, err, tolerance, note)
 
         # printed (approximate) display forms
         eps = _expansion_eps(pt, params)

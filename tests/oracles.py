@@ -20,11 +20,11 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from jetlag.fd import noisy_field_partial, numeric_partials, scales_for
-from jetlag.geometry import EMForm, GeometryEvaluator
+from jetlag.fd import numeric_partials
+from jetlag.geometry import EMForm
 from jetlag.models import LagrangianModel
 from jetlag.monolayer import MonolayerModel, potential_U
-from jetlag.points import AXES, jet_point
+from jetlag.points import jet_point
 
 
 def pv_exp_integral(z: float) -> float:
@@ -230,20 +230,6 @@ def field_partial(fn, pt, spec, scales=None) -> float:
     model: the same probes and default scales as for any Lagrangian."""
     model = PolynomialModel(lambda *coords: fn(jet_point(*coords)))
     return numeric_partials(model, pt, spec, scales=scales)
-
-
-class FreshChildEvaluator(GeometryEvaluator):
-    """A ``GeometryEvaluator`` that differentiates a field by building a new
-    evaluator at every nested-FD probe point, so nothing is shared between
-    fields or between calls: the reference for the evaluator's kept children."""
-
-    def _field_partials(self, field, axes):
-        scales = scales_for(self.model, self.pt)
-
-        def at(q):
-            return field(GeometryEvaluator(self.model, q))
-
-        return np.array([noisy_field_partial(at, self.pt, a, scales[AXES.index(a)]) for a in axes])
 
 
 # -- the monolayer geometry at 40 digits ------------------------------------------

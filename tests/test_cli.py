@@ -714,14 +714,18 @@ class TestSweep:
         assert valid[header.index("status")] == "completed"
 
     def test_nonfinite_cell_is_an_invalid_run(self, tmp_path):
-        # p = 1e-300 leaves the zero-energy bracket ~ 1/p, whose square overflows in H_YM
-        sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.0], "t_end": 1e-4}
+        # p = 1e-300 leaves the zero-energy bracket ~ 1/p, whose square overflows
+        # in H_YM = phidot^2 bracket^2 / 4m; at phidot = 0, H_YM is exactly 0
+        sweep = {"r": [0.5, 0.5, 1], "rdot": [-1.0, -1.0, 1], "phidot_values": [0.1, 0.0], "t_end": 1e-4}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             out, rows = self._sweep(tmp_path, {"params": {"p": 1e-300}, "sweep": sweep})
-        header, run = rows
-        assert run[header.index("status")] == "invalid:run_000.csv: column H_YM holds the non-finite number nan"
+        header, run, still = rows
+        assert run[header.index("status")] == "invalid:run_000.csv: column H_YM holds the non-finite number inf"
         assert not (out / "run_000.csv").exists()
+        assert still[header.index("status")] == "completed"
+        series = list(csv.reader((out / "run_001.csv").open()))
+        assert {row[series[0].index("H_YM")] for row in series[1:]} == {"0"}
 
     def test_m_squared_overflow_is_an_invalid_run(self, tmp_path):
         sweep = {"r": [0.2, 1.0, 2], "rdot": [-5.0, -0.5, 2], "phidot_values": [0.0, 0.1], "t_end": 2e-4}
@@ -1027,3 +1031,15 @@ def test_log_debug_reports_each_solve(tmp_path, monkeypatch, caplog):
             assert lines == []
         files[level] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
     assert files["debug"] and files["debug"] == files[None]
+
+
+def test_log_debug_says_gave_up_for_a_collapsing_solve(tmp_path, monkeypatch, caplog):
+    # the solver's status -1 is a give-up, which the run records as a collapse event
+    monkeypatch.setenv("JETLAG_LOG", "debug")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial_state": {"r": 0.2, "rdot": -5.0, "phidot": 0.1}}))
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == 0
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "jetlag" and rec.levelname == "DEBUG"]
+    assert lines == ["geodesic integration: 3338 RHS calls, 553 accepted and 3 rejected steps, gave up"]
+    index = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert index[-1].endswith(",finite_time_collapse")

@@ -208,6 +208,19 @@ class TestHamiltonianSplit:
         _, _, H_ym, _, _ = hamiltonian_split(TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.0), params5)
         assert H_ym == 0.0
 
+    def test_phidot_zero_kills_hym_where_the_bracket_square_overflows(self):
+        # p = 1e-300 leaves the bracket ~ 1/p, so phidot^2 bracket^2 is 0 * inf
+        params = MonolayerParams(m=1.0, p=1e-300, V_abs=1000.0)
+        for phidot in (0.0, -0.0):
+            H_ym = hamiltonian_split(TrajectoryState(1e-3, 0.5, 0.0, -1.0, phidot), params)[2]
+            assert H_ym == 0.0 and math.copysign(1.0, H_ym) == 1.0 and type(H_ym) is float
+        phidot = np.array([0.0, 0.1, -0.0])
+        with np.errstate(all="raise"):
+            H_ym = hamiltonian_split(TrajectoryState(np.full(3, 1e-3), np.full(3, 0.5), np.zeros(3),
+                                                     np.full(3, -1.0), phidot), params)[2]
+        assert H_ym[0] == H_ym[2] == 0.0 and not np.signbit(H_ym[[0, 2]]).any()
+        assert H_ym[1] == math.inf
+
     @pytest.mark.parametrize(
         "state",
         [
@@ -484,6 +497,13 @@ class TestDeviation:
         dev = deviation_integrate(ref, DeviationState(0.0, 0.0, 0.0, 0.0), params5)
         assert np.max(np.abs(dev.delta_r)) == 0.0
         assert np.max(np.abs(dev.delta_phi)) == 0.0
+
+    def test_params_must_be_the_references(self, params5):
+        # rdot0 and the coefficients A, B, C come from one model, the reference's
+        ref = resonant_trajectory(params5, source="ode")
+        other = MonolayerParams(m=2.0, p=10.0, V_abs=1000.0, R0=1.0)
+        with pytest.raises(ValueError, match=r"params MonolayerParams\(m=2\.0.* reference's MonolayerParams\(m=1\.0"):
+            deviation_integrate(ref, DeviationState(1e-4, 0.0, 0.0, 0.0), other)
 
     def test_delta_r_dynamics_nontrivial(self, params5):
         ref = resonant_trajectory(params5, source="ode")

@@ -12,7 +12,6 @@ from jetlag.points import jet_point
 from oracles import (
     CountingMonolayer,
     ElectrodynamicsFixtureParams,
-    FreshChildEvaluator,
     PolynomialModel,
     asymmetric_lagrangian,
     electrodynamics_fixture,
@@ -256,6 +255,32 @@ class TestMaxwellVertical:
         val = GeometryEvaluator(model5, sample_pt).maxwell_vertical_residual()
         assert np.isfinite(val)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_cyclic_sum_is_identically_zero_in_two_dimensions(self, model5, sample_pt, scale):
+        # why the check carries no dF/dy: for any F antisymmetric in (i, j)
+        # the cyclic sum of dF_ij/dy^k over {i, j, k} is exactly 0 when i, j,
+        # k take two values, and so is that of the C-contractions, for any C
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            dF = scale * rng.standard_normal((2, 2, 2))
+            dF = dF - dF.swapaxes(1, 2)  # [k, i, j], antisymmetric in (i, j)
+            vert = dF.transpose(1, 2, 0)
+            assert not np.any(vert + vert.transpose(2, 0, 1) + vert.transpose(1, 2, 0))
+            f = scale * rng.standard_normal()
+            ev = GeometryEvaluator(model5, sample_pt)
+            ev._objects["em_form"] = EMForm(F=np.array([[0.0, -f], [f, 0.0]]))
+            ev._objects["cartan"] = CartanConnection(
+                G_time=np.zeros((2, 2)), L=np.zeros((2, 2, 2)), C=rng.standard_normal((2, 2, 2))
+            )
+            assert ev.maxwell_vertical_residual() == 0.0
+            # what it can still detect: an F that is not antisymmetric
+            ev = GeometryEvaluator(model5, sample_pt)
+            ev._objects["em_form"] = EMForm(F=np.array([[0.0, -f], [1.001 * f, 0.0]]))
+            ev._objects["cartan"] = CartanConnection(
+                G_time=np.zeros((2, 2)), L=np.zeros((2, 2, 2)), C=np.ones((2, 2, 2))
+            )
+            assert ev.maxwell_vertical_residual() > 1e-4
+
 
 def test_bundle_aggregates(model5, sample_pt):
     bundle = GeometryEvaluator(model5, sample_pt).bundle()
@@ -331,61 +356,16 @@ def test_bundle_evaluates_each_probe_once(params5, sample_pt):
     assert model.calls == 2 * first
 
 
-def test_maxwell_reads_the_torsions_children(params5):
-    # the N field of the torsions and the F field of the Maxwell check share
-    # their children at pt +- h e_y: after bundle() the check evaluates no L
-    pt = jet_point(1e-4, 0.5, 0.0, -1.0, 0.2)
-    model = CountingMonolayer(params5)
-    ev = GeometryEvaluator(model, pt)
-    ev.bundle()
-    before = model.calls
-    ev.maxwell_vertical_residual()
-    assert model.calls == before
-
-
-def test_torsions_after_maxwell_add_the_six_other_children(params5):
-    pt = jet_point(1e-4, 0.5, 0.0, -1.0, 0.2)
-    model = CountingMonolayer(params5)
-    ev = GeometryEvaluator(model, pt)
-    ev.maxwell_vertical_residual()
-    y_children = set(ev._children)
-    before = model.calls
-    ev.torsions()
-    added = set(ev._children) - y_children
-    # one child at pt +- h along each of t, x1, x2, and N from each costs
-    # what it costs a fresh evaluator there
-    assert len(y_children) == 4 and len(added) == 6
-    for q in added:
-        moved = np.flatnonzero(q.as_array() != pt.as_array())
-        assert len(moved) == 1 and moved[0] < 3, q
-    fresh = CountingMonolayer(params5)
-    for q in added:
-        GeometryEvaluator(fresh, q).nonlinear_connection()
-    assert model.calls - before == fresh.calls > 0
-
-
-@pytest.mark.parametrize("name", ["monolayer", "free_polar", "asymmetric"])
-def test_shared_children_match_fresh_evaluators(name, model5):
-    # bit for bit, in both call orders: a kept child returns what a fresh
-    # evaluator at its point returns
-    rng = np.random.default_rng(23)
-    model = {"monolayer": model5, "free_polar": FP}.get(name) or PolynomialModel(asymmetric_lagrangian)
-    for k in range(20):
-        if name == "monolayer":
-            pt = jet_point(rng.uniform(1e-4, 1e-3), rng.uniform(0.3, 1.0), 0.0,
-                           rng.uniform(-3.0, -0.3), rng.uniform(-1, 1))
-        else:
-            pt = jet_point(*rng.uniform((0.0, 0.5, -1.0, -2.0, -2.0), (1.0, 2.0, 1.0, 2.0, 2.0)))
-        ev, ref = GeometryEvaluator(model, pt), FreshChildEvaluator(model, pt)
-        if k % 2:
-            maxwell = ev.maxwell_vertical_residual()
-            torsions = ev.torsions()
-        else:
-            torsions = ev.torsions()
-            maxwell = ev.maxwell_vertical_residual()
-        assert maxwell == ref.maxwell_vertical_residual(), pt
-        for field, want in vars(ref.torsions()).items():
-            assert np.array_equal(getattr(torsions, field), want), (pt, field)
+def test_maxwell_makes_only_the_em_form_evaluations(params5, sample_pt):
+    # the check reads F and C and differentiates nothing further: on a fresh
+    # evaluator it costs what em_form() costs (287 L-evaluations here; the
+    # nested FD of F it once made cost 1423)
+    counts = []
+    for stage in ("maxwell_vertical_residual", "em_form"):
+        model = CountingMonolayer(params5)
+        getattr(GeometryEvaluator(model, sample_pt), stage)()
+        counts.append(model.calls)
+    assert counts == [287, 287]
 
 
 class TestBuiltinModelInvariants:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jetlag.monolayer import MonolayerModel, MonolayerParams
+from jetlag.points import jet_point
 from jetlag.validate import (
     FD_RESOLVABLE_CUT,
     DiscrepancyReport,
@@ -150,3 +151,40 @@ def test_resonant_closed_form_vs_ode_is_pinned():
     rec = next(r for r in rep.records if r.quantity == "resonant_closed_form_vs_ode")
     assert rec.rel_err == 4.891908418910636e-12
     assert rec.point == {"t_start": 0.0, "t_end": 8e-4, "n_samples": 100}
+
+
+#: the report seed of a resolvable point (dynamic-range ratio 9.6e-14) where
+#: cancellation in L1_11 grows the oracle's FD error past the tolerance
+SPREAD_SEED = 2140277469
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-3])
+def test_disagreement_inside_the_step_spread_is_explained(monkeypatch, perturb):
+    import jetlag.validate as val
+    from oracles import monolayer_reference
+
+    closed_values = val._closed_exact_values
+
+    def perturbed(pt, params):
+        values = closed_values(pt, params)
+        values["L1_11_exact"] *= 1.0 + perturb
+        return values
+
+    monkeypatch.setattr(val, "_closed_exact_values", perturbed)
+    params = MonolayerParams(R0=1.0)
+    rep = run_validation(params, seed=SPREAD_SEED, n_points=100)
+    flagged = [r for r in rep.records if r.quantity == "L1_11_exact" and r.verdict == "flagged" and r.oracle is not None]
+    if perturb == 0.0:
+        # the closed form is the 40-digit value there; the oracle is 1.3e-5 off,
+        # inside its own spread under halved and doubled step scales
+        assert rep.passed()
+        (rec,) = flagged
+        assert rec.rel_err > rep.tolerance and rec.explanation.startswith("fd step spread")
+        pt = jet_point(rec.point["t"], rec.point["r"], 0.0, rec.point["rdot"], rec.point["phidot"])
+        ref = monolayer_reference(pt, params)["L1_11_exact"]
+        assert abs(rec.closed_form - ref) < 1e-10 * abs(ref) < abs(rec.oracle - ref)
+    else:
+        # a closed form 1e-3 off is outside the spread at every resolvable point
+        assert len(flagged) == rep.n_points_resolvable == 8
+        assert all(not r.explanation for r in flagged)
+        assert rep.n_flagged_unexplained == 8
