@@ -8,9 +8,9 @@ byte-identical.  Every CSV goes through one
 writer: a missing value is an empty cell, a text cell holding a comma, a quote or a newline
 (a sweep's ``invalid:`` status) is quoted as RFC 4180 says, and an inf or a NaN is a
 numerical failure.  ``simulate`` and each ``sweep`` run build their integrator from the same
-config path, so ``sweep`` honours every ``integrator`` setting, ``max_step`` included.  Each
-command runs the models ``_COMMAND_MODELS`` lists for it; any other exits 2, and so does p = 0
-in a command that does not run ``free_polar``, the monolayer at p = 0.
+config path, so ``sweep`` honours every ``integrator`` setting, ``max_step`` included.  The
+free particle is ``params.p = 0``; ``resonant``, ``deviation`` and ``validate`` need p > 0 and
+exit 2 on it.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical/domain failure.  JETLAG_LOG=debug|info|warning|error (default warning) sets the
@@ -81,15 +81,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 # -- configuration --------------------------------------------------------------
 
-#: the models each command runs; ``eval`` runs every model there is
-_COMMAND_MODELS = {
-    "eval": ("monolayer", "free_polar"),
-    "simulate": ("monolayer", "free_polar"),
-    "sweep": ("monolayer", "free_polar"),
-    "resonant": ("monolayer",),
-    "deviation": ("monolayer",),
-    "validate": ("monolayer",),
-}
+#: the commands that do not run the free particle, p = 0
+_NEED_POSITIVE_P = ("resonant", "deviation", "validate")
 
 
 # A rule is (predicate, what the value must be); each predicate is written so
@@ -102,7 +95,6 @@ _GRID = (
     lambda v: len(v) == 3 and all(map(math.isfinite, v[:2])) and 1 <= v[2] <= 10**6 and v[2] == int(v[2]),
     "[lo, hi, n] with lo and hi finite and n a whole number from 1 to 10^6",
 )
-_MODEL = (lambda v: v in _COMMAND_MODELS["eval"], f"one of {', '.join(_COMMAND_MODELS['eval'])}")
 
 
 def _count(least: int):
@@ -111,7 +103,6 @@ def _count(least: int):
 
 #: each leaf key's (default, rule); a value must also have its default's type
 SCHEMA = {
-    "model": ("monolayer", _MODEL),
     "params": {"m": (1.0, _POSITIVE), "p": (10.0, _NONNEGATIVE), "V_abs": (1000.0, _POSITIVE), "R0": (1.0, _POSITIVE)},
     "initial_state": {
         "t": (0.0, _FINITE), "r": (0.5, _FINITE), "phi": (0.0, _FINITE), "rdot": (-1.0, _FINITE), "phidot": (0.1, _FINITE),
@@ -206,9 +197,8 @@ def load_config(path: str | None, seed_override=None) -> dict:
     t0, t_end = merged["initial_state"]["t"], merged["t_end"]
     if not t_end > t0:
         raise ConfigError(f"t_end must be finite and exceed initial_state.t = {t0}, got {t_end}")
-    res, p = merged["resonant"], merged["params"]
-    # free_polar is the monolayer at p = 0, once the configured p has passed its check
-    params = merged["params"] = MonolayerParams(**({**p, "p": 0.0} if merged["model"] == "free_polar" else p))
+    res = merged["resonant"]
+    params = merged["params"] = MonolayerParams(**merged["params"])
     if res["t_end"] == 0 and res["t_start"] != 0:
         raise ConfigError(f"resonant.t_start must be 0 while resonant.t_end is 0 (the default span), got {res['t_start']}")
     start, end = (res["t_start"], res["t_end"]) if res["t_end"] else default_span(params)
@@ -311,7 +301,7 @@ def cmd_eval(cfg: dict, args) -> int:
     oracle = _eval_quantities(met.g, spray.G, nlc.N, ev.em_form().F[1, 0], ev.yang_mills_energy())
     log.info("eval: oracle done")
 
-    print(f"model={cfg['model']} point: t={pt.t} r={pt.r} phi={pt.phi} rdot={pt.rdot} phidot={pt.phidot}")
+    print(f"point: t={pt.t} r={pt.r} phi={pt.phi} rdot={pt.rdot} phidot={pt.phidot}")
     print(f"{'quantity':<10} {'closed_form':>24} {'oracle':>24}")
     for name in _EVAL_QUANTITIES:
         cf = "" if closed[name] is None else _fmt(closed[name])
@@ -553,10 +543,7 @@ def main(argv=None) -> int:
         _set_log_level()
         cfg = load_config(args.config, seed_override=args.seed)
         log.info("%s: config loaded from %s", args.command, args.config or "the defaults")
-        models = _COMMAND_MODELS[args.command]
-        if cfg["model"] not in models:
-            raise ConfigError(f"{args.command} does not run the {cfg['model']} model; it runs {', '.join(models)}")
-        if cfg["params"].p == 0.0 and "free_polar" not in models:
+        if cfg["params"].p == 0.0 and args.command in _NEED_POSITIVE_P:
             raise ConfigError(f"{args.command} needs p > 0; p = 0 is the free particle, which it does not run")
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -225,33 +225,37 @@ def hamiltonian_split(state: TrajectoryState, params: MonolayerParams):
     With the kinetic term K = (m/2)(rdot^2 + r^2 phidot^2) and
     U_s = U - p r^5 |V| e^E / rdot, L = K + U_s: E_inst = K - U_s is the
     instanton energy, H = g11 rdot^2 + g22 phidot^2 - L the renormalized
-    Hamiltonian (algebraically -U), H_YM the printed Yang-Mills energy and
-    EYM = F_(2)1^(1)^2 / m the exact one.  At p = 0 H = H_YM = EYM = 0.
-    An rdot = 0 sample raises a DomainError when p != 0.  On arrays, an H_YM
-    or EYM that overflows is an inf or a NaN, without a warning; H_YM is
-    +0.0 wherever phidot = 0.
+    Hamiltonian, formed as its identity -U, since that sum cancels the
+    p r^5 |V| e^E / rdot terms and loses digits to them; H_YM the printed
+    Yang-Mills energy and EYM = F_(2)1^(1)^2 / m the exact one.  At p = 0
+    H = H_YM = EYM = +0.0.  An rdot = 0 sample raises a DomainError when
+    p != 0.  An H_YM that overflows is inf, on floats as on arrays, and on
+    arrays an EYM that overflows is an inf or a NaN, without a warning;
+    H_YM is +0.0 wherever phidot = 0.
     """
     t, r, rdot, phidot = state.t, state.r, state.rdot, state.phidot
     m, p, V = params.m, params.p, params.V_abs
     if p != 0.0 and _any(rdot == 0.0):
         raise DomainError("U_s contains rdot^-1; rdot = 0 is singular")
-    U_s = potential_U(t, r, params)
+    U = U_s = potential_U(t, r, params)
     if p != 0.0:
-        U_s -= p * r**5 * V * _exp_checked(2.0 * V * t / r, "hamiltonian_split") / rdot
+        U_s = U - p * r**5 * V * _exp_checked(2.0 * V * t / r, "hamiltonian_split") / rdot
     _require_sample(state)
     kinetic = 0.5 * m * (rdot**2 + r**2 * phidot**2)
     g11 = 0.5 * _denominator(t, r, rdot, params)
-    H = g11 * rdot**2 + 0.5 * m * r**2 * phidot**2 - (kinetic + U_s)
+    # 0.0 - U, not -U: the U = 0 of p = 0 gives H = +0.0
+    H = 0.0 - U
     if p == 0.0:
         return kinetic - U_s, H, _full_like(r, 0.0), _full_like(r, 0.0), g11
     bracket = zero_energy_bracket(t, r, rdot, params)
     with np.errstate(all="ignore"):
-        # exactly 0 at phidot = 0, also where the bracket's square overflows (0 * inf)
-        if type(phidot) is np.ndarray:
-            H_ym = phidot**2 * bracket**2 / (4.0 * m)
+        # products, not ** 2, which raises on a float that overflows; exactly 0
+        # at phidot = 0, also where the bracket's square overflows (0 * inf)
+        H_ym = phidot * phidot * (bracket * bracket) / (4.0 * m)
+        if type(H_ym) is np.ndarray:
             H_ym[phidot == 0.0] = 0.0
-        else:
-            H_ym = _full_like(bracket, 0.0) if phidot == 0.0 else phidot**2 * bracket**2 / (4.0 * m)
+        elif phidot == 0.0:
+            H_ym = 0.0
         return kinetic - U_s, H, H_ym, em_component_f21(state, params) ** 2 / m, g11
 
 
@@ -576,7 +580,11 @@ def _finite_time_collapse(spray, t, u) -> SingularEvent | None:
 
 def integrate_geodesic(config: SimConfig, model: MonolayerModel) -> TrajectorySeries:
     """Integrate dy/dt = -2G, dx/dt = y adaptively until t_end or a
-    singularity event; diagnostics and the EL residual come along."""
+    singularity event; diagnostics and the EL residual come along.  The
+    energies read ``config.params`` and the spray, the events and the EL
+    residual ``model``; the two must be equal, or a ValueError names both."""
+    if config.params != model.params:
+        raise ValueError(f"integrate_geodesic: config params {config.params} differ from the model's {model.params}")
     pt0 = config.state0.point()
     violation = model.domain_violation(pt0.t, *pt0.x, *pt0.y)
     if violation is not None:

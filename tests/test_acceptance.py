@@ -230,7 +230,6 @@ def test_criterion_9_hamiltonian_identities():
 
 def test_criterion_10_determinism(tmp_path):
     cfg = {
-        "model": "monolayer",
         "params": {"m": 1.0, "p": 10.0, "V_abs": 1000.0, "R0": 1.0},
         "initial_state": {"t": 0.0, "r": 0.5, "phi": 0.0, "rdot": -1.0, "phidot": 0.1},
         "t_end": 1e-3,

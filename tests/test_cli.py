@@ -32,7 +32,6 @@ def run_cli(*args):
 @pytest.fixture()
 def cfg_path(tmp_path):
     cfg = {
-        "model": "monolayer",
         "params": {"m": 1.0, "p": 10.0, "V_abs": 1000.0, "R0": 1.0},
         "initial_state": {"t": 0.0, "r": 0.5, "phi": 0.0, "rdot": -1.0, "phidot": 0.1},
         "t_end": 1e-3,
@@ -125,9 +124,7 @@ class TestConfig:
         ("simulate", '{"params": {"R0": NaN}}', "params.R0 must be positive and finite, got nan"),
         ("simulate", '{"params": {"V_abs": NaN}}', "params.V_abs must be positive and finite, got nan"),
         ("simulate", '{"params": {"p": Infinity}}', "params.p must be nonnegative and finite, got inf"),
-        # free_polar sets p = 0 only once the configured p has passed its check
-        ("simulate", '{"model": "free_polar", "params": {"p": -1}}', "params.p must be nonnegative and finite, got -1"),
-        ("simulate", '{"model": "free_polar", "params": {"p": NaN}}', "params.p must be nonnegative and finite, got nan"),
+        ("simulate", '{"params": {"p": NaN}}', "params.p must be nonnegative and finite, got nan"),
         ("simulate", '{"t_end": -1}', "t_end must be finite and exceed initial_state.t = 0.0, got -1"),
         ("simulate", '{"t_end": NaN}', "t_end must be finite, got nan"),
         ("simulate", '{"initial_state": {"t": 1}}', "t_end must be finite and exceed initial_state.t = 1, got 0.002"),
@@ -217,10 +214,12 @@ class TestConfig:
         assert run_cli(cmd, "--config", str(path)) == 2
         assert "params.R0 must be positive and finite, got None" in capsys.readouterr().err
 
-    def test_bad_model_name(self, tmp_path):
+    def test_bad_model_name(self, tmp_path, capsys):
+        # the free particle is params.p = 0: there is no model key
         path = tmp_path / "bad.json"
         path.write_text('{"model": "spherical_cow"}')
         assert run_cli("simulate", "--config", str(path)) == 2
+        assert capsys.readouterr().err == "configuration error: unknown configuration key: model\n"
 
     def test_readme_config_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -353,15 +352,15 @@ class TestEval:
         g11 = next(l for l in lines if l.startswith("g11"))
         assert len(g11.split()) == 2  # name + oracle column only
 
-    @pytest.mark.parametrize("model, point, extra, closed", [
-        pytest.param("monolayer", "0.001,0.5,0,-1,0.2", ["--oracle-only"], set(), id="oracle-only"),
-        # the monolayer at p = 0 fills every closed cell
-        pytest.param("free_polar", "0,2,0,3,0.5", [], {"g11", "g22", "G1", "G2", "N11", "N12", "N21", "N22", "F21", "EYM"},
-                     id="free_polar"),
+    @pytest.mark.parametrize("cfg, point, extra, closed", [
+        pytest.param({}, "0.001,0.5,0,-1,0.2", ["--oracle-only"], set(), id="oracle-only"),
+        # the free particle, the monolayer at p = 0, fills every closed cell
+        pytest.param({"params": {"p": 0}}, "0,2,0,3,0.5", [],
+                     {"g11", "g22", "G1", "G2", "N11", "N12", "N21", "N22", "F21", "EYM"}, id="free_polar"),
     ])
-    def test_csv_leaves_missing_closed_cells_empty(self, tmp_path, model, point, extra, closed):
+    def test_csv_leaves_missing_closed_cells_empty(self, tmp_path, cfg, point, extra, closed):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"model": model}))
+        path.write_text(json.dumps(cfg))
         out = tmp_path / "row.csv"
         assert run_cli("eval", "--config", str(path), "--point", point, *extra, "--csv", str(out)) == 0
         with open(out, newline="") as fh:
@@ -385,7 +384,7 @@ class TestEval:
     def test_negative_first_value_takes_the_equals_form(self, cfg_path, capsys):
         # argparse reads "--point -0.35,..." as a missing value and an option
         assert run_cli("eval", "--config", cfg_path, "--point=-0.35,0.1,0,-1,0.2") == 0
-        assert "point: t=-0.35 r=0.1" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("point: t=-0.35 r=0.1 phi=0.0 rdot=-1.0 phidot=0.2\n")
 
     def test_malformed_point(self, cfg_path):
         assert run_cli("eval", "--config", cfg_path, "--point", "1,2,3") == 2
@@ -456,7 +455,7 @@ _SHORT = {"validate": {"n_points": 3}}
 _EDGE_EXAMPLES = [
     ("resonant", {"params": {"R0": 1e300}}),  # the solver gives up
     ("deviation", {"deviation": {"delta_r": 1e300}}),
-    ("resonant", {"model": "free_polar"}),  # a model resonant does not run
+    ("resonant", {"params": {"p": 0}}),  # the free particle, which resonant does not run
     ("resonant", {"params": {"R0": 1e-300}}),
     ("resonant", {"params": {"R0": 5e-324}}), ("deviation", {"params": {"V_abs": 5e-324}}),
     ("validate", {"params": {"m": 5e-324}, **_SHORT}), ("validate", {"params": {"p": 5e-324}, **_SHORT}),
@@ -539,7 +538,7 @@ class TestSimulate:
 
     def test_free_polar_radial_column(self, tmp_path):
         cfg = {
-            "model": "free_polar",
+            "params": {"p": 0},
             "initial_state": {"t": 0.0, "r": 1.0, "phi": 0.0, "rdot": 1.0, "phidot": 0.0},
             "t_end": 1.0,
         }
@@ -683,7 +682,6 @@ def test_all_outputs_byte_identical(cfg_path, tmp_path):
 class TestSweep:
     def test_index_written(self, tmp_path):
         cfg = {
-            "model": "monolayer",
             "sweep": {"r": [0.3, 0.5, 2], "rdot": [-2.0, -1.0, 2],
                       "phidot_values": [0.0], "t_end": 2e-4},
         }
@@ -769,7 +767,7 @@ class TestSweep:
 
 def test_eval_other_models(tmp_path, capsys):
     fp = tmp_path / "fp.json"
-    fp.write_text(json.dumps({"model": "free_polar"}))
+    fp.write_text(json.dumps({"params": {"p": 0}}))
     assert run_cli("eval", "--config", str(fp), "--point", "0,2,0,3,0.5") == 0
     out = capsys.readouterr().out
     g1_line = next(l for l in out.splitlines() if l.startswith("G1"))
@@ -777,7 +775,7 @@ def test_eval_other_models(tmp_path, capsys):
 
     # the charged-particle fixture is a test oracle, not a model eval runs
     for cfg, message in [
-        ({"model": "electrodynamics_fixture"}, "model must be one of monolayer, free_polar, got electrodynamics_fixture"),
+        ({"model": "electrodynamics_fixture"}, "unknown configuration key: model"),
         ({"fixture": {"m": 1.0, "c": 1.0, "e": 1.0, "a": 2.0, "b": -1.0}}, "unknown configuration key: fixture"),
     ]:
         fp.write_text(json.dumps(cfg))
@@ -786,16 +784,14 @@ def test_eval_other_models(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd, cfg, message", [
-    *[pytest.param(cmd, {"model": "free_polar"}, f"{cmd} does not run the free_polar model; it runs ",
-                   id=f"{cmd}-free_polar")
-      for cmd in ("resonant", "deviation", "validate")],
-    # p = 0 is the free particle under either model name
+    # p = 0 is the free particle, which only eval, simulate and sweep run
     *[pytest.param(cmd, {"params": {"p": 0}}, f"{cmd} needs p > 0; p = 0 is the free particle, which it does not run",
                    id=f"{cmd}-p0")
       for cmd in ("resonant", "deviation", "validate")],
-    # no command runs the fixture model: it is unknown
-    *[pytest.param(cmd, {"model": "electrodynamics_fixture"},
-                   "model must be one of monolayer, free_polar, got electrodynamics_fixture",
+    # there is no model key, whatever its value
+    *[pytest.param(cmd, {"model": model}, "unknown configuration key: model", id=f"{cmd}-{model}")
+      for model in ("free_polar", "monolayer") for cmd in ("resonant", "deviation", "validate", "simulate", "sweep")],
+    *[pytest.param(cmd, {"model": "electrodynamics_fixture"}, "unknown configuration key: model",
                    id=f"{cmd}-electrodynamics_fixture")
       for cmd in ("resonant", "deviation", "validate", "simulate", "sweep")],
 ])
@@ -807,8 +803,7 @@ def test_commands_reject_a_model_they_do_not_run(tmp_path, capsys, cmd, cfg, mes
     assert not (tmp_path / "o").exists()
 
 
-#: SHA-256 of the default free-polar simulate and sweep files, which the
-#: monolayer at p = 0 must write bit for bit; at p = 0 the diagnostics take no
+#: SHA-256 of the default free-particle (p = 0) simulate and sweep files; at p = 0 the diagnostics take no
 #: exp, and numpy's AVX-512 and AVX2 dispatch give the same bytes.  The
 #: simulate file is the float Dormand-Prince driver's: one phi sample sits one
 #: float spacing from where scipy's BLAS stage sums put it
@@ -843,10 +838,7 @@ FREE_PARTICLE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("cfg", [
-    pytest.param({"model": "free_polar"}, id="free_polar"),
-    pytest.param({"model": "monolayer", "params": {"p": 0}}, id="monolayer-p0"),
-])
+@pytest.mark.parametrize("cfg", [pytest.param({"params": {"p": 0}}, id="monolayer-p0")])
 def test_free_particle_files_are_pinned(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -38,6 +39,7 @@ from jetlag.monolayer import (
 )
 from jetlag.points import jet_point
 from oracles import PolynomialModel, hamiltonian_displays
+from test_monolayer import mp_U
 
 FP = MonolayerModel(MonolayerParams(m=1.0, p=0.0))
 FREE = MonolayerParams(m=1.0, p=0.0, V_abs=1000.0)
@@ -95,6 +97,13 @@ class TestIntegrateGeodesic:
         # construct with rdot=0: SimConfig itself is fine, the integrator guards
         with pytest.raises(DomainError):
             integrate_geodesic(cfg, model5)
+
+    def test_params_must_be_the_models(self):
+        # the energies read config.params, the spray and the events the model's
+        cfg = SimConfig(params=MonolayerParams(p=10.0), state0=_DEFAULT_START, t_end=1e-4)
+        with pytest.raises(ValueError, match=r"config params MonolayerParams\(m=1\.0, p=10\.0.* the model's "
+                                             r"MonolayerParams\(m=1\.0, p=1\.0"):
+            integrate_geodesic(cfg, MonolayerModel(MonolayerParams(p=1.0)))
 
     def test_tolerance_scaling(self):
         # a curved free-polar run against its exact Cartesian straight line
@@ -220,6 +229,9 @@ class TestHamiltonianSplit:
                                                      np.full(3, -1.0), phidot), params)[2]
         assert H_ym[0] == H_ym[2] == 0.0 and not np.signbit(H_ym[[0, 2]]).any()
         assert H_ym[1] == math.inf
+        # at phidot != 0 a float state reads the same inf, where bracket ** 2 would raise an OverflowError
+        H_ym = hamiltonian_split(TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.1), params)[2]
+        assert H_ym == math.inf and type(H_ym) is float
 
     @pytest.mark.parametrize(
         "state",
@@ -241,7 +253,22 @@ class TestHamiltonianSplit:
     def test_h_equals_minus_u(self, params5):
         st = TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.2)
         H = hamiltonian_split(st, params5)[1]
-        assert H == pytest.approx(-potential_U(st.t, st.r, params5), rel=1e-11)
+        assert H == -potential_U(st.t, st.r, params5)
+        assert math.copysign(1.0, hamiltonian_split(st, FREE)[1]) == 1.0  # +0.0 at p = 0
+
+    @pytest.mark.parametrize("state", [
+        TrajectoryState(1e-3, 0.5, 0.0, -1.0, 0.1),
+        TrajectoryState(5e-3, 0.5, 0.0, -0.01, 0.1),
+        TrajectoryState(1e-4, 0.2, 0.0, -0.3, 0.9),
+        TrajectoryState(5e-3, 0.9, 0.3, -3.0, -0.8),
+    ])
+    def test_h_against_40_digit_u(self, params5, state):
+        # g11 rdot^2 + g22 phidot^2 - L cancels the p r^5 |V| e^E / rdot terms and
+        # read up to 1.7e-12 off here; -U alone reads at most 1.3e-13 off
+        with mpmath.workdps(40):
+            U = mp_U(mpmath.mpf(state.t), mpmath.mpf(state.r), params5.p, params5.V_abs)
+            err = float(abs((hamiltonian_split(state, params5)[1] + U) / U))
+        assert err < 2e-13
 
     def test_model_value_is_k_plus_u_s_on_the_default_sweep(self, params5):
         # the two copies of L: MonolayerModel.value and hamiltonian_split's

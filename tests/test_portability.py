@@ -49,7 +49,7 @@ BOUNDS = {
     },
     "trajectory.csv": {
         "E_inst": ("rel", 1e-13),
-        "H": ("rel", 1e-12),
+        "H": ("rel", 1e-14),
         "H_YM": ("rel", 1e-13),
         "EYM": ("rel", 1e-13),
         "g11": ("rel", 1e-14),
